@@ -47,14 +47,10 @@ def _column_sign_flips(vectors, rel_tol=1e-12):
     """Signs that make the first non-negligible entry of each column positive."""
     mags = np.abs(vectors)
     tops = mags.max(axis=0)
-    signs = np.ones(vectors.shape[1])
-    for j, top in enumerate(tops):
-        if top == 0.0:
-            continue
-        lead = int(np.argmax(mags[:, j] > rel_tol * top))
-        if vectors[lead, j] < 0.0:
-            signs[j] = -1.0
-    return signs
+    lead = np.argmax(mags > rel_tol * tops, axis=0)
+    lead_values = vectors[lead, np.arange(vectors.shape[1])]
+    # `tops != 0` rather than `> 0` so a NaN column is treated like any other
+    return np.where((tops != 0.0) & (lead_values < 0.0), -1.0, 1.0)
 
 
 def sym_eig(a):
@@ -108,7 +104,8 @@ def kronecker(a, b, max_elements=KRON_ELEMENT_BUDGET):
 def solve_shifted_gram(z, rho, m_rhs, svd=None):
     """Solve (2*rho*I - 2*Z*Z^T) W = M without forming the m-by-m system.
 
-    With Z = U diag(s) V^T this is
+    With Z = U diag(s) V^T (any thin SVD, so Z may be tall, square or wide)
+    this is
 
         W = M/(2 rho) + U [diag(1/(2 rho - 2 s_i^2)) - I/(2 rho)] U^T M,
 
@@ -117,22 +114,35 @@ def solve_shifted_gram(z, rho, m_rhs, svd=None):
     """
     z = as_matrix(z, "Z")
     m_rhs = as_matrix(m_rhs, "M")
-    m, n = z.shape
-    if n > m:
-        raise ValueError(f"Z must be tall or square, got {m}x{n}")
-    if m_rhs.shape[0] != m:
-        raise ValueError(f"M has {m_rhs.shape[0]} rows, expected {m}")
+    if m_rhs.shape[0] != z.shape[0]:
+        raise ValueError(f"M has {m_rhs.shape[0]} rows, expected {z.shape[0]}")
     if not rho > 0.0:
         raise ValueError("rho must be positive")
     if svd is None:
         svd = thin_svd(z)
-    sig2 = svd.sigma**2
+    coeff = shifted_gram_coeff(svd.sigma**2, rho)
+    return shifted_gram_apply(svd.u, rho, coeff[:, None], m_rhs)
+
+
+def shifted_gram_coeff(sig2, rho):
+    """Per-singular-value coefficients 1/(2 rho - 2 s_i^2) - 1/(2 rho).
+
+    Raises SingularShiftError when 2*rho is within a 1e-10 relative gap of
+    some 2*s_i^2, where the shifted system is numerically singular.
+    """
     denom = 2.0 * rho - 2.0 * sig2
     gap_floor = 1e-10 * max(2.0 * rho, 2.0 * float(sig2[0]))
     if np.abs(denom).min() < gap_floor:
         raise SingularShiftError(
             "2*rho is within the relative gap of a squared singular value"
         )
-    coeff = 1.0 / denom - 1.0 / (2.0 * rho)
-    ut_m = svd.u.T @ m_rhs
-    return m_rhs / (2.0 * rho) + svd.u @ (coeff[:, None] * ut_m)
+    return 1.0 / denom - 1.0 / (2.0 * rho)
+
+
+def shifted_gram_apply(u, rho, coeff_col, m_rhs):
+    """The SVD-form solve of `solve_shifted_gram`, with no input checks.
+
+    `u` is U of the thin SVD of Z and `coeff_col` the output of
+    `shifted_gram_coeff` as an r x 1 column.
+    """
+    return m_rhs / (2.0 * rho) + u @ (coeff_col * (u.T @ m_rhs))

@@ -12,8 +12,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import RankDeficientError, TargetUnreachableError
-from .numerics import as_matrix, solve_shifted_gram, sym_eig, thin_svd
+from .errors import NoConvergenceError, RankDeficientError, TargetUnreachableError
+from .numerics import (
+    as_matrix,
+    shifted_gram_apply,
+    shifted_gram_coeff,
+    solve_shifted_gram,
+    sym_eig,  # noqa: F401 -- no longer called here; perfbench traces it by this name
+    thin_svd,
+)
 from .transforms import OrthogonalTransform
 
 # Penalty-schedule presets for the two data families.
@@ -77,13 +84,20 @@ class Factorization:
     max_b_residual: float = 0.0  # worst relative residual of the B solves
 
 
-def objective(z, b, gamma):
-    """-||Z^T B||_F^2 + gamma * (number of nonzero entries of B)."""
-    z = as_matrix(z, "Z")
-    b = as_matrix(b, "B")
-    if b.shape[0] != z.shape[0]:
-        raise ValueError("Z and B row counts differ")
-    return float(-np.sum((z.T @ b) ** 2) + gamma * np.count_nonzero(b))
+def objective(z, b, gamma, ztb=None):
+    """-||Z^T B||_F^2 + gamma * (number of nonzero entries of B).
+
+    The solver loop passes the product Z^T B it has already formed as
+    ``ztb``; its inputs are checked once per solve, so nothing is validated
+    here in that case.
+    """
+    if ztb is None:
+        z = as_matrix(z, "Z")
+        b = as_matrix(b, "B")
+        if b.shape[0] != z.shape[0]:
+            raise ValueError("Z and B row counts differ")
+        ztb = z.T @ b
+    return float(-np.sum(ztb**2) + gamma * np.count_nonzero(b))
 
 
 def init_state(m, k, cfg: SolverConfig):
@@ -94,10 +108,19 @@ def init_state(m, k, cfg: SolverConfig):
                        y_p=zeros, y_q=zeros.copy(), rho=cfg.rho0)
 
 
-def update_b(state: SolverState, z, svd=None):
-    """Solve (2 rho I - 2 Z Z^T) B = rho (P + Q) - Y_P - Y_Q."""
-    rhs = state.rho * (state.p + state.q) - state.y_p - state.y_q
-    return solve_shifted_gram(z, state.rho, rhs, svd=svd)
+def update_b(state: SolverState, z, svd=None, rhs=None, coeff=None):
+    """Solve (2 rho I - 2 Z Z^T) B = rho (P + Q) - Y_P - Y_Q.
+
+    The solver loop passes the right-hand side it has already built, the
+    thin SVD of Z and the rho schedule's shift coefficients (an r x 1
+    column); the solve then skips validation. Without them Z and the
+    system are checked as in `solve_shifted_gram`.
+    """
+    if rhs is None:
+        rhs = state.rho * (state.p + state.q) - state.y_p - state.y_q
+    if coeff is None:
+        return solve_shifted_gram(z, state.rho, rhs, svd=svd)
+    return shifted_gram_apply(svd.u, state.rho, coeff, rhs)
 
 
 def update_p(state: SolverState, cfg: SolverConfig):
@@ -111,14 +134,30 @@ def update_q(state: SolverState):
     """Nearest column-orthonormal matrix to B + Y_Q/rho.
 
     Uses the closed form A V D^(-1/2) V^T with A^T A = V D V^T; raises
-    RankDeficientError when A loses column rank.
+    RankDeficientError when A loses column rank and FloatingPointError when
+    A^T A overflows.
+
+    The Gram matrix is symmetric by construction, so `eigh` runs on it
+    directly, without `sym_eig`'s symmetry check and sign convention: the
+    product V D^(-1/2) V^T is bit-identical under any column signs of V.
+    The descending reorder stays a fancy-index copy, because the order of
+    V's columns sets the summation order of that product.
     """
     shifted = state.b + state.y_q / state.rho
-    gram = sym_eig(shifted.T @ shifted)
-    if gram.values[-1] <= 1e-12 * max(gram.values[0], 1e-300):
+    gram = shifted.T @ shifted
+    if not np.isfinite(gram).all():
+        raise FloatingPointError("orthogonality projection input overflowed")
+    try:
+        values, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    if values[-1] <= 1e-12 * max(values[0], 1e-300):
         raise RankDeficientError("orthogonality projection input lost rank")
-    inv_sqrt = gram.vectors * (gram.values**-0.5)
-    return shifted @ (inv_sqrt @ gram.vectors.T)
+    inv_sqrt = vectors * (values**-0.5)
+    return shifted @ (inv_sqrt @ vectors.T)
 
 
 def _polar_orthonormal(shifted):
@@ -128,11 +167,21 @@ def _polar_orthonormal(shifted):
 
 
 def update_multipliers(state: SolverState, cfg: SolverConfig):
-    """Y_P += rho (B - P); Y_Q += rho (B - Q); rho <- min(rho*alpha, rho_max)."""
-    y_p = state.y_p + state.rho * (state.b - state.p)
-    y_q = state.y_q + state.rho * (state.b - state.q)
-    rho = min(state.rho * cfg.alpha, cfg.rho_max)
-    return replace(state, y_p=y_p, y_q=y_q, rho=rho, iter=state.iter + 1)
+    """Y_P += rho (B - P); Y_Q += rho (B - Q); rho <- min(rho*alpha, rho_max).
+
+    Returns a new state and leaves the input untouched; the new state shares
+    the input's B, P, Q and objective trace.
+    """
+    return SolverState(
+        b=state.b,
+        p=state.p,
+        q=state.q,
+        y_p=state.y_p + state.rho * (state.b - state.p),
+        y_q=state.y_q + state.rho * (state.b - state.q),
+        rho=min(state.rho * cfg.alpha, cfg.rho_max),
+        iter=state.iter + 1,
+        objective_trace=state.objective_trace,
+    )
 
 
 def _masked_gram_schmidt(basis, support, passes=6, target=1e-10):
@@ -180,6 +229,54 @@ def _extract(state: SolverState, z, cfg: SolverConfig, converged, max_resid):
     )
 
 
+class _ZContext:
+    """Everything a solve on Z needs that gamma does not change.
+
+    Z is validated once and its thin SVD taken once. The penalty rho of
+    every sweep, with its shifted-solve coefficients, depends on Z and on
+    (rho0, alpha, rho_max) only, so every probe of a gamma search walks the
+    same schedule: a sweep's entry is built by the first solve that reaches
+    it and read back by the others.
+    """
+
+    def __init__(self, z, cfg: SolverConfig):
+        self.z = as_matrix(z, "Z")
+        self.svd = thin_svd(self.z)
+        self.sig2 = self.svd.sigma**2
+        self.top_sq = float(self.svd.sigma[0] ** 2)
+        self.alpha = cfg.alpha
+        self.rho_max = cfg.rho_max
+        self.rhos = []
+        self.coeffs = []  # r x 1 columns for `shifted_gram_apply`
+        self.next_rho = cfg.rho0
+
+    def sweep(self, i):
+        """(rho, shift coefficients) of sweep `i`, counted from 0.
+
+        Raises SingularShiftError, in every solve that reaches sweep `i`,
+        when its rho is numerically on a squared singular value.
+        """
+        while len(self.rhos) <= i:
+            rho = self.next_rho
+            # Keep rho a small relative distance away from every squared
+            # singular value: at a crossing the shifted system is singular,
+            # and even near-misses amplify one mode of B by 1/gap, which the
+            # multipliers then take many sweeps to drain. A 2% exclusion
+            # zone caps the amplification at ~50x and keeps the B solve
+            # comfortably within its residual tolerance.
+            for _ in range(64):
+                gaps = np.abs(rho - self.sig2)
+                scales = np.maximum(rho, self.sig2)
+                if (gaps >= 0.01 * scales).all() or rho >= self.rho_max:
+                    break
+                rho = min(rho * 1.02, self.rho_max)
+            coeff = shifted_gram_coeff(self.sig2, rho)
+            self.rhos.append(rho)
+            self.coeffs.append(coeff[:, None])
+            self.next_rho = min(rho * self.alpha, self.rho_max)
+        return self.rhos[i], self.coeffs[i]
+
+
 def slrma_solve(z, cfg: SolverConfig):
     """Run the alternating loop on transform-domain data Z.
 
@@ -187,73 +284,79 @@ def slrma_solve(z, cfg: SolverConfig):
     max norm, the objective has been flat over the trailing window, and rho
     has passed the top squared singular value (before that point the B
     system is indefinite and the iterate is not trustworthy). Runs that
-    exhaust max_iters return converged=False with diagnostics intact.
+    exhaust max_iters, or whose iterate overflows, return converged=False
+    with diagnostics intact.
+
+    `gamma_for_sparsity` passes its per-Z context in place of Z, so that
+    every probe shares one validation, one SVD and one rho schedule; its
+    probes differ from each other in gamma only.
     """
-    z = as_matrix(z, "Z")
+    ctx = z if isinstance(z, _ZContext) else _ZContext(z, cfg)
+    z, svd = ctx.z, ctx.svd
     m, n = z.shape
     if not 1 <= cfg.k <= min(m, n):
         raise ValueError(f"k={cfg.k} outside [1, {min(m, n)}]")
-    svd = thin_svd(z)
-    top_sq = float(svd.sigma[0] ** 2)
     state = init_state(m, cfg.k, cfg)
     window = max(2, cfg.objective_window)
-    sig2 = svd.sigma**2
     max_resid = 0.0
     converged = False
     jitter_used = False
-    while state.iter < cfg.max_iters:
-        # Keep rho a small relative distance away from every squared
-        # singular value: at a crossing the shifted system is singular, and
-        # even near-misses amplify one mode of B by 1/gap, which the
-        # multipliers then take many sweeps to drain. A 2% exclusion zone
-        # caps the amplification at ~50x and keeps the B solve comfortably
-        # within its residual tolerance.
-        for _ in range(64):
-            gaps = np.abs(state.rho - sig2)
-            scales = np.maximum(state.rho, sig2)
-            if (gaps >= 0.01 * scales).all() or state.rho >= cfg.rho_max:
-                break
-            state.rho = min(state.rho * 1.02, cfg.rho_max)
-        rho_now = state.rho
-        prev_p, prev_q = state.p, state.q
-        state.b = update_b(state, z, svd=svd)
-        if not np.isfinite(state.b).all():
-            # Numerical blow-up (possible when the penalty schedule dwells
-            # near a data singular value); report the last sane iterate.
-            state.p, state.q = prev_p, prev_q
-            return _extract(state, z, cfg, False, max_resid)
-        # Residual of the defining system, computed from Z itself so the
-        # check stays independent of the SVD shortcut used in the solve.
-        rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
-        applied = 2.0 * rho_now * state.b - 2.0 * (z @ (z.T @ state.b))
-        rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
-        max_resid = max(max_resid, float(rel))
-        state.p = update_p(state, cfg)
-        try:
-            state.q = update_q(state)
-        except RankDeficientError:
-            if not jitter_used:
-                jitter_used = True
-                jitter = np.random.default_rng(0).standard_normal(state.b.shape)
-                state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
+    try:
+        while state.iter < cfg.max_iters:
+            prev_p, prev_q = state.p, state.q
+            rho_now, coeff = ctx.sweep(state.iter)
+            state.rho = rho_now
+            rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
+            state.b = update_b(state, z, svd, rhs=rhs, coeff=coeff)
+            if not np.isfinite(state.b).all():
+                raise FloatingPointError("B overflowed")
+            # Residual of the defining system, computed from Z itself so the
+            # check stays independent of the SVD shortcut used in the solve.
+            ztb = z.T @ state.b
+            applied = 2.0 * rho_now * state.b - 2.0 * (z @ ztb)
+            rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
+            max_resid = max(max_resid, float(rel))
+            state.p = update_p(state, cfg)
             try:
                 state.q = update_q(state)
             except RankDeficientError:
-                # The closed form needs full rank; the SVD polar factor is
-                # the same projection computed stably and is always defined.
-                state.q = _polar_orthonormal(state.b + state.y_q / state.rho)
-        state.objective_trace.append(objective(z, state.b, cfg.gamma))
-        r_p = np.abs(state.b - state.p).max()
-        r_q = np.abs(state.b - state.q).max()
-        state = update_multipliers(state, cfg)
-        if r_p < cfg.tol and r_q < cfg.tol and rho_now > top_sq:
-            trace = state.objective_trace
-            if len(trace) >= window:
-                tail = trace[-window:]
-                flat = (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1]))
-                if flat:
-                    converged = True
-                    break
+                q = None
+                # Only a jittered B can pass a retry: update_q is
+                # deterministic, so an unchanged input fails again.
+                if not jitter_used:
+                    jitter_used = True
+                    jitter = np.random.default_rng(0).standard_normal(state.b.shape)
+                    state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
+                    ztb = z.T @ state.b
+                    try:
+                        q = update_q(state)
+                    except RankDeficientError:
+                        pass
+                if q is None:
+                    # The closed form needs full rank; the SVD polar factor is
+                    # the same projection computed stably and is always defined.
+                    q = _polar_orthonormal(state.b + state.y_q / state.rho)
+                state.q = q
+            value = objective(z, state.b, cfg.gamma, ztb)
+            if not np.isfinite(value):
+                raise FloatingPointError("objective overflowed")
+            state.objective_trace.append(value)
+            r_p = np.abs(state.b - state.p).max()
+            r_q = np.abs(state.b - state.q).max()
+            state = update_multipliers(state, cfg)
+            if r_p < cfg.tol and r_q < cfg.tol and rho_now > ctx.top_sq:
+                trace = state.objective_trace
+                if len(trace) >= window:
+                    tail = trace[-window:]
+                    flat = (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1]))
+                    if flat:
+                        converged = True
+                        break
+    except FloatingPointError:
+        # Numerical blow-up (possible when the penalty schedule dwells near
+        # or below a data singular value); report the last sane iterate.
+        state.p, state.q = prev_p, prev_q
+        return _extract(state, z, cfg, False, max_resid)
     return _extract(state, z, cfg, converged, max_resid)
 
 
@@ -265,15 +368,14 @@ def gamma_for_sparsity(z, cfg: SolverConfig, target_pb, tol_pb,
     bisects on log gamma. Every probe is a full solve; the best probe (by
     distance to the target) is returned as (gamma, factorization).
     """
-    z = as_matrix(z, "Z")
+    ctx = _ZContext(z, cfg)
     if not 0.0 <= target_pb < 1.0:
         raise ValueError("target_pb must lie in [0, 1)")
-    top = float(thin_svd(z).sigma[0] ** 2)
-    gamma0 = 1e-8 * top / z.shape[0]
+    gamma0 = 1e-8 * ctx.top_sq / ctx.z.shape[0]
     probes = []
 
     def probe(gamma):
-        result = slrma_solve(z, replace(cfg, gamma=gamma))
+        result = slrma_solve(ctx, replace(cfg, gamma=gamma))
         probes.append((gamma, result))
         if probe_log is not None:
             probe_log.append((gamma, result.p_b_achieved))

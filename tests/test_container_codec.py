@@ -147,6 +147,17 @@ def test_image_error_within_quantization_bound():
     assert rmse(data.x, x_hat) <= lossless_rmse + bound / np.sqrt(data.x.size) + 1e-12
 
 
+def test_wide_image_set_roundtrip():
+    # more frames than pixels: Z is 64 x 100, wider than tall
+    data = synth_image_set(8, 8, 100, rank=4, noise_sigma=2.0, seed=2)
+    params = CodecParams(k=4, step_b=0.004, step_c=1.0, gamma=5.0)
+    blob = compress_image_set(data.x, data.w, data.h, params)
+    x_hat, w, h = decompress_image_set(blob)
+    assert (w, h) == (8, 8)
+    assert x_hat.shape == (64, 100)
+    assert rmse(data.x, x_hat) < 2.5  # noise floor is sigma = 2
+
+
 def test_image_distortion_monotone_in_step():
     data = small_image_set()
     errs = []

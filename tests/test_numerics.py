@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slrma.errors import NonSymmetricError, SingularShiftError, SizeOverflowError
-from slrma.numerics import kronecker, solve_shifted_gram, sym_eig, thin_svd
+from slrma.numerics import (
+    _column_sign_flips,
+    kronecker,
+    solve_shifted_gram,
+    sym_eig,
+    thin_svd,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -58,6 +65,40 @@ def test_sym_eig_deterministic():
     two = sym_eig(a.copy())
     assert np.array_equal(one.values, two.values)
     assert np.array_equal(one.vectors, two.vectors)
+
+
+def reference_column_sign_flips(vectors, rel_tol=1e-12):
+    """The per-column loop the vectorized sign convention must reproduce."""
+    mags = np.abs(vectors)
+    tops = mags.max(axis=0)
+    signs = np.ones(vectors.shape[1])
+    for j, top in enumerate(tops):
+        if top == 0.0:
+            continue
+        lead = int(np.argmax(mags[:, j] > rel_tol * top))
+        if vectors[lead, j] < 0.0:
+            signs[j] = -1.0
+    return signs
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-13, -1e-13]),
+            st.floats(-1e6, 1e6),
+        ),
+    ),
+    st.lists(st.integers(0, 7), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_sign_flips_match_loop(vectors, zero_columns):
+    for j in zero_columns:
+        if j < vectors.shape[1]:
+            vectors[:, j] = 0.0
+    got = _column_sign_flips(vectors)
+    assert np.array_equal(got, reference_column_sign_flips(vectors))
 
 
 def test_thin_svd_identity():
@@ -140,17 +181,26 @@ def test_solve_shifted_gram_orthogonal_unit_singulars():
     assert np.abs(w - m_rhs).max() < 1e-10
 
 
-def test_solve_shifted_gram_dense_oracle():
-    rng = np.random.default_rng(7)
-    z = rng.normal(size=(10, 4))
+def check_dense_oracle(seed, m, n):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(m, n))
     rho = 10.0 + float(np.linalg.norm(z, 2) ** 2)
-    m_rhs = rng.normal(size=(10, 3))
+    m_rhs = rng.normal(size=(m, 3))
     w = solve_shifted_gram(z, rho, m_rhs)
-    system = 2.0 * rho * np.eye(10) - 2.0 * z @ z.T
+    system = 2.0 * rho * np.eye(m) - 2.0 * z @ z.T
     expected = np.linalg.solve(system, m_rhs)
     assert np.abs(w - expected).max() < 1e-8 * np.abs(expected).max()
     resid = system @ w - m_rhs
     assert np.abs(resid).max() < 1e-8 * np.abs(m_rhs).max()
+
+
+def test_solve_shifted_gram_dense_oracle():
+    check_dense_oracle(7, 10, 4)
+
+
+def test_solve_shifted_gram_dense_oracle_wide():
+    # the SVD form holds for any thin SVD, so wide Z (n > m) is solved too
+    check_dense_oracle(8, 5, 9)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 50), st.integers(1, 6))
@@ -171,8 +221,3 @@ def test_solve_shifted_gram_singular_shift():
     z = np.eye(3)  # singular values all 1
     with pytest.raises(SingularShiftError):
         solve_shifted_gram(z, 1.0, np.ones((3, 2)))  # 2*rho == 2*sigma^2
-
-
-def test_solve_shifted_gram_requires_tall_z():
-    with pytest.raises(ValueError):
-        solve_shifted_gram(np.ones((2, 5)), 1.0, np.ones((2, 2)))

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from slrma.errors import TargetUnreachableError
-from slrma.numerics import thin_svd
+import slrma.solver as solver_module
+from slrma.codec import CodecParams, compress_mesh_seq
+from slrma.datasets import synth_image_set, synth_mesh_seq
+from slrma.errors import NotConvergedError, RankDeficientError, TargetUnreachableError
+from slrma.numerics import sym_eig, thin_svd
 from slrma.solver import (
     SolverConfig,
     SolverState,
@@ -16,7 +21,7 @@ from slrma.solver import (
     update_p,
     update_q,
 )
-from slrma.transforms import dct1d, identity
+from slrma.transforms import dct1d, dct2d, identity
 
 
 def random_state(rng, m, k, rho, scale=1.0):
@@ -322,3 +327,157 @@ def test_gamma_ladder_probe_log_audit():
                 for g in ladder]
     inversions = sum(1 for a, b in zip(achieved, achieved[1:]) if b < a - 1e-12)
     assert inversions <= 1
+
+
+# ---------------------------------------------------------------------------
+# blow-up handling
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_iterate_returns_not_converged():
+    # sigma_1^2 ~ 4.5e7 sits above the mesh preset's rho0 = 1e7: the B
+    # system stays indefinite long enough for the iterate to overflow
+    z = np.random.default_rng(0).normal(size=(24, 6)) * 1e3
+    fact = slrma_solve(z, SolverConfig.for_meshes(10.0, 2))
+    assert not fact.converged
+    assert fact.iterations < 1000
+    assert np.isfinite(fact.basis).all() and np.isfinite(fact.coeffs).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_mesh_compress_is_not_converged_error():
+    data = synth_mesh_seq(16, 8, seed=1)
+    params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=10.0)
+    with pytest.raises(NotConvergedError):
+        compress_mesh_seq(data.xx * 10.0, data.xy * 10.0, data.xz * 10.0,
+                          data.faces, params)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the lean loop against the reference loop
+#
+# The references below are the solver as first written: update_q through
+# sym_eig (symmetry check, sign convention), and a solve that takes its own
+# SVD, validates every step and rebuilds its state each sweep. The lean loop
+# must give the same floating-point results, not merely close ones.
+
+def reference_update_q(state):
+    shifted = state.b + state.y_q / state.rho
+    gram = sym_eig(shifted.T @ shifted)
+    if gram.values[-1] <= 1e-12 * max(gram.values[0], 1e-300):
+        raise RankDeficientError("orthogonality projection input lost rank")
+    inv_sqrt = gram.vectors * (gram.values**-0.5)
+    return shifted @ (inv_sqrt @ gram.vectors.T)
+
+
+def reference_solve(z, cfg):
+    m, n = z.shape
+    svd = thin_svd(z)
+    top_sq = float(svd.sigma[0] ** 2)
+    state = init_state(m, cfg.k, cfg)
+    window = max(2, cfg.objective_window)
+    sig2 = svd.sigma**2
+    max_resid = 0.0
+    converged = False
+    jitter_used = False
+    while state.iter < cfg.max_iters:
+        for _ in range(64):
+            gaps = np.abs(state.rho - sig2)
+            scales = np.maximum(state.rho, sig2)
+            if (gaps >= 0.01 * scales).all() or state.rho >= cfg.rho_max:
+                break
+            state.rho = min(state.rho * 1.02, cfg.rho_max)
+        rho_now = state.rho
+        prev_p, prev_q = state.p, state.q
+        state.b = update_b(state, z, svd=svd)
+        if not np.isfinite(state.b).all():
+            state.p, state.q = prev_p, prev_q
+            return solver_module._extract(state, z, cfg, False, max_resid)
+        rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
+        applied = 2.0 * rho_now * state.b - 2.0 * (z @ (z.T @ state.b))
+        rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
+        max_resid = max(max_resid, float(rel))
+        state.p = update_p(state, cfg)
+        try:
+            state.q = reference_update_q(state)
+        except RankDeficientError:
+            if not jitter_used:
+                jitter_used = True
+                jitter = np.random.default_rng(0).standard_normal(state.b.shape)
+                state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
+            try:
+                state.q = reference_update_q(state)
+            except RankDeficientError:
+                polar = thin_svd(state.b + state.y_q / state.rho)
+                state.q = polar.u @ polar.v.T
+        state.objective_trace.append(objective(z, state.b, cfg.gamma))
+        r_p = np.abs(state.b - state.p).max()
+        r_q = np.abs(state.b - state.q).max()
+        state = update_multipliers(state, cfg)
+        if r_p < cfg.tol and r_q < cfg.tol and rho_now > top_sq:
+            trace = state.objective_trace
+            if len(trace) >= window:
+                tail = trace[-window:]
+                if (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1])):
+                    converged = True
+                    break
+    return solver_module._extract(state, z, cfg, converged, max_resid)
+
+
+def assert_same_factorization(got, want):
+    assert np.array_equal(got.basis, want.basis)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.objective_trace == want.objective_trace
+    assert got.max_b_residual == want.max_b_residual
+
+
+def test_update_q_matches_reference():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        m = int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(m, 8) + 1))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        state = random_state(rng, m, k, rho=10.0 ** rng.uniform(-4, 4), scale=scale)
+        assert np.array_equal(update_q(state), reference_update_q(state))
+
+
+def test_update_q_rank_loss_matches_reference():
+    b = np.zeros((5, 2))
+    b[0, 0] = 1.0
+    state = SolverState(b=b, p=b, q=b, y_p=np.zeros((5, 2)), y_q=np.zeros((5, 2)),
+                        rho=1.0)
+    for step in (update_q, reference_update_q):
+        with pytest.raises(RankDeficientError):
+            step(state)
+
+
+def search_case():
+    data = synth_image_set(8, 8, 16, rank=4, noise_sigma=2.0, seed=2)
+    return dct2d(8, 8).forward(data.x), SolverConfig.for_images(0.0, 3)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0, 40.0])
+def test_solve_matches_reference(gamma):
+    z, cfg = search_case()
+    cfg = replace(cfg, gamma=gamma)
+    assert_same_factorization(slrma_solve(z, cfg), reference_solve(z, cfg))
+
+
+def test_search_probes_match_independent_reference(monkeypatch):
+    z, cfg = search_case()
+    probes = []
+
+    def recording_solve(data, probe_cfg):
+        result = slrma_solve(data, probe_cfg)
+        probes.append((probe_cfg, result))
+        return result
+
+    monkeypatch.setattr(solver_module, "slrma_solve", recording_solve)
+    gamma, fact = gamma_for_sparsity(z, cfg, 0.6, 0.05)
+    monkeypatch.undo()
+    assert len(probes) > 5
+    for probe_cfg, result in probes:
+        assert_same_factorization(result, reference_solve(z, probe_cfg))
+    chosen = [result for probe_cfg, result in probes if probe_cfg.gamma == gamma]
+    assert fact is chosen[0]
