@@ -266,6 +266,13 @@ def _cmd_rd_sweep(args):
     failures = sum(1 for r in rows if r.error)
     print(f"wrote {len(rows)} rows to {args.csv} "
           f"({failures} failed), front of {len(front)} to {front_path}")
+    for r in front:
+        if args.kind == "images":
+            point = f"{r.rate:8.4f} bpp   rmse {r.rmse:8.4f}   psnr {r.psnr:6.2f} dB"
+        else:
+            point = f"{r.rate:8.4f} bpfv   kg {r.kg_error:8.4f}%"
+        print(f"  {point}   (k={r.k}, p_B {r.p_b_achieved:.2f}, "
+              f"steps {r.step_b}/{r.step_c})")
     return 0
 
 

@@ -5,6 +5,11 @@ coefficients, both uniformly quantized and arithmetic-coded. Mesh
 sequences run the same factorization per coordinate axis against the mesh
 graph transform, with an extra 1D DCT applied along the coefficient rows
 before quantization to squeeze temporal coherence.
+
+Compression runs in two stages. `factor` solves every stream once;
+`encode` quantizes, entropy-codes and packs a factorization at given
+quantizer steps, so one factorization can serve many steps (the RD sweep
+does this). `build_transforms` is the one place that builds bases.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .transforms import (
     KIND_DCT2D,
     KIND_DWT2D,
     KIND_GRAPH,
+    OrthogonalTransform,
     dct1d,
     dct2d,
     dwt2d,
@@ -63,26 +69,6 @@ class CodecParams:
         return SolverConfig(gamma=gamma, k=self.k, **merged)
 
 
-def _solve_stream(z, params: CodecParams, defaults, gamma=None):
-    """Factor one matrix, resolving gamma from a sparsity target if needed."""
-    gamma = params.gamma if gamma is None else gamma
-    if gamma is not None:
-        result = slrma_solve(z, params.solver_config(float(gamma), defaults))
-        used = float(gamma)
-    elif params.target_pb is not None:
-        used, result = gamma_for_sparsity(
-            z, params.solver_config(0.0, defaults),
-            params.target_pb, params.pb_tol,
-        )
-    else:
-        raise ValueError("need either gamma or target_pb")
-    if not result.converged:
-        raise NotConvergedError(
-            f"solver did not converge within {result.iterations} iterations"
-        )
-    return used, result
-
-
 def factor_quantization_bound(basis, coeffs, step_b, step_c):
     """Frobenius bound on the product perturbation from quantizing factors.
 
@@ -97,12 +83,129 @@ def factor_quantization_bound(basis, coeffs, step_b, step_c):
     return db * c_spec + dc + db * dc
 
 
-def _image_transform(params: CodecParams, w, h):
-    if params.transform == "dct":
-        return dct2d(w, h)
-    if params.transform == "dwt":
-        return dwt2d(w, h, params.levels)
-    raise ValueError(f"unsupported image transform {params.transform!r}")
+@dataclass(frozen=True)
+class Transforms:
+    """The bases one container names; `build_transforms` is their one source."""
+
+    phi: OrthogonalTransform            # images: 2D DCT or Haar; meshes: graph basis
+    frames: OrthogonalTransform = None  # meshes: 1D DCT along the frames
+    digest: bytes = b""                 # meshes: connectivity hash for the header
+
+
+def build_transforms(kind, params, faces=None, n=None, digest=None):
+    """Build the bases for a container transform kind and its params.
+
+    This is the codec's one transform dispatch: compress, decompress and the
+    sweep all come through it. Image kinds take (w, h) for the 2D DCT and
+    (w, h, levels) for the 2D Haar. The graph kind takes (m,), the faces and
+    the frame count n; a container's `digest` is checked against the faces
+    before the O(m^3) eigenbasis is built.
+    """
+    if kind == KIND_DCT2D:
+        w, h = params
+        return Transforms(dct2d(w, h))
+    if kind == KIND_DWT2D:
+        w, h, levels = params
+        return Transforms(dwt2d(w, h, levels))
+    if kind == KIND_GRAPH:
+        (m,) = params
+        graph = mesh_adjacency(faces, m)
+        found = connectivity_digest(m, graph.edges)
+        if digest is not None and digest != found:
+            raise DigestMismatchError("connectivity does not match the container")
+        return Transforms(graph_transform(graph), dct1d(n), found)
+    raise ValueError(f"unsupported transform kind {kind!r}")
+
+
+def image_transforms(transform, levels, w, h):
+    """Image bases for a CodecParams.transform name, "dct" or "dwt"."""
+    if transform == "dct":
+        return build_transforms(KIND_DCT2D, (w, h))
+    if transform == "dwt":
+        return build_transforms(KIND_DWT2D, (w, h, levels))
+    raise ValueError(f"unsupported image transform {transform!r}")
+
+
+def factor(transforms: Transforms, data, params: CodecParams):
+    """Factor stage: solve Z = Phi^T X of every stream in `data`.
+
+    Returns one (gamma, Factorization) per stream, in order. Gamma comes
+    from `params.gamma` (for meshes a scalar or one value per axis) or, when
+    that is unset, from the sparsity search for `params.target_pb`. A solve
+    that does not converge is returned as it is; see `check_converged`.
+    """
+    defaults = IMAGE_DEFAULTS if transforms.frames is None else MESH_DEFAULTS
+    gammas = params.gamma
+    if np.ndim(gammas) == 0:
+        gammas = [gammas] * len(data)
+    streams = []
+    for x, gamma in zip(data, gammas, strict=True):
+        z = transforms.phi.forward(x)
+        if gamma is not None:
+            cfg = params.solver_config(float(gamma), defaults)
+            streams.append((float(gamma), slrma_solve(z, cfg)))
+        elif params.target_pb is not None:
+            cfg = params.solver_config(0.0, defaults)
+            streams.append(gamma_for_sparsity(z, cfg, params.target_pb, params.pb_tol))
+        else:
+            raise ValueError("need either gamma or target_pb")
+    return streams
+
+
+def check_converged(streams):
+    """Raise NotConvergedError for the first stream whose solve did not converge."""
+    for _, fact in streams:
+        if not fact.converged:
+            raise NotConvergedError(
+                f"solver did not converge within {fact.iterations} iterations"
+            )
+
+
+def encode(transforms: Transforms, streams, step_b, step_c):
+    """Encode stage: quantize, entropy-code and pack factored streams.
+
+    Meshes take a 1D DCT along the coefficient rows before quantization.
+    """
+    payloads = []
+    for _, fact in streams:
+        coeffs = fact.coeffs
+        if transforms.frames is not None:
+            coeffs = transforms.frames.forward(coeffs.T)  # n x k
+        payloads.append(entropy_encode(quantize(fact.basis, step_b)))
+        payloads.append(entropy_encode(quantize(coeffs, step_c)))
+    m, k = streams[0][1].basis.shape
+    header = ContainerHeader(
+        pipeline=PIPELINE_IMAGE if transforms.frames is None else PIPELINE_MESH,
+        transform_kind=transforms.phi.kind,
+        transform_params=transforms.phi.params,
+        m=m,
+        n=streams[0][1].coeffs.shape[1],
+        k=k,
+        step_b=step_b,
+        step_c=step_c,
+        digest=transforms.digest,
+    )
+    return pack_container(header, payloads)
+
+
+def _decode(transforms: Transforms, header, payloads):
+    """Inverse of `encode` after unpacking: one reconstruction per stream."""
+    out = []
+    for payload_b, payload_c in zip(payloads[::2], payloads[1::2]):
+        basis = dequantize(entropy_decode(payload_b, header.m, header.k, header.step_b))
+        if transforms.frames is None:
+            coeffs = dequantize(entropy_decode(payload_c, header.k, header.n, header.step_c))
+        else:
+            coeff_dct = dequantize(entropy_decode(payload_c, header.n, header.k, header.step_c))
+            coeffs = transforms.frames.inverse(coeff_dct).T  # k x n
+        out.append(transforms.phi.inverse(basis @ coeffs))
+    return out
+
+
+def _compress(transforms, data, params: CodecParams):
+    streams = factor(transforms, data, params)
+    check_converged(streams)
+    return encode(transforms, streams, params.step_b, params.step_c)
 
 
 def compress_image_set(x, w, h, params: CodecParams):
@@ -110,22 +213,8 @@ def compress_image_set(x, w, h, params: CodecParams):
     x = as_matrix(x, "X")
     if x.shape[0] != w * h:
         raise ValueError(f"X has {x.shape[0]} rows, expected w*h={w * h}")
-    phi = _image_transform(params, w, h)
-    z = phi.forward(x)
-    _, fact = _solve_stream(z, params, IMAGE_DEFAULTS)
-    payload_b = entropy_encode(quantize(fact.basis, params.step_b))
-    payload_c = entropy_encode(quantize(fact.coeffs, params.step_c))
-    header = ContainerHeader(
-        pipeline=PIPELINE_IMAGE,
-        transform_kind=phi.kind,
-        transform_params=phi.params,
-        m=x.shape[0],
-        n=x.shape[1],
-        k=params.k,
-        step_b=params.step_b,
-        step_c=params.step_c,
-    )
-    return pack_container(header, [payload_b, payload_c])
+    transforms = image_transforms(params.transform, params.levels, w, h)
+    return _compress(transforms, [x], params)
 
 
 def decompress_image_set(blob):
@@ -133,19 +222,14 @@ def decompress_image_set(blob):
     header, payloads = unpack_container(blob)
     if header.pipeline != PIPELINE_IMAGE:
         raise CorruptStreamError("not an image-set container")
-    if header.transform_kind == KIND_DCT2D:
-        w, h = header.transform_params
-        phi = dct2d(w, h)
-    elif header.transform_kind == KIND_DWT2D:
-        w, h, levels = header.transform_params
-        phi = dwt2d(w, h, levels)
-    else:
+    if header.transform_kind not in (KIND_DCT2D, KIND_DWT2D):
         raise CorruptStreamError(
             f"transform {header.transform_kind} invalid for the image pipeline"
         )
-    basis = dequantize(entropy_decode(payloads[0], header.m, header.k, header.step_b))
-    coeffs = dequantize(entropy_decode(payloads[1], header.k, header.n, header.step_c))
-    return phi.inverse(basis @ coeffs), w, h
+    transforms = build_transforms(header.transform_kind, header.transform_params)
+    w, h = header.transform_params[:2]
+    (x_hat,) = _decode(transforms, header, payloads)
+    return x_hat, w, h
 
 
 def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
@@ -155,34 +239,8 @@ def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
     if not xx.shape == xy.shape == xz.shape:
         raise ValueError("coordinate matrices must share one shape")
     m, n = xx.shape
-    graph = mesh_adjacency(faces, m)
-    u_gt = graph_transform(graph)
-    u_dct = dct1d(n)
-    gammas = params.gamma
-    if gammas is not None and np.ndim(gammas) == 0:
-        gammas = (gammas, gammas, gammas)
-    payloads = []
-    for axis, data in enumerate((xx, xy, xz)):
-        z = u_gt.forward(data)
-        _, fact = _solve_stream(
-            z, params, MESH_DEFAULTS,
-            gamma=None if gammas is None else gammas[axis],
-        )
-        coeff_dct = u_dct.forward(fact.coeffs.T)  # n x k
-        payloads.append(entropy_encode(quantize(fact.basis, params.step_b)))
-        payloads.append(entropy_encode(quantize(coeff_dct, params.step_c)))
-    header = ContainerHeader(
-        pipeline=PIPELINE_MESH,
-        transform_kind=KIND_GRAPH,
-        transform_params=(m,),
-        m=m,
-        n=n,
-        k=params.k,
-        step_b=params.step_b,
-        step_c=params.step_c,
-        digest=connectivity_digest(m, graph.edges),
-    )
-    return pack_container(header, payloads)
+    transforms = build_transforms(KIND_GRAPH, (m,), faces=faces, n=n)
+    return _compress(transforms, [xx, xy, xz], params)
 
 
 def decompress_mesh_seq(blob, faces):
@@ -190,17 +248,6 @@ def decompress_mesh_seq(blob, faces):
     header, payloads = unpack_container(blob)
     if header.pipeline != PIPELINE_MESH:
         raise CorruptStreamError("not a mesh-sequence container")
-    graph = mesh_adjacency(faces, header.m)
-    if connectivity_digest(header.m, graph.edges) != header.digest:
-        raise DigestMismatchError("connectivity does not match the container")
-    u_gt = graph_transform(graph)
-    u_dct = dct1d(header.n)
-    out = []
-    for axis in range(3):
-        basis = dequantize(entropy_decode(
-            payloads[2 * axis], header.m, header.k, header.step_b))
-        coeff_dct = dequantize(entropy_decode(
-            payloads[2 * axis + 1], header.n, header.k, header.step_c))
-        coeffs = u_dct.inverse(coeff_dct).T  # k x n
-        out.append(u_gt.inverse(basis @ coeffs))
-    return tuple(out)
+    transforms = build_transforms(KIND_GRAPH, (header.m,), faces=faces,
+                                  n=header.n, digest=header.digest)
+    return tuple(_decode(transforms, header, payloads))

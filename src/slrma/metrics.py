@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSequenceError, InfinitePsnrError, ShapeMismatchError
 from .numerics import as_matrix
-
-
-@dataclass
-class MetricsReport:
-    rmse: float
-    psnr: float = None        # dB, image sets; None when rmse == 0 (flagged)
-    kg_error: float = None    # percent, mesh sequences
-    bits: int = None
-    rate: float = None        # bpp or bpfv
-    psnr_infinite: bool = False
 
 
 def rmse(x, x_hat):

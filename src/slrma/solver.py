@@ -301,62 +301,66 @@ def slrma_solve(z, cfg: SolverConfig):
     max_resid = 0.0
     converged = False
     jitter_used = False
-    try:
-        while state.iter < cfg.max_iters:
-            prev_p, prev_q = state.p, state.q
-            rho_now, coeff = ctx.sweep(state.iter)
-            state.rho = rho_now
-            rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
-            state.b = update_b(state, z, svd, rhs=rhs, coeff=coeff)
-            if not np.isfinite(state.b).all():
-                raise FloatingPointError("B overflowed")
-            # Residual of the defining system, computed from Z itself so the
-            # check stays independent of the SVD shortcut used in the solve.
-            ztb = z.T @ state.b
-            applied = 2.0 * rho_now * state.b - 2.0 * (z @ ztb)
-            rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
-            max_resid = max(max_resid, float(rel))
-            state.p = update_p(state, cfg)
-            try:
-                state.q = update_q(state)
-            except RankDeficientError:
-                q = None
-                # Only a jittered B can pass a retry: update_q is
-                # deterministic, so an unchanged input fails again.
-                if not jitter_used:
-                    jitter_used = True
-                    jitter = np.random.default_rng(0).standard_normal(state.b.shape)
-                    state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
-                    ztb = z.T @ state.b
-                    try:
-                        q = update_q(state)
-                    except RankDeficientError:
-                        pass
-                if q is None:
-                    # The closed form needs full rank; the SVD polar factor is
-                    # the same projection computed stably and is always defined.
-                    q = _polar_orthonormal(state.b + state.y_q / state.rho)
-                state.q = q
-            value = objective(z, state.b, cfg.gamma, ztb)
-            if not np.isfinite(value):
-                raise FloatingPointError("objective overflowed")
-            state.objective_trace.append(value)
-            r_p = np.abs(state.b - state.p).max()
-            r_q = np.abs(state.b - state.q).max()
-            state = update_multipliers(state, cfg)
-            if r_p < cfg.tol and r_q < cfg.tol and rho_now > ctx.top_sq:
-                trace = state.objective_trace
-                if len(trace) >= window:
-                    tail = trace[-window:]
-                    flat = (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1]))
-                    if flat:
-                        converged = True
-                        break
-    except FloatingPointError:
-        # Numerical blow-up (possible when the penalty schedule dwells near
-        # or below a data singular value); report the last sane iterate.
-        state.p, state.q = prev_p, prev_q
-        return _extract(state, z, cfg, False, max_resid)
+    # A blow-up is caught by the finiteness checks on B, the Gram matrix and
+    # the objective, so numpy's overflow and invalid-value warnings on the
+    # way there say nothing new.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while state.iter < cfg.max_iters:
+                prev_p, prev_q = state.p, state.q
+                rho_now, coeff = ctx.sweep(state.iter)
+                state.rho = rho_now
+                rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
+                state.b = update_b(state, z, svd, rhs=rhs, coeff=coeff)
+                if not np.isfinite(state.b).all():
+                    raise FloatingPointError("B overflowed")
+                # Residual of the defining system, computed from Z itself so the
+                # check stays independent of the SVD shortcut used in the solve.
+                ztb = z.T @ state.b
+                applied = 2.0 * rho_now * state.b - 2.0 * (z @ ztb)
+                rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
+                max_resid = max(max_resid, float(rel))
+                state.p = update_p(state, cfg)
+                try:
+                    state.q = update_q(state)
+                except RankDeficientError:
+                    q = None
+                    # Only a jittered B can pass a retry: update_q is
+                    # deterministic, so an unchanged input fails again.
+                    if not jitter_used:
+                        jitter_used = True
+                        jitter = np.random.default_rng(0).standard_normal(state.b.shape)
+                        state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
+                        ztb = z.T @ state.b
+                        try:
+                            q = update_q(state)
+                        except RankDeficientError:
+                            pass
+                    if q is None:
+                        # The closed form needs full rank; the SVD polar factor is
+                        # the same projection computed stably and is always defined.
+                        q = _polar_orthonormal(state.b + state.y_q / state.rho)
+                    state.q = q
+                value = objective(z, state.b, cfg.gamma, ztb)
+                if not np.isfinite(value):
+                    raise FloatingPointError("objective overflowed")
+                state.objective_trace.append(value)
+                r_p = np.abs(state.b - state.p).max()
+                r_q = np.abs(state.b - state.q).max()
+                state = update_multipliers(state, cfg)
+                if r_p < cfg.tol and r_q < cfg.tol and rho_now > ctx.top_sq:
+                    trace = state.objective_trace
+                    if len(trace) >= window:
+                        tail = trace[-window:]
+                        flat = (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1]))
+                        if flat:
+                            converged = True
+                            break
+        except FloatingPointError:
+            # Numerical blow-up (possible when the penalty schedule dwells near
+            # or below a data singular value); report the last sane iterate.
+            state.p, state.q = prev_p, prev_q
+            return _extract(state, z, cfg, False, max_resid)
     return _extract(state, z, cfg, converged, max_resid)
 
 

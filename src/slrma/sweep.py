@@ -1,9 +1,10 @@
 """Exhaustive rate-distortion sweeps over (k, p_B target, quantizer step).
 
-Each grid point resolves gamma once per (k, p_B) via the sparsity search,
-compresses with every step pair, decompresses, and measures. Rows are
-emitted in deterministic grid order with full provenance; per-point
-failures are tagged and the sweep continues.
+The codec's factor stage runs once per (k, p_B target), through the
+sparsity search; its factorization is then encoded with every step pair,
+decompressed, and measured. Rows are emitted in deterministic grid order
+with full provenance; per-point failures are tagged and the sweep
+continues.
 """
 
 from __future__ import annotations
@@ -16,16 +17,23 @@ import numpy as np
 
 from .codec import (
     CodecParams,
-    compress_image_set,
-    compress_mesh_seq,
+    build_transforms,
+    check_converged,
     decompress_image_set,
     decompress_mesh_seq,
+    encode,
+    factor,
+    image_transforms,
 )
 from .datasets import ImageSet
 from .errors import InfinitePsnrError, SlrmaError
 from .metrics import bits_per_frame_vertex, bits_per_pixel, kg_error, psnr, rmse
-from .solver import IMAGE_DEFAULTS, MESH_DEFAULTS, gamma_for_sparsity
-from .transforms import dct2d, dwt2d, graph_transform, mesh_adjacency
+from .transforms import KIND_GRAPH
+
+# Not called here: perfbench/tracing.py resolves these names in this module.
+from .codec import compress_image_set, compress_mesh_seq  # noqa: F401
+from .solver import gamma_for_sparsity  # noqa: F401
+from .transforms import dct2d, dwt2d, graph_transform, mesh_adjacency  # noqa: F401
 
 CSV_COLUMNS = [
     "k", "p_B_target", "p_B_achieved", "gamma", "step_b", "step_c",
@@ -108,96 +116,70 @@ def pareto_front(points):
     return front
 
 
-def _resolve_gammas(dataset, grid: SweepGrid):
-    """One sparsity search per (k, p_B target); shared across step ladders."""
-    resolved = {}
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _measure(row, dataset, blob):
+    """Fill a row's rate and distortion from one container and its decode."""
+    row.bits = 8 * len(blob)
     if isinstance(dataset, ImageSet):
-        phi = (dct2d(dataset.w, dataset.h) if grid.transform == "dct"
-               else dwt2d(dataset.w, dataset.h, grid.levels))
-        zs = [phi.forward(dataset.x)]
-        defaults = IMAGE_DEFAULTS
+        x_hat, _, _ = decompress_image_set(blob)
+        row.rate = bits_per_pixel(len(blob), dataset.w, dataset.h, dataset.n)
+        row.rmse = rmse(dataset.x, x_hat)
+        try:
+            row.psnr = psnr(dataset.x, x_hat)
+        except InfinitePsnrError:
+            row.psnr = float("inf")
     else:
-        u_gt = graph_transform(mesh_adjacency(dataset.faces, dataset.m))
-        zs = [u_gt.forward(a) for a in (dataset.xx, dataset.xy, dataset.xz)]
-        defaults = MESH_DEFAULTS
-    for k in grid.ks:
-        for pb in grid.pb_targets:
-            params = CodecParams(k=k, step_b=1.0, step_c=1.0,
-                                 transform=grid.transform, levels=grid.levels,
-                                 solver=dict(grid.solver))
-            try:
-                gammas, facts = [], []
-                for z in zs:
-                    cfg = params.solver_config(0.0, defaults)
-                    gamma, fact = gamma_for_sparsity(z, cfg, pb, grid.pb_tol)
-                    gammas.append(gamma)
-                    facts.append(fact)
-                nnz = sum(np.count_nonzero(f.basis) for f in facts)
-                total = sum(f.basis.size for f in facts)
-                resolved[(k, pb)] = dict(
-                    gammas=tuple(gammas),
-                    p_b=1.0 - nnz / total,
-                    iters=max(f.iterations for f in facts),
-                    converged=all(f.converged for f in facts),
-                )
-            except SlrmaError as exc:
-                resolved[(k, pb)] = dict(error=f"{type(exc).__name__}: {exc}")
-    return resolved
+        hx, hy, hz = decompress_mesh_seq(blob, dataset.faces)
+        row.rate = bits_per_frame_vertex(len(blob), dataset.m, dataset.n)
+        row.kg_error = kg_error(dataset.xx, dataset.xy, dataset.xz, hx, hy, hz)
+        row.rmse = rmse(dataset.stacked(), np.vstack([hx, hy, hz]))
 
 
 def rd_sweep(dataset, grid: SweepGrid):
     """Evaluate the full grid; returns (rows, pareto front rows)."""
-    resolved = _resolve_gammas(dataset, grid)
-    is_image = isinstance(dataset, ImageSet)
+    if isinstance(dataset, ImageSet):
+        transforms = image_transforms(grid.transform, grid.levels,
+                                      dataset.w, dataset.h)
+        data = [dataset.x]
+    else:
+        transforms = build_transforms(KIND_GRAPH, (dataset.m,),
+                                      faces=dataset.faces, n=dataset.n)
+        data = [dataset.xx, dataset.xy, dataset.xz]
     rows = []
     for k in grid.ks:
         for pb in grid.pb_targets:
-            info = resolved[(k, pb)]
+            params = CodecParams(k=k, step_b=1.0, step_c=1.0,
+                                 transform=grid.transform, levels=grid.levels,
+                                 target_pb=pb, pb_tol=grid.pb_tol,
+                                 solver=dict(grid.solver))
+            point = dict(k=k, p_b_target=pb, transform=grid.transform)
+            try:
+                streams = factor(transforms, data, params)
+            except SlrmaError as exc:
+                rows.extend(SweepRow(**point, step_b=step_b, step_c=step_c,
+                                     error=_error_text(exc))
+                            for step_b, step_c in grid.steps)
+                continue
+            facts = [fact for _, fact in streams]
+            nnz = sum(np.count_nonzero(f.basis) for f in facts)
+            total = sum(f.basis.size for f in facts)
+            point.update(
+                gamma=streams[0][0],
+                p_b_achieved=1.0 - nnz / total,
+                iters=max(f.iterations for f in facts),
+                converged=all(f.converged for f in facts),
+            )
             for step_b, step_c in grid.steps:
-                row = SweepRow(k=k, p_b_target=pb, step_b=step_b,
-                               step_c=step_c, transform=grid.transform)
-                if "error" in info:
-                    row.error = info["error"]
-                    rows.append(row)
-                    continue
-                gammas = info["gammas"]
-                row.gamma = gammas[0]
-                row.p_b_achieved = info["p_b"]
-                row.iters = info["iters"]
-                row.converged = info["converged"]
-                params = CodecParams(
-                    k=k, step_b=step_b, step_c=step_c,
-                    transform=grid.transform, levels=grid.levels,
-                    gamma=gammas[0] if is_image else gammas,
-                    solver=dict(grid.solver),
-                )
+                row = SweepRow(**point, step_b=step_b, step_c=step_c)
                 try:
-                    if is_image:
-                        blob = compress_image_set(dataset.x, dataset.w,
-                                                  dataset.h, params)
-                        x_hat, _, _ = decompress_image_set(blob)
-                        row.bits = 8 * len(blob)
-                        row.rate = bits_per_pixel(len(blob), dataset.w,
-                                                  dataset.h, dataset.n)
-                        row.rmse = rmse(dataset.x, x_hat)
-                        try:
-                            row.psnr = psnr(dataset.x, x_hat)
-                        except InfinitePsnrError:
-                            row.psnr = float("inf")
-                    else:
-                        blob = compress_mesh_seq(dataset.xx, dataset.xy,
-                                                 dataset.xz, dataset.faces,
-                                                 params)
-                        hx, hy, hz = decompress_mesh_seq(blob, dataset.faces)
-                        row.bits = 8 * len(blob)
-                        row.rate = bits_per_frame_vertex(len(blob), dataset.m,
-                                                         dataset.n)
-                        row.kg_error = kg_error(dataset.xx, dataset.xy,
-                                                dataset.xz, hx, hy, hz)
-                        row.rmse = rmse(dataset.stacked(),
-                                        np.vstack([hx, hy, hz]))
+                    check_converged(streams)
+                    _measure(row, dataset, encode(transforms, streams,
+                                                  step_b, step_c))
                 except SlrmaError as exc:
-                    row.error = f"{type(exc).__name__}: {exc}"
+                    row.error = _error_text(exc)
                 rows.append(row)
     scored = [r for r in rows if not r.error and r.rate is not None]
     front_pts = pareto_front([(r.rate, r.distortion) for r in scored])

@@ -1,3 +1,4 @@
+from slrma import codec, sweep
 from slrma.cli import cli_main
 from slrma.datasets import load_image_set
 from slrma.metrics import psnr, rmse
@@ -128,9 +129,32 @@ def test_rd_sweep_cli(tmp_path, capsys):
     assert len(text.splitlines()) == 5  # header + 4 grid points
     front = csv_path.with_suffix(".front.csv")
     assert front.exists()
+    # one printed line per Pareto point, in the front CSV's order
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ")]
+    front_rows = front.read_text().splitlines()[1:]
+    assert len(printed) == len(front_rows) >= 1
+    for line, csv_row in zip(printed, front_rows):
+        k, rate = csv_row.split(",")[0], float(csv_row.split(",")[8])
+        assert line.startswith(f"  {rate:8.4f} bpp   rmse ")
+        assert f"(k={k}, p_B " in line
     # reproducible bit for bit
     csv2 = tmp_path / "sweep2.csv"
     assert run(["rd-sweep", "--kind", "images", "--seed", "3",
                 "--ks", "2,4", "--pbs", "0.3",
                 "--steps", "0.008:2,0.004:1", "--csv", str(csv2)]) == 0
     assert csv2.read_text() == text
+
+
+def test_rd_sweep_cli_rejects_unsupported_transform(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the transform")
+
+    for module in (codec, sweep):
+        monkeypatch.setattr(module, "gamma_for_sparsity", no_solve)
+    csv_path = tmp_path / "sweep.csv"
+    assert run(["rd-sweep", "--kind", "images", "--transform", "gt",
+                "--ks", "2", "--pbs", "0.3", "--steps", "0.004:1",
+                "--csv", str(csv_path)]) == 1
+    assert "unsupported image transform 'gt'" in capsys.readouterr().err
+    assert not csv_path.exists()

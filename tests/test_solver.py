@@ -332,7 +332,7 @@ def test_gamma_ladder_probe_log_audit():
 # ---------------------------------------------------------------------------
 # blow-up handling
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_iterate_returns_not_converged():
     # sigma_1^2 ~ 4.5e7 sits above the mesh preset's rho0 = 1e7: the B
     # system stays indefinite long enough for the iterate to overflow
@@ -343,7 +343,7 @@ def test_overflowing_iterate_returns_not_converged():
     assert np.isfinite(fact.basis).all() and np.isfinite(fact.coeffs).all()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_mesh_compress_is_not_converged_error():
     data = synth_mesh_seq(16, 8, seed=1)
     params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=10.0)

@@ -1,6 +1,16 @@
-from slrma.codec import CodecParams, compress_image_set, decompress_image_set
-from slrma.datasets import synth_image_set
-from slrma.metrics import rmse
+import pytest
+
+from slrma import codec, sweep
+from slrma.codec import (
+    CodecParams,
+    compress_image_set,
+    compress_mesh_seq,
+    decompress_image_set,
+    decompress_mesh_seq,
+)
+from slrma.datasets import ImageSet, synth_image_set, synth_mesh_seq
+from slrma.errors import NotConvergedError
+from slrma.metrics import kg_error, rmse
 from slrma.sweep import CSV_COLUMNS, SweepGrid, pareto_front, rd_sweep, rows_to_csv
 
 
@@ -30,18 +40,67 @@ def test_rd_sweep_rows_and_front():
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
+def one_shot_compress(data, params):
+    if isinstance(data, ImageSet):
+        return compress_image_set(data.x, data.w, data.h, params)
+    return compress_mesh_seq(data.xx, data.xy, data.xz, data.faces, params)
+
+
 def test_rd_sweep_single_point_matches_standalone():
+    # The sweep encodes the search's factorization at every step pair; a
+    # one-shot compress with the row's target must give the same container
+    # size and distortion, or the same error.
+    images = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+    mesh = synth_mesh_seq(16, 8, seed=1)
+    two_steps = ((0.008, 2.0), (0.004, 1.0))
+    cases = [
+        (images, SweepGrid(ks=(3,), pb_targets=(0.3,), steps=two_steps)),
+        (mesh, SweepGrid(ks=(2,), pb_targets=(0.5,), steps=two_steps,
+                         solver={"alpha": 1.02})),
+        # every probe stops at max_iters: a NotConvergedError row
+        (mesh, SweepGrid(ks=(2,), pb_targets=(0.5,), steps=((0.004, 1.0),),
+                         solver={"alpha": 1.02, "max_iters": 5})),
+    ]
+    errors = 0
+    for data, grid in cases:
+        rows, _ = rd_sweep(data, grid)
+        for row in rows:
+            params = CodecParams(k=row.k, step_b=row.step_b, step_c=row.step_c,
+                                 transform=grid.transform, levels=grid.levels,
+                                 target_pb=row.p_b_target, pb_tol=grid.pb_tol,
+                                 solver=dict(grid.solver))
+            if row.error:
+                errors += 1
+                with pytest.raises(NotConvergedError) as info:
+                    one_shot_compress(data, params)
+                assert row.error == f"NotConvergedError: {info.value}"
+                continue
+            blob = one_shot_compress(data, params)
+            assert row.bits == 8 * len(blob)
+            if isinstance(data, ImageSet):
+                x_hat, _, _ = decompress_image_set(blob)
+                assert row.rmse == rmse(data.x, x_hat)
+            else:
+                hx, hy, hz = decompress_mesh_seq(blob, data.faces)
+                assert row.kg_error == kg_error(data.xx, data.xy, data.xz,
+                                                hx, hy, hz)
+    assert errors == 1
+
+
+@pytest.mark.parametrize("transform", ["gt", "dtc"])
+def test_rd_sweep_rejects_unsupported_transform_before_any_solve(
+        monkeypatch, transform):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the transform")
+
+    for module in (codec, sweep):
+        monkeypatch.setattr(module, "gamma_for_sparsity", no_solve)
+    monkeypatch.setattr(codec, "slrma_solve", no_solve)
     data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
-    grid = SweepGrid(ks=(3,), pb_targets=(0.3,), steps=((0.004, 1.0),),
-                     transform="dct")
-    rows, _ = rd_sweep(data, grid)
-    row = rows[0]
-    params = CodecParams(k=3, step_b=0.004, step_c=1.0, transform="dct",
-                         gamma=row.gamma)
-    blob = compress_image_set(data.x, data.w, data.h, params)
-    assert row.bits == 8 * len(blob)
-    x_hat, _, _ = decompress_image_set(blob)
-    assert row.rmse == rmse(data.x, x_hat)
+    grid = SweepGrid(ks=(2,), pb_targets=(0.3,), steps=((0.004, 1.0),),
+                     transform=transform)
+    with pytest.raises(ValueError, match="unsupported image transform"):
+        rd_sweep(data, grid)
 
 
 def test_csv_schema_and_determinism():
