@@ -87,6 +87,7 @@ def factor_quantization_bound(basis, coeffs, step_b, step_c):
 class Transforms:
     """The bases one container names; `build_transforms` is their one source."""
 
+    pipeline: int                       # PIPELINE_IMAGE or PIPELINE_MESH
     phi: OrthogonalTransform            # images: 2D DCT or Haar; meshes: graph basis
     frames: OrthogonalTransform = None  # meshes: 1D DCT along the frames
     digest: bytes = b""                 # meshes: connectivity hash for the header
@@ -103,17 +104,17 @@ def build_transforms(kind, params, faces=None, n=None, digest=None):
     """
     if kind == KIND_DCT2D:
         w, h = params
-        return Transforms(dct2d(w, h))
+        return Transforms(PIPELINE_IMAGE, dct2d(w, h))
     if kind == KIND_DWT2D:
         w, h, levels = params
-        return Transforms(dwt2d(w, h, levels))
+        return Transforms(PIPELINE_IMAGE, dwt2d(w, h, levels))
     if kind == KIND_GRAPH:
         (m,) = params
         graph = mesh_adjacency(faces, m)
         found = connectivity_digest(m, graph.edges)
         if digest is not None and digest != found:
             raise DigestMismatchError("connectivity does not match the container")
-        return Transforms(graph_transform(graph), dct1d(n), found)
+        return Transforms(PIPELINE_MESH, graph_transform(graph), dct1d(n), found)
     raise ValueError(f"unsupported transform kind {kind!r}")
 
 
@@ -134,7 +135,7 @@ def factor(transforms: Transforms, data, params: CodecParams):
     that is unset, from the sparsity search for `params.target_pb`. A solve
     that does not converge is returned as it is; see `check_converged`.
     """
-    defaults = IMAGE_DEFAULTS if transforms.frames is None else MESH_DEFAULTS
+    defaults = IMAGE_DEFAULTS if transforms.pipeline == PIPELINE_IMAGE else MESH_DEFAULTS
     gammas = params.gamma
     if np.ndim(gammas) == 0:
         gammas = [gammas] * len(data)
@@ -169,13 +170,13 @@ def encode(transforms: Transforms, streams, step_b, step_c):
     payloads = []
     for _, fact in streams:
         coeffs = fact.coeffs
-        if transforms.frames is not None:
+        if transforms.pipeline == PIPELINE_MESH:
             coeffs = transforms.frames.forward(coeffs.T)  # n x k
         payloads.append(entropy_encode(quantize(fact.basis, step_b)))
         payloads.append(entropy_encode(quantize(coeffs, step_c)))
     m, k = streams[0][1].basis.shape
     header = ContainerHeader(
-        pipeline=PIPELINE_IMAGE if transforms.frames is None else PIPELINE_MESH,
+        pipeline=transforms.pipeline,
         transform_kind=transforms.phi.kind,
         transform_params=transforms.phi.params,
         m=m,
@@ -193,7 +194,7 @@ def _decode(transforms: Transforms, header, payloads):
     out = []
     for payload_b, payload_c in zip(payloads[::2], payloads[1::2]):
         basis = dequantize(entropy_decode(payload_b, header.m, header.k, header.step_b))
-        if transforms.frames is None:
+        if transforms.pipeline == PIPELINE_IMAGE:
             coeffs = dequantize(entropy_decode(payload_c, header.k, header.n, header.step_c))
         else:
             coeff_dct = dequantize(entropy_decode(payload_c, header.n, header.k, header.step_c))

@@ -49,7 +49,9 @@ def one_shot_compress(data, params):
 def test_rd_sweep_single_point_matches_standalone():
     # The sweep encodes the search's factorization at every step pair; a
     # one-shot compress with the row's target must give the same container
-    # size and distortion, or the same error.
+    # size and distortion, or the same error. An image row must also be
+    # reproduced by a one-shot compress at its recorded gamma; a mesh row
+    # records only the x-axis gamma, so it cannot be re-run that way.
     images = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
     mesh = synth_mesh_seq(16, 8, seed=1)
     two_steps = ((0.008, 2.0), (0.004, 1.0))
@@ -78,6 +80,14 @@ def test_rd_sweep_single_point_matches_standalone():
             blob = one_shot_compress(data, params)
             assert row.bits == 8 * len(blob)
             if isinstance(data, ImageSet):
+                x_hat, _, _ = decompress_image_set(blob)
+                assert row.rmse == rmse(data.x, x_hat)
+                # the row's gamma column re-runs it without the search
+                fixed = CodecParams(k=row.k, step_b=row.step_b, step_c=row.step_c,
+                                    transform=row.transform, levels=grid.levels,
+                                    gamma=row.gamma, solver=dict(grid.solver))
+                blob = compress_image_set(data.x, data.w, data.h, fixed)
+                assert row.bits == 8 * len(blob)
                 x_hat, _, _ = decompress_image_set(blob)
                 assert row.rmse == rmse(data.x, x_hat)
             else:
