@@ -33,10 +33,6 @@ class RankTooLargeError(SlrmaError):
     """Requested rank exceeds min(m, n)."""
 
 
-class RankDeficientError(SlrmaError):
-    """Orthogonality projection input lost column rank."""
-
-
 class NotConvergedError(SlrmaError):
     """Solver could not produce a usable iterate."""
 

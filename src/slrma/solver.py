@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoConvergenceError, RankDeficientError, TargetUnreachableError
+from .errors import NoConvergenceError, TargetUnreachableError
 from .numerics import (
     as_matrix,
     shifted_gram_apply,
@@ -26,6 +26,9 @@ from .transforms import OrthogonalTransform
 # Penalty-schedule presets for the two data families.
 IMAGE_DEFAULTS = dict(rho0=1e-4, alpha=1.05, rho_max=1e10)
 MESH_DEFAULTS = dict(rho0=1e7, alpha=1.003, rho_max=1e12)
+
+# Bisection steps of the gamma search after the bracket is found.
+MAX_BISECT = 30
 
 
 @dataclass(frozen=True)
@@ -131,17 +134,20 @@ def update_p(state: SolverState, cfg: SolverConfig):
 
 
 def update_q(state: SolverState):
-    """Nearest column-orthonormal matrix to B + Y_Q/rho.
+    """Nearest column-orthonormal matrix to A = B + Y_Q/rho: A's polar factor.
 
-    Uses the closed form A V D^(-1/2) V^T with A^T A = V D V^T; raises
-    RankDeficientError when A loses column rank and FloatingPointError when
-    A^T A overflows.
+    With A^T A = V D V^T well conditioned this is the closed form
+    A V D^(-1/2) V^T; once A has lost column rank (smallest eigenvalue at
+    most 1e-12 of the largest) it is U V^T from A's thin SVD, which is
+    defined for any input. Raises FloatingPointError when A^T A overflows
+    and NoConvergenceError when `eigh` or the SVD fails.
 
     The Gram matrix is symmetric by construction, so `eigh` runs on it
     directly, without `sym_eig`'s symmetry check and sign convention: the
-    product V D^(-1/2) V^T is bit-identical under any column signs of V.
-    The descending reorder stays a fancy-index copy, because the order of
-    V's columns sets the summation order of that product.
+    product V D^(-1/2) V^T is bit-identical under any column signs of V, as
+    is U V^T under `thin_svd`'s signs. The descending reorder stays a
+    fancy-index copy, because the order of V's columns sets the summation
+    order of that product.
     """
     shifted = state.b + state.y_q / state.rho
     gram = shifted.T @ shifted
@@ -154,16 +160,14 @@ def update_q(state: SolverState):
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    if values[-1] <= 1e-12 * max(values[0], 1e-300):
-        raise RankDeficientError("orthogonality projection input lost rank")
-    inv_sqrt = vectors * (values**-0.5)
-    return shifted @ (inv_sqrt @ vectors.T)
-
-
-def _polar_orthonormal(shifted):
-    """Polar factor via SVD: defined for any input, exactly orthonormal."""
-    svd = thin_svd(shifted)
-    return svd.u @ svd.v.T
+    if values[-1] > 1e-12 * max(values[0], 1e-300):
+        inv_sqrt = vectors * (values**-0.5)
+        return shifted @ (inv_sqrt @ vectors.T)
+    try:
+        u, _, vt = np.linalg.svd(shifted, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    return u @ vt
 
 
 def update_multipliers(state: SolverState, cfg: SolverConfig):
@@ -300,7 +304,6 @@ def slrma_solve(z, cfg: SolverConfig):
     window = max(2, cfg.objective_window)
     max_resid = 0.0
     converged = False
-    jitter_used = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
     # the objective, so numpy's overflow and invalid-value warnings on the
     # way there say nothing new.
@@ -321,26 +324,7 @@ def slrma_solve(z, cfg: SolverConfig):
                 rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
                 max_resid = max(max_resid, float(rel))
                 state.p = update_p(state, cfg)
-                try:
-                    state.q = update_q(state)
-                except RankDeficientError:
-                    q = None
-                    # Only a jittered B can pass a retry: update_q is
-                    # deterministic, so an unchanged input fails again.
-                    if not jitter_used:
-                        jitter_used = True
-                        jitter = np.random.default_rng(0).standard_normal(state.b.shape)
-                        state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
-                        ztb = z.T @ state.b
-                        try:
-                            q = update_q(state)
-                        except RankDeficientError:
-                            pass
-                    if q is None:
-                        # The closed form needs full rank; the SVD polar factor is
-                        # the same projection computed stably and is always defined.
-                        q = _polar_orthonormal(state.b + state.y_q / state.rho)
-                    state.q = q
+                state.q = update_q(state)
                 value = objective(z, state.b, cfg.gamma, ztb)
                 if not np.isfinite(value):
                     raise FloatingPointError("objective overflowed")
@@ -364,8 +348,7 @@ def slrma_solve(z, cfg: SolverConfig):
     return _extract(state, z, cfg, converged, max_resid)
 
 
-def gamma_for_sparsity(z, cfg: SolverConfig, target_pb, tol_pb,
-                       probe_log=None, max_bisect=30):
+def gamma_for_sparsity(z, cfg: SolverConfig, target_pb, tol_pb, probe_log=None):
     """Find gamma whose solve lands near the requested zero fraction.
 
     Brackets by doubling from gamma0 = 1e-8 * lambda_1(Z Z^T) / m, then
@@ -417,7 +400,7 @@ def gamma_for_sparsity(z, cfg: SolverConfig, target_pb, tol_pb,
             f"could not reach p_B {target_pb:.3f} by doubling gamma "
             f"up to {hi:.3e}"
         )
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         mid = float(np.sqrt(lo * hi))
         result = probe(mid)
         if result.converged and abs(result.p_b_achieved - target_pb) <= tol_pb:

@@ -81,8 +81,8 @@ class SweepRow:
                 return ""
             if isinstance(v, bool):
                 return str(v).lower()
-            if isinstance(v, float):
-                return repr(v)
+            if isinstance(v, float):  # np.float64 too, printed as a plain number
+                return repr(float(v))
             return str(v)
 
         return {
@@ -141,10 +141,13 @@ def _measure(row, dataset, blob):
 def rd_sweep(dataset, grid: SweepGrid):
     """Evaluate the full grid; returns (rows, pareto front rows)."""
     if isinstance(dataset, ImageSet):
-        transforms = image_transforms(grid.transform, grid.levels,
+        transform = grid.transform
+        transforms = image_transforms(transform, grid.levels,
                                       dataset.w, dataset.h)
         data = [dataset.x]
     else:
+        # meshes always use the graph transform, whatever the grid names
+        transform = "gt"
         transforms = build_transforms(KIND_GRAPH, (dataset.m,),
                                       faces=dataset.faces, n=dataset.n)
         data = [dataset.xx, dataset.xy, dataset.xz]
@@ -152,10 +155,10 @@ def rd_sweep(dataset, grid: SweepGrid):
     for k in grid.ks:
         for pb in grid.pb_targets:
             params = CodecParams(k=k, step_b=1.0, step_c=1.0,
-                                 transform=grid.transform, levels=grid.levels,
+                                 transform=transform, levels=grid.levels,
                                  target_pb=pb, pb_tol=grid.pb_tol,
                                  solver=dict(grid.solver))
-            point = dict(k=k, p_b_target=pb, transform=grid.transform)
+            point = dict(k=k, p_b_target=pb, transform=transform)
             try:
                 streams = factor(transforms, data, params)
             except SlrmaError as exc:
@@ -181,20 +184,12 @@ def rd_sweep(dataset, grid: SweepGrid):
                 except SlrmaError as exc:
                     row.error = _error_text(exc)
                 rows.append(row)
-    scored = [r for r in rows if not r.error and r.rate is not None]
-    front_pts = pareto_front([(r.rate, r.distortion) for r in scored])
-    front_set = set(front_pts)
-    front_rows = sorted(
-        (r for r in scored if (r.rate, r.distortion) in front_set),
-        key=lambda r: r.rate,
-    )
-    seen = set()
-    unique_front = []
-    for r in front_rows:
-        if r.rate not in seen:
-            seen.add(r.rate)
-            unique_front.append(r)
-    return rows, unique_front
+    # the first row at each (rate, distortion) point stands for it on the front
+    first = {}
+    for r in rows:
+        if not r.error:
+            first.setdefault((r.rate, r.distortion), r)
+    return rows, [first[pt] for pt in pareto_front(list(first))]
 
 
 def rows_to_csv(rows):

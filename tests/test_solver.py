@@ -6,7 +6,7 @@ import pytest
 import slrma.solver as solver_module
 from slrma.codec import CodecParams, compress_mesh_seq
 from slrma.datasets import synth_image_set, synth_mesh_seq
-from slrma.errors import NotConvergedError, RankDeficientError, TargetUnreachableError
+from slrma.errors import NotConvergedError, TargetUnreachableError
 from slrma.numerics import sym_eig, thin_svd
 from slrma.solver import (
     SolverConfig,
@@ -21,7 +21,7 @@ from slrma.solver import (
     update_p,
     update_q,
 )
-from slrma.transforms import dct1d, dct2d, identity
+from slrma.transforms import dct1d, dct2d, graph_transform, identity, mesh_adjacency
 
 
 def random_state(rng, m, k, rho, scale=1.0):
@@ -356,20 +356,24 @@ def test_overflowing_mesh_compress_is_not_converged_error():
 # bit-identity of the lean loop against the reference loop
 #
 # The references below are the solver as first written: update_q through
-# sym_eig (symmetry check, sign convention), and a solve that takes its own
-# SVD, validates every step and rebuilds its state each sweep. The lean loop
-# must give the same floating-point results, not merely close ones.
+# sym_eig (symmetry check, sign convention) with the thin_svd polar factor on
+# rank loss, and a solve that takes its own SVD, validates every step and
+# rebuilds its state each sweep. The lean loop must give the same
+# floating-point results, not merely close ones.
 
-def reference_update_q(state):
+def reference_update_q(state, rank_losses=None):
     shifted = state.b + state.y_q / state.rho
     gram = sym_eig(shifted.T @ shifted)
     if gram.values[-1] <= 1e-12 * max(gram.values[0], 1e-300):
-        raise RankDeficientError("orthogonality projection input lost rank")
+        if rank_losses is not None:
+            rank_losses.append(state.iter)
+        polar = thin_svd(shifted)
+        return polar.u @ polar.v.T
     inv_sqrt = gram.vectors * (gram.values**-0.5)
     return shifted @ (inv_sqrt @ gram.vectors.T)
 
 
-def reference_solve(z, cfg):
+def reference_solve(z, cfg, rank_losses=None):
     m, n = z.shape
     svd = thin_svd(z)
     top_sq = float(svd.sigma[0] ** 2)
@@ -378,7 +382,6 @@ def reference_solve(z, cfg):
     sig2 = svd.sigma**2
     max_resid = 0.0
     converged = False
-    jitter_used = False
     while state.iter < cfg.max_iters:
         for _ in range(64):
             gaps = np.abs(state.rho - sig2)
@@ -397,18 +400,7 @@ def reference_solve(z, cfg):
         rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
         max_resid = max(max_resid, float(rel))
         state.p = update_p(state, cfg)
-        try:
-            state.q = reference_update_q(state)
-        except RankDeficientError:
-            if not jitter_used:
-                jitter_used = True
-                jitter = np.random.default_rng(0).standard_normal(state.b.shape)
-                state.b = state.b + 1e-10 * max(1.0, np.abs(state.b).max()) * jitter
-            try:
-                state.q = reference_update_q(state)
-            except RankDeficientError:
-                polar = thin_svd(state.b + state.y_q / state.rho)
-                state.q = polar.u @ polar.v.T
+        state.q = reference_update_q(state, rank_losses)
         state.objective_trace.append(objective(z, state.b, cfg.gamma))
         r_p = np.abs(state.b - state.p).max()
         r_q = np.abs(state.b - state.q).max()
@@ -445,11 +437,25 @@ def test_update_q_matches_reference():
 def test_update_q_rank_loss_matches_reference():
     b = np.zeros((5, 2))
     b[0, 0] = 1.0
-    state = SolverState(b=b, p=b, q=b, y_p=np.zeros((5, 2)), y_q=np.zeros((5, 2)),
-                        rho=1.0)
-    for step in (update_q, reference_update_q):
-        with pytest.raises(RankDeficientError):
-            step(state)
+    states = [SolverState(b=b, p=b, q=b, y_p=np.zeros((5, 2)),
+                          y_q=np.zeros((5, 2)), rho=1.0)]
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        # a repeated column, up to scale: A^T A is singular to rounding
+        m = int(rng.integers(3, 40))
+        k = int(rng.integers(2, min(m, 8) + 1))
+        state = random_state(rng, m, k, rho=10.0 ** rng.uniform(-4, 4))
+        state.b[:, -1] = state.b[:, 0] * 10.0 ** rng.uniform(-3, 3)
+        state.y_q = np.zeros((m, k))
+        states.append(state)
+    for state in states:
+        rank_losses = []
+        want = reference_update_q(state, rank_losses)
+        got = update_q(state)
+        assert rank_losses == [state.iter]
+        assert np.array_equal(got, want)
+        k = got.shape[1]
+        assert np.abs(got.T @ got - np.eye(k)).max() < 1e-12
 
 
 def search_case():
@@ -457,11 +463,28 @@ def search_case():
     return dct2d(8, 8).forward(data.x), SolverConfig.for_images(0.0, 3)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 2.0, 40.0])
-def test_solve_matches_reference(gamma):
-    z, cfg = search_case()
+def rank_loss_case():
+    # The x-axis stream of this mesh makes B + Y_Q/rho lose column rank on a
+    # few hundred sweeps, so the loop takes update_q's SVD polar branch.
+    mesh = synth_mesh_seq(64, 32, seed=1)
+    z = graph_transform(mesh_adjacency(mesh.faces, mesh.m)).forward(mesh.xx)
+    return z, SolverConfig.for_meshes(1.0, 6)
+
+
+@pytest.mark.parametrize(
+    "case, gamma",
+    [(search_case, 0.0), (search_case, 2.0), (search_case, 40.0),
+     (rank_loss_case, 1.0)],
+    ids=["0.0", "2.0", "40.0", "mesh-rank-loss"],
+)
+def test_solve_matches_reference(case, gamma):
+    z, cfg = case()
     cfg = replace(cfg, gamma=gamma)
-    assert_same_factorization(slrma_solve(z, cfg), reference_solve(z, cfg))
+    rank_losses = []
+    want = reference_solve(z, cfg, rank_losses)
+    assert want.converged
+    assert bool(rank_losses) == (case is rank_loss_case)
+    assert_same_factorization(slrma_solve(z, cfg), want)
 
 
 def test_search_probes_match_independent_reference(monkeypatch):

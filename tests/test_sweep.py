@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from slrma import codec, sweep
@@ -129,3 +132,28 @@ def test_csv_schema_and_determinism():
     # every row carries the full parameter set needed to re-run it
     line = csv1.splitlines()[1].split(",")
     assert line[0] and line[1] and line[3] and line[4] and line[5] and line[6]
+
+
+FLOAT_COLUMNS = ("p_B_target", "p_B_achieved", "gamma", "step_b", "step_c",
+                 "rate", "rmse", "psnr", "kg_error")
+
+
+def test_csv_floats_parse_and_mesh_rows_name_gt():
+    images = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+    mesh = synth_mesh_seq(16, 8, seed=1)
+    # the grid's default transform is "dct"; a mesh sweep still uses gt
+    mesh_grid = SweepGrid(ks=(2,), pb_targets=(0.5,), steps=((0.004, 1.0),),
+                          solver={"alpha": 1.02})
+    image_rows, _ = rd_sweep(images, small_grid())
+    mesh_rows, _ = rd_sweep(mesh, mesh_grid)
+    assert mesh_grid.transform == "dct"
+    assert mesh_rows and all(r.transform == "gt" for r in mesh_rows)
+    for rows in (image_rows, mesh_rows):
+        records = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+        assert len(records) == len(rows)
+        assert all(not r["error"] for r in records)
+        assert records[0]["p_B_achieved"]
+        for record in records:
+            for column in FLOAT_COLUMNS:
+                if record[column]:
+                    float(record[column])
