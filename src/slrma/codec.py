@@ -227,8 +227,13 @@ def decompress_image_set(blob):
         raise CorruptStreamError(
             f"transform {header.transform_kind} invalid for the image pipeline"
         )
-    transforms = build_transforms(header.transform_kind, header.transform_params)
-    w, h = header.transform_params[:2]
+    params = header.transform_params
+    if len(params) != (2 if header.transform_kind == KIND_DCT2D else 3):
+        raise CorruptStreamError(f"{len(params)} parameters for {header.transform_kind}")
+    w, h = params[:2]
+    if header.m != w * h:
+        raise CorruptStreamError(f"m={header.m} but the images hold w*h={w * h} pixels")
+    transforms = build_transforms(header.transform_kind, params)
     (x_hat,) = _decode(transforms, header, payloads)
     return x_hat, w, h
 

@@ -21,6 +21,7 @@ Image streams are (B, C); mesh streams are (B_d, C_d) pairs for d = x, y, z.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -93,7 +94,11 @@ def pack_container(header: ContainerHeader, payloads):
 
 
 def unpack_container(blob):
-    """Parse header and slice payloads; raises on framing violations."""
+    """Parse header and slice payloads; raises on framing violations.
+
+    Also rejects, as CorruptStreamError, step sizes that are not positive
+    and finite and a rank k outside [1, min(m, n)]: no encoder writes them.
+    """
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagicError("not a SLRM container")
     try:
@@ -121,6 +126,11 @@ def unpack_container(blob):
         pos += 8 * count
     except struct.error as exc:
         raise CorruptStreamError(f"truncated header ({exc})") from exc
+    for name, step in (("step_b", step_b), ("step_c", step_c)):
+        if not 0.0 < step < math.inf:
+            raise CorruptStreamError(f"{name} {step!r} is not positive and finite")
+    if not 1 <= k <= min(m, n):
+        raise CorruptStreamError(f"k={k} outside [1, min(m, n)={min(m, n)}]")
     payloads = []
     for length in lengths:
         chunk = blob[pos : pos + length]

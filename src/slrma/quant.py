@@ -27,8 +27,8 @@ class QuantizedSparseMatrix:
 def quantize(values, step):
     """Round half away from zero at the given step size."""
     values = as_matrix(values, "values")
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError("step must be positive and finite")
     levels = np.sign(values) * np.floor(np.abs(values) / step + 0.5)
     levels = levels.astype(np.int64)
     significance = levels != 0

@@ -170,18 +170,24 @@ def update_q(state: SolverState):
     return u @ vt
 
 
-def update_multipliers(state: SolverState, cfg: SolverConfig):
+def update_multipliers(state: SolverState, cfg: SolverConfig, b_minus_p=None,
+                       b_minus_q=None):
     """Y_P += rho (B - P); Y_Q += rho (B - Q); rho <- min(rho*alpha, rho_max).
 
-    Returns a new state and leaves the input untouched; the new state shares
-    the input's B, P, Q and objective trace.
+    The solver loop passes the differences B - P and B - Q it has already
+    formed for its residuals. Returns a new state and leaves the input
+    untouched; the new state shares the input's B, P, Q and objective trace.
     """
+    if b_minus_p is None:
+        b_minus_p = state.b - state.p
+    if b_minus_q is None:
+        b_minus_q = state.b - state.q
     return SolverState(
         b=state.b,
         p=state.p,
         q=state.q,
-        y_p=state.y_p + state.rho * (state.b - state.p),
-        y_q=state.y_q + state.rho * (state.b - state.q),
+        y_p=state.y_p + state.rho * b_minus_p,
+        y_q=state.y_q + state.rho * b_minus_q,
         rho=min(state.rho * cfg.alpha, cfg.rho_max),
         iter=state.iter + 1,
         objective_trace=state.objective_trace,
@@ -241,6 +247,19 @@ class _ZContext:
     (rho0, alpha, rho_max) only, so every probe of a gamma search walks the
     same schedule: a sweep's entry is built by the first solve that reaches
     it and read back by the others.
+
+    Gamma enters a sweep only through the P step's threshold
+    tau = sqrt(2 gamma / rho), so until P first has a nonzero entry every
+    probe computes the same iterates. That all-zero-P stretch, the trunk, is
+    run once per search. For each trunk sweep the context keeps what a probe
+    needs to skip it: max|B + Y_P/rho|, -||Z^T B||^2, nnz(B) and the largest
+    B residual so far. It also keeps the start-of-sweep state (B, Q, Y_P,
+    Y_Q) at the two deepest sweeps where a probe left the trunk, as
+    references, not copies, because the loop never writes an array in
+    place. A probe resumes from the deepest kept state its gamma is valid
+    for (`resume`); a probe that reaches the trunk's end with P still zero
+    extends it. The context serves solves whose config equals its own apart
+    from gamma.
     """
 
     def __init__(self, z, cfg: SolverConfig):
@@ -253,6 +272,8 @@ class _ZContext:
         self.rhos = []
         self.coeffs = []  # r x 1 columns for `shifted_gram_apply`
         self.next_rho = cfg.rho0
+        self.trunk = []        # per sweep: max|B + Y_P/rho|, -||Z^T B||^2, nnz(B), max resid
+        self.checkpoints = []  # (sweep, its start (B, Q, Y_P, Y_Q)), ascending, at most two
 
     def sweep(self, i):
         """(rho, shift coefficients) of sweep `i`, counted from 0.
@@ -280,6 +301,42 @@ class _ZContext:
             self.next_rho = min(rho * self.alpha, self.rho_max)
         return self.rhos[i], self.coeffs[i]
 
+    def resume(self, cfg: SolverConfig):
+        """Start state and max B residual for a solve at `cfg.gamma`.
+
+        The solve may skip trunk sweep i exactly when max|B + Y_P/rho| there
+        is at most its own threshold, the comparison `update_p` makes, so P
+        is all-zero at i for this gamma too. It starts at the deepest kept
+        state within the sweeps it may skip, with the objective trace of the
+        sweeps before it rebuilt by `objective`'s arithmetic.
+        """
+        trace = []
+        for i, (s_max, neg_sq, nnz, _) in enumerate(self.trunk[: cfg.max_iters]):
+            if not s_max <= np.sqrt(2.0 * cfg.gamma / self.rhos[i]):
+                break
+            value = float(neg_sq + cfg.gamma * nnz)
+            if not np.isfinite(value):
+                break  # the solve raises on this sweep's objective
+            trace.append(value)
+        start = [c for c in self.checkpoints if c[0] <= len(trace)]
+        if not start:
+            return init_state(self.z.shape[0], cfg.k, cfg), 0.0
+        i, (b, q, y_p, y_q) = start[-1]
+        state = SolverState(b=b, p=np.zeros_like(b), q=q, y_p=y_p, y_q=y_q,
+                            rho=self.rhos[i], iter=i, objective_trace=trace[:i])
+        return state, self.trunk[i - 1][3]
+
+    def extend(self, state: SolverState, ztb, max_resid):
+        """Append the sweep `state` just ran from the trunk's end with P zero."""
+        s_max = np.abs(state.b + state.y_p / state.rho).max()
+        self.trunk.append((s_max, -np.sum(ztb**2), np.count_nonzero(state.b), max_resid))
+
+    def leave(self, i, start):
+        """Keep `start`, the state at sweep i where a solve left the trunk."""
+        if i > 0 and all(c[0] != i for c in self.checkpoints):
+            self.checkpoints = sorted([*self.checkpoints, (i, start)],
+                                      key=lambda c: c[0])[-2:]
+
 
 def slrma_solve(z, cfg: SolverConfig):
     """Run the alternating loop on transform-domain data Z.
@@ -292,17 +349,18 @@ def slrma_solve(z, cfg: SolverConfig):
     with diagnostics intact.
 
     `gamma_for_sparsity` passes its per-Z context in place of Z, so that
-    every probe shares one validation, one SVD and one rho schedule; its
-    probes differ from each other in gamma only.
+    every probe shares one validation, one SVD, one rho schedule and the
+    sweeps run before P first has a nonzero entry; its probes differ from
+    each other in gamma only.
     """
     ctx = z if isinstance(z, _ZContext) else _ZContext(z, cfg)
     z, svd = ctx.z, ctx.svd
     m, n = z.shape
     if not 1 <= cfg.k <= min(m, n):
         raise ValueError(f"k={cfg.k} outside [1, {min(m, n)}]")
-    state = init_state(m, cfg.k, cfg)
+    state, max_resid = ctx.resume(cfg)
+    on_trunk = True  # every sweep so far had P all-zero
     window = max(2, cfg.objective_window)
-    max_resid = 0.0
     converged = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
     # the objective, so numpy's overflow and invalid-value warnings on the
@@ -311,6 +369,7 @@ def slrma_solve(z, cfg: SolverConfig):
         try:
             while state.iter < cfg.max_iters:
                 prev_p, prev_q = state.p, state.q
+                start = (state.b, state.q, state.y_p, state.y_q)
                 rho_now, coeff = ctx.sweep(state.iter)
                 state.rho = rho_now
                 rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
@@ -329,10 +388,21 @@ def slrma_solve(z, cfg: SolverConfig):
                 if not np.isfinite(value):
                     raise FloatingPointError("objective overflowed")
                 state.objective_trace.append(value)
-                r_p = np.abs(state.b - state.p).max()
-                r_q = np.abs(state.b - state.q).max()
-                state = update_multipliers(state, cfg)
-                if r_p < cfg.tol and r_q < cfg.tol and rho_now > ctx.top_sq:
+                b_minus_p = state.b - state.p
+                b_minus_q = state.b - state.q
+                r_p = np.abs(b_minus_p).max()
+                r_q = np.abs(b_minus_q).max()
+                may_stop = r_p < cfg.tol and r_q < cfg.tol and rho_now > ctx.top_sq
+                if on_trunk:
+                    if state.p.any():
+                        ctx.leave(state.iter, start)
+                        on_trunk = False
+                    elif may_stop:
+                        on_trunk = False  # whether it stops depends on gamma
+                    elif state.iter == len(ctx.trunk):
+                        ctx.extend(state, ztb, max_resid)
+                state = update_multipliers(state, cfg, b_minus_p, b_minus_q)
+                if may_stop:
                     trace = state.objective_trace
                     if len(trace) >= window:
                         tail = trace[-window:]
@@ -355,9 +425,9 @@ def gamma_for_sparsity(z, cfg: SolverConfig, target_pb, tol_pb, probe_log=None):
     bisects on log gamma. Every probe is a full solve; the best probe (by
     distance to the target) is returned as (gamma, factorization).
     """
-    ctx = _ZContext(z, cfg)
     if not 0.0 <= target_pb < 1.0:
         raise ValueError("target_pb must lie in [0, 1)")
+    ctx = _ZContext(z, cfg)
     gamma0 = 1e-8 * ctx.top_sq / ctx.z.shape[0]
     probes = []
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 from slrma import codec, sweep
 from slrma.cli import cli_main
-from slrma.datasets import load_image_set
+from slrma.container import pack_container, unpack_container
+from slrma.datasets import load_image_set, synth_image_set
 from slrma.metrics import psnr, rmse
 
 
@@ -112,6 +115,17 @@ def test_decompress_bad_magic_is_data_error(tmp_path, capsys):
     assert run(["decompress-images", str(bad), "--out",
                 str(tmp_path / "o")]) == 2
     assert "BadMagic" in capsys.readouterr().err
+
+
+def test_decompress_crafted_header_is_data_error(tmp_path, capsys):
+    data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+    params = codec.CodecParams(k=4, step_b=0.002, step_c=0.5, gamma=50.0)
+    header, payloads = unpack_container(
+        codec.compress_image_set(data.x, data.w, data.h, params))
+    bad = tmp_path / "bad.slrm"
+    bad.write_bytes(pack_container(dataclasses.replace(header, m=32), payloads))
+    assert run(["decompress-images", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "CorruptStream" in capsys.readouterr().err
 
 
 def test_missing_file_is_data_error(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -103,6 +104,29 @@ def test_container_rejects_truncation():
 def test_container_rejects_trailing_bytes():
     with pytest.raises(CorruptStreamError):
         unpack_container(hand_container() + b"x")
+
+
+def with_header(blob, **fields):
+    """`blob` with some header fields replaced and its payloads kept."""
+    header, payloads = unpack_container(blob)
+    return pack_container(dataclasses.replace(header, **fields), payloads)
+
+
+@pytest.fixture(scope="module")
+def image_container():
+    data = small_image_set()  # 8x8 images, 12 of them: m=64, n=12, k=4
+    return compress_image_set(data.x, data.w, data.h, IMAGE_PARAMS)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(step_b=float("nan")), dict(step_c=float("inf")), dict(step_b=0.0),
+    dict(step_c=-0.5), dict(m=32), dict(k=0), dict(k=13),
+    dict(transform_params=(8,)),
+], ids=["nan-step_b", "inf-step_c", "zero-step_b", "negative-step_c",
+        "m-not-wh", "k-zero", "k-above-n", "missing-param"])
+def test_decoder_rejects_crafted_header(image_container, fields):
+    with pytest.raises(CorruptStreamError):
+        decompress_image_set(with_header(image_container, **fields))
 
 
 def test_image_roundtrip_deterministic():

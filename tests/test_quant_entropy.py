@@ -14,6 +14,14 @@ def test_quantize_rounding_boundary():
     assert np.array_equal(q.levels, [1, -1])
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_quantize_rejects_step_a_decoder_refuses(step):
+    # the decoder rejects a container whose step is not positive and finite,
+    # so the encoder must never write one
+    with pytest.raises(ValueError):
+        quantize(np.ones((2, 2)), step)
+
+
 def test_quantize_exact_multiples_roundtrip():
     # a binary-representable step makes the roundtrip bit-exact
     m = np.array([[0.25, -0.75], [0.0, 1.5]])

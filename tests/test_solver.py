@@ -306,6 +306,16 @@ def test_gamma_search_planted_high_target():
     assert all(p == fact.p_b_achieved or g != gamma for g, p in log)
 
 
+@pytest.mark.parametrize("target", [-0.1, 1.0, float("nan")])
+def test_gamma_search_rejects_target_before_factoring(monkeypatch, target):
+    def no_context(*args):
+        raise AssertionError("factored Z for a target it then rejected")
+
+    monkeypatch.setattr(solver_module, "_ZContext", no_context)
+    with pytest.raises(ValueError):
+        gamma_for_sparsity(np.eye(4), SolverConfig(gamma=0.0, k=2), target, 0.05)
+
+
 def test_state_initialization():
     cfg = SolverConfig(gamma=0.0, k=3)
     state = init_state(6, 3, cfg)
@@ -418,6 +428,8 @@ def reference_solve(z, cfg, rank_losses=None):
 def assert_same_factorization(got, want):
     assert np.array_equal(got.basis, want.basis)
     assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.p_b_achieved == want.p_b_achieved
+    assert got.final_objective == want.final_objective
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert got.objective_trace == want.objective_trace
@@ -490,17 +502,82 @@ def test_solve_matches_reference(case, gamma):
 def test_search_probes_match_independent_reference(monkeypatch):
     z, cfg = search_case()
     probes = []
+    b_solves = []
 
     def recording_solve(data, probe_cfg):
         result = slrma_solve(data, probe_cfg)
         probes.append((probe_cfg, result))
+        assert len(data.checkpoints) <= 2
         return result
 
+    def counting_update_b(*args, **kwargs):
+        b_solves.append(1)
+        return update_b(*args, **kwargs)
+
     monkeypatch.setattr(solver_module, "slrma_solve", recording_solve)
+    monkeypatch.setattr(solver_module, "update_b", counting_update_b)
     gamma, fact = gamma_for_sparsity(z, cfg, 0.6, 0.05)
     monkeypatch.undo()
     assert len(probes) > 5
+    # the shared all-zero-P sweeps are run once, yet counted in every probe
+    assert len(b_solves) < sum(result.iterations for _, result in probes)
     for probe_cfg, result in probes:
         assert_same_factorization(result, reference_solve(z, probe_cfg))
     chosen = [result for probe_cfg, result in probes if probe_cfg.gamma == gamma]
     assert fact is chosen[0]
+
+
+def trunk_depth(ctx, gamma):
+    """Leading trunk sweeps on which gamma's threshold keeps P all-zero."""
+    depth = 0
+    for rho, (s_max, *_) in zip(ctx.rhos, ctx.trunk):
+        if s_max > np.sqrt(2.0 * gamma / rho):
+            break
+        depth += 1
+    return depth
+
+
+def test_trunk_resumes_match_independent_reference():
+    z, cfg = search_case()
+    ctx = solver_module._ZContext(z, cfg)
+    gamma0 = 1e-8 * ctx.top_sq / z.shape[0]
+
+    def probe(gamma):
+        probe_cfg = replace(cfg, gamma=gamma)
+        start = ctx.resume(probe_cfg)[0].iter
+        # cut at its resume sweep, the solve returns the resumed state as is
+        cut = replace(probe_cfg, max_iters=start)
+        assert_same_factorization(slrma_solve(ctx, cut), reference_solve(z, cut))
+        assert_same_factorization(slrma_solve(ctx, probe_cfg),
+                                  reference_solve(z, probe_cfg))
+        assert len(ctx.checkpoints) <= 2
+        return start
+
+    # an ascending doubling run: each probe starts where the previous one
+    # left the trunk, and the trunk grows
+    exits = []
+    for j in range(5):
+        start = probe(gamma0 * 2.0**j)
+        assert start == (exits[-1] if exits else 0)
+        exits.append(len(ctx.trunk))
+        assert [c[0] for c in ctx.checkpoints] == exits[-2:]
+    assert exits == sorted(set(exits))
+    ladder = np.geomspace(gamma0, gamma0 * 16.0, 200)
+
+    # a prefix shorter than both kept states: a solve from the start, after
+    # which the two deepest states are still the ones kept
+    short = next(g for g in ladder if 0 < trunk_depth(ctx, g) < exits[-2])
+    assert probe(short) == 0
+    assert [c[0] for c in ctx.checkpoints] == exits[-2:]
+
+    # a prefix between the two kept states: resumes at the shallower one and
+    # replaces it with the sweep where it left
+    mid = next(g for g in ladder if exits[-2] < trunk_depth(ctx, g) < exits[-1])
+    depth = trunk_depth(ctx, mid)
+    assert probe(mid) == exits[-2]
+    assert [c[0] for c in ctx.checkpoints] == [depth, exits[-1]]
+
+    # above every previous gamma: resumes at the deepest state and extends
+    # the trunk past it
+    assert probe(gamma0 * 2.0**6) == exits[-1]
+    assert len(ctx.trunk) > exits[-1]
