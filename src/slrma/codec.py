@@ -61,12 +61,12 @@ class CodecParams:
     levels: int = 3                 # dwt only
     gamma: object = None            # float, or per-axis triple for meshes
     target_pb: float = None
-    pb_tol: float = 0.05
     solver: dict = field(default_factory=dict)  # rho0/alpha/rho_max/tol/...
 
-    def solver_config(self, gamma, defaults):
+    def solver_config(self, defaults, **fields):
+        """`defaults` overridden by the set entries of `solver`, plus `fields`."""
         merged = {**defaults, **{k: v for k, v in self.solver.items() if v is not None}}
-        return SolverConfig(gamma=gamma, k=self.k, **merged)
+        return SolverConfig(k=self.k, **fields, **merged)
 
 
 def factor_quantization_bound(basis, coeffs, step_b, step_c):
@@ -130,57 +130,60 @@ def image_transforms(transform, levels, w, h):
 def factor(transforms: Transforms, data, params: CodecParams):
     """Factor stage: solve Z = Phi^T X of every stream in `data`.
 
-    Returns one (gamma, Factorization) per stream, in order. Gamma comes
-    from `params.gamma` (for meshes a scalar or one value per axis) or, when
-    that is unset, from the sparsity search for `params.target_pb`. A solve
-    that does not converge is returned as it is; see `check_converged`.
+    Returns one Factorization per stream, in order. With `params.gamma` set
+    (for meshes a scalar or one value per axis) each stream is solved at
+    that gamma on the image or mesh preset schedule. Otherwise each is
+    solved at exactly `params.target_pb` zeros on the schedule anchored at
+    its sigma_1^2 (the `SolverConfig` defaults). `params.solver` overrides
+    either. A solve that does not converge is returned as it is; see
+    `check_converged`.
     """
-    defaults = IMAGE_DEFAULTS if transforms.pipeline == PIPELINE_IMAGE else MESH_DEFAULTS
+    presets = IMAGE_DEFAULTS if transforms.pipeline == PIPELINE_IMAGE else MESH_DEFAULTS
     gammas = params.gamma
     if np.ndim(gammas) == 0:
         gammas = [gammas] * len(data)
-    streams = []
+    facts = []
     for x, gamma in zip(data, gammas, strict=True):
         z = transforms.phi.forward(x)
         if gamma is not None:
-            cfg = params.solver_config(float(gamma), defaults)
-            streams.append((float(gamma), slrma_solve(z, cfg)))
+            facts.append(slrma_solve(z, params.solver_config(presets, gamma=float(gamma))))
         elif params.target_pb is not None:
-            cfg = params.solver_config(0.0, defaults)
-            streams.append(gamma_for_sparsity(z, cfg, params.target_pb, params.pb_tol))
+            # the config names the target too, so (z, cfg) alone re-runs the solve
+            cfg = params.solver_config({}, gamma=0.0, target_pb=params.target_pb)
+            facts.append(gamma_for_sparsity(z, cfg, params.target_pb)[1])
         else:
             raise ValueError("need either gamma or target_pb")
-    return streams
+    return facts
 
 
-def check_converged(streams):
-    """Raise NotConvergedError for the first stream whose solve did not converge."""
-    for _, fact in streams:
+def check_converged(facts):
+    """Raise NotConvergedError for the first factorization that did not converge."""
+    for fact in facts:
         if not fact.converged:
             raise NotConvergedError(
                 f"solver did not converge within {fact.iterations} iterations"
             )
 
 
-def encode(transforms: Transforms, streams, step_b, step_c):
-    """Encode stage: quantize, entropy-code and pack factored streams.
+def encode(transforms: Transforms, facts, step_b, step_c):
+    """Encode stage: quantize, entropy-code and pack one factorization per stream.
 
     Meshes take a 1D DCT along the coefficient rows before quantization.
     """
     payloads = []
-    for _, fact in streams:
+    for fact in facts:
         coeffs = fact.coeffs
         if transforms.pipeline == PIPELINE_MESH:
             coeffs = transforms.frames.forward(coeffs.T)  # n x k
         payloads.append(entropy_encode(quantize(fact.basis, step_b)))
         payloads.append(entropy_encode(quantize(coeffs, step_c)))
-    m, k = streams[0][1].basis.shape
+    m, k = facts[0].basis.shape
     header = ContainerHeader(
         pipeline=transforms.pipeline,
         transform_kind=transforms.phi.kind,
         transform_params=transforms.phi.params,
         m=m,
-        n=streams[0][1].coeffs.shape[1],
+        n=facts[0].coeffs.shape[1],
         k=k,
         step_b=step_b,
         step_c=step_c,
@@ -204,9 +207,9 @@ def _decode(transforms: Transforms, header, payloads):
 
 
 def _compress(transforms, data, params: CodecParams):
-    streams = factor(transforms, data, params)
-    check_converged(streams)
-    return encode(transforms, streams, params.step_b, params.step_c)
+    facts = factor(transforms, data, params)
+    check_converged(facts)
+    return encode(transforms, facts, params.step_b, params.step_c)
 
 
 def compress_image_set(x, w, h, params: CodecParams):

@@ -172,6 +172,10 @@ def entropy_decode(data, rows, cols, step):
             negative = dec.decode_bit(CTX_SIGN)
             magnitude = _decode_exp_golomb(dec) + 1
             levels.append(-magnitude if negative else magnitude)
+    if dec.pos != len(data):
+        # the encoder's flush ends every payload exactly where its last
+        # symbol is read; a wrong header shape usually stops elsewhere
+        raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {dec.pos}")
     return QuantizedSparseMatrix(
         rows=rows,
         cols=cols,

@@ -37,10 +37,6 @@ class NotConvergedError(SlrmaError):
     """Solver could not produce a usable iterate."""
 
 
-class TargetUnreachableError(SlrmaError):
-    """Sparsity search could not bracket the requested zero fraction."""
-
-
 class CorruptStreamError(SlrmaError):
     """Entropy-coded payload is truncated or malformed."""
 

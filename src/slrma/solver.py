@@ -3,7 +3,9 @@
 Minimizes -||Z^T B||_F^2 + gamma*||B||_0 subject to B^T B = I_k by
 alternating closed-form updates of B (shifted linear solve), P (hard
 threshold), Q (nearest orthonormal matrix) and the two multipliers, with
-the penalty rho growing geometrically each sweep.
+the penalty rho growing geometrically each sweep. A solve for a sparsity
+target instead constrains ||B||_0 to a fixed count: its P step projects
+onto that l0 ball.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoConvergenceError, TargetUnreachableError
+from .errors import NoConvergenceError
 from .numerics import (
     as_matrix,
     shifted_gram_apply,
@@ -27,20 +29,30 @@ from .transforms import OrthogonalTransform
 IMAGE_DEFAULTS = dict(rho0=1e-4, alpha=1.05, rho_max=1e10)
 MESH_DEFAULTS = dict(rho0=1e7, alpha=1.003, rho_max=1e12)
 
-# Bisection steps of the gamma search after the bracket is found.
-MAX_BISECT = 30
+# A rho0 or rho_max left unset is this multiple of sigma_1(Z)^2.
+ANCHOR_RHO0 = 1.05
+ANCHOR_RHO_MAX = 1e6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One solve's settings.
+
+    `rho0` and `rho_max` left as None are anchored at sigma_1^2 of the Z
+    being solved (`ANCHOR_RHO0`, `ANCHOR_RHO_MAX`). With `target_pb` set,
+    the P step keeps exactly `kept_entries` entries of B and `gamma` only
+    weighs the reported objective.
+    """
+
     gamma: float
     k: int
-    rho0: float = 1e-4
+    rho0: float = None
     alpha: float = 1.05
-    rho_max: float = 1e10
+    rho_max: float = None
     tol: float = 1e-6
     max_iters: int = 1000
     objective_window: int = 10
+    target_pb: float = None
 
     def __post_init__(self):
         if self.gamma < 0.0:
@@ -49,8 +61,12 @@ class SolverConfig:
             raise ValueError("k must be positive")
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1")
-        if not 0.0 < self.rho0 <= self.rho_max:
-            raise ValueError("need 0 < rho0 <= rho_max")
+        if any(r is not None and not r > 0.0 for r in (self.rho0, self.rho_max)):
+            raise ValueError("rho0 and rho_max must be positive")
+        if None not in (self.rho0, self.rho_max) and self.rho0 > self.rho_max:
+            raise ValueError("need rho0 <= rho_max")
+        if self.target_pb is not None and not 0.0 <= self.target_pb < 1.0:
+            raise ValueError("target_pb must lie in [0, 1)")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
 
@@ -103,12 +119,18 @@ def objective(z, b, gamma, ztb=None):
     return float(-np.sum(ztb**2) + gamma * np.count_nonzero(b))
 
 
-def init_state(m, k, cfg: SolverConfig):
-    """Leftmost k columns of the identity for P and Q, zero multipliers."""
-    eye_k = np.eye(m)[:, :k].copy()
+def init_state(m, k, cfg: SolverConfig, start=None):
+    """B = P = Q = `start` (default: the leftmost k identity columns), zero multipliers."""
+    if start is None:
+        start = np.eye(m)[:, :k]
     zeros = np.zeros((m, k))
-    return SolverState(b=eye_k.copy(), p=eye_k, q=eye_k.copy(),
+    return SolverState(b=start.copy(), p=start.copy(), q=start.copy(),
                        y_p=zeros, y_q=zeros.copy(), rho=cfg.rho0)
+
+
+def kept_entries(target_pb, m, k):
+    """Nonzero entries of an m x k basis at zero fraction `target_pb`, rounded."""
+    return int(round((1.0 - target_pb) * m * k))
 
 
 def update_b(state: SolverState, z, svd=None, rhs=None, coeff=None):
@@ -127,10 +149,22 @@ def update_b(state: SolverState, z, svd=None, rhs=None, coeff=None):
 
 
 def update_p(state: SolverState, cfg: SolverConfig):
-    """Hard threshold of B + Y_P/rho at tau = sqrt(2 gamma / rho)."""
-    tau = np.sqrt(2.0 * cfg.gamma / state.rho)
+    """P step on A = B + Y_P/rho.
+
+    By default the hard threshold at tau = sqrt(2 gamma / rho). With
+    `cfg.target_pb` set, the projection onto the l0 ball instead: keep the
+    `kept_entries` largest |A|, ties going to the earlier row-major position,
+    and zero the rest.
+    """
     shifted = state.b + state.y_p / state.rho
-    return np.where(np.abs(shifted) > tau, shifted, 0.0)
+    if cfg.target_pb is None:
+        tau = np.sqrt(2.0 * cfg.gamma / state.rho)
+        return np.where(np.abs(shifted) > tau, shifted, 0.0)
+    keep = kept_entries(cfg.target_pb, *shifted.shape)
+    largest = np.argsort(-np.abs(shifted), axis=None, kind="stable")[:keep]
+    p = np.zeros_like(shifted)
+    p.flat[largest] = shifted.flat[largest]
+    return p
 
 
 def update_q(state: SolverState):
@@ -239,103 +273,24 @@ def _extract(state: SolverState, z, cfg: SolverConfig, converged, max_resid):
     )
 
 
-class _ZContext:
-    """Everything a solve on Z needs that gamma does not change.
+def _shift(rho, sig2, rho_max):
+    """Sweep penalty `rho` moved clear of every squared singular value, with
+    its r x 1 shift coefficients for `shifted_gram_apply`.
 
-    Z is validated once and its thin SVD taken once. The penalty rho of
-    every sweep, with its shifted-solve coefficients, depends on Z and on
-    (rho0, alpha, rho_max) only, so every probe of a gamma search walks the
-    same schedule: a sweep's entry is built by the first solve that reaches
-    it and read back by the others.
-
-    Gamma enters a sweep only through the P step's threshold
-    tau = sqrt(2 gamma / rho), so until P first has a nonzero entry every
-    probe computes the same iterates. That all-zero-P stretch, the trunk, is
-    run once per search. For each trunk sweep the context keeps what a probe
-    needs to skip it: max|B + Y_P/rho|, -||Z^T B||^2, nnz(B) and the largest
-    B residual so far. It also keeps the start-of-sweep state (B, Q, Y_P,
-    Y_Q) at the two deepest sweeps where a probe left the trunk, as
-    references, not copies, because the loop never writes an array in
-    place. A probe resumes from the deepest kept state its gamma is valid
-    for (`resume`); a probe that reaches the trunk's end with P still zero
-    extends it. The context serves solves whose config equals its own apart
-    from gamma.
+    At a crossing the shifted system is singular, and even near-misses
+    amplify one mode of B by 1/gap, which the multipliers then take many
+    sweeps to drain. A 2% exclusion zone caps the amplification at ~50x and
+    keeps the B solve comfortably within its residual tolerance. Raises
+    SingularShiftError when rho_max leaves rho numerically on a squared
+    singular value.
     """
-
-    def __init__(self, z, cfg: SolverConfig):
-        self.z = as_matrix(z, "Z")
-        self.svd = thin_svd(self.z)
-        self.sig2 = self.svd.sigma**2
-        self.top_sq = float(self.svd.sigma[0] ** 2)
-        self.alpha = cfg.alpha
-        self.rho_max = cfg.rho_max
-        self.rhos = []
-        self.coeffs = []  # r x 1 columns for `shifted_gram_apply`
-        self.next_rho = cfg.rho0
-        self.trunk = []        # per sweep: max|B + Y_P/rho|, -||Z^T B||^2, nnz(B), max resid
-        self.checkpoints = []  # (sweep, its start (B, Q, Y_P, Y_Q)), ascending, at most two
-
-    def sweep(self, i):
-        """(rho, shift coefficients) of sweep `i`, counted from 0.
-
-        Raises SingularShiftError, in every solve that reaches sweep `i`,
-        when its rho is numerically on a squared singular value.
-        """
-        while len(self.rhos) <= i:
-            rho = self.next_rho
-            # Keep rho a small relative distance away from every squared
-            # singular value: at a crossing the shifted system is singular,
-            # and even near-misses amplify one mode of B by 1/gap, which the
-            # multipliers then take many sweeps to drain. A 2% exclusion
-            # zone caps the amplification at ~50x and keeps the B solve
-            # comfortably within its residual tolerance.
-            for _ in range(64):
-                gaps = np.abs(rho - self.sig2)
-                scales = np.maximum(rho, self.sig2)
-                if (gaps >= 0.01 * scales).all() or rho >= self.rho_max:
-                    break
-                rho = min(rho * 1.02, self.rho_max)
-            coeff = shifted_gram_coeff(self.sig2, rho)
-            self.rhos.append(rho)
-            self.coeffs.append(coeff[:, None])
-            self.next_rho = min(rho * self.alpha, self.rho_max)
-        return self.rhos[i], self.coeffs[i]
-
-    def resume(self, cfg: SolverConfig):
-        """Start state and max B residual for a solve at `cfg.gamma`.
-
-        The solve may skip trunk sweep i exactly when max|B + Y_P/rho| there
-        is at most its own threshold, the comparison `update_p` makes, so P
-        is all-zero at i for this gamma too. It starts at the deepest kept
-        state within the sweeps it may skip, with the objective trace of the
-        sweeps before it rebuilt by `objective`'s arithmetic.
-        """
-        trace = []
-        for i, (s_max, neg_sq, nnz, _) in enumerate(self.trunk[: cfg.max_iters]):
-            if not s_max <= np.sqrt(2.0 * cfg.gamma / self.rhos[i]):
-                break
-            value = float(neg_sq + cfg.gamma * nnz)
-            if not np.isfinite(value):
-                break  # the solve raises on this sweep's objective
-            trace.append(value)
-        start = [c for c in self.checkpoints if c[0] <= len(trace)]
-        if not start:
-            return init_state(self.z.shape[0], cfg.k, cfg), 0.0
-        i, (b, q, y_p, y_q) = start[-1]
-        state = SolverState(b=b, p=np.zeros_like(b), q=q, y_p=y_p, y_q=y_q,
-                            rho=self.rhos[i], iter=i, objective_trace=trace[:i])
-        return state, self.trunk[i - 1][3]
-
-    def extend(self, state: SolverState, ztb, max_resid):
-        """Append the sweep `state` just ran from the trunk's end with P zero."""
-        s_max = np.abs(state.b + state.y_p / state.rho).max()
-        self.trunk.append((s_max, -np.sum(ztb**2), np.count_nonzero(state.b), max_resid))
-
-    def leave(self, i, start):
-        """Keep `start`, the state at sweep i where a solve left the trunk."""
-        if i > 0 and all(c[0] != i for c in self.checkpoints):
-            self.checkpoints = sorted([*self.checkpoints, (i, start)],
-                                      key=lambda c: c[0])[-2:]
+    for _ in range(64):
+        gaps = np.abs(rho - sig2)
+        scales = np.maximum(rho, sig2)
+        if (gaps >= 0.01 * scales).all() or rho >= rho_max:
+            break
+        rho = min(rho * 1.02, rho_max)
+    return rho, shifted_gram_coeff(sig2, rho)[:, None]
 
 
 def slrma_solve(z, cfg: SolverConfig):
@@ -348,18 +303,28 @@ def slrma_solve(z, cfg: SolverConfig):
     exhaust max_iters, or whose iterate overflows, return converged=False
     with diagnostics intact.
 
-    `gamma_for_sparsity` passes its per-Z context in place of Z, so that
-    every probe shares one validation, one SVD, one rho schedule and the
-    sweeps run before P first has a nonzero entry; its probes differ from
-    each other in gamma only.
+    A gamma solve starts from the identity columns; a `target_pb` solve
+    starts from the top-k left singular vectors of Z. A rho0 or rho_max
+    left unset is anchored at sigma_1^2 of Z.
     """
-    ctx = z if isinstance(z, _ZContext) else _ZContext(z, cfg)
-    z, svd = ctx.z, ctx.svd
+    z = as_matrix(z, "Z")
     m, n = z.shape
     if not 1 <= cfg.k <= min(m, n):
         raise ValueError(f"k={cfg.k} outside [1, {min(m, n)}]")
-    state, max_resid = ctx.resume(cfg)
-    on_trunk = True  # every sweep so far had P all-zero
+    if cfg.target_pb is not None:
+        keep = kept_entries(cfg.target_pb, m, cfg.k)
+        if keep < cfg.k:  # some column of B would have no entry
+            raise ValueError(f"p_B {cfg.target_pb} leaves {keep} entries for k={cfg.k}")
+    svd = thin_svd(z)
+    sig2 = svd.sigma**2
+    top_sq = float(svd.sigma[0] ** 2)
+    anchor = top_sq if top_sq > 0.0 else 1.0  # an all-zero Z has no scale
+    cfg = replace(cfg,
+                  rho0=ANCHOR_RHO0 * anchor if cfg.rho0 is None else cfg.rho0,
+                  rho_max=ANCHOR_RHO_MAX * anchor if cfg.rho_max is None else cfg.rho_max)
+    start = None if cfg.target_pb is None else svd.u[:, :cfg.k]
+    state = init_state(m, cfg.k, cfg, start)
+    max_resid = 0.0
     window = max(2, cfg.objective_window)
     converged = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
@@ -369,8 +334,7 @@ def slrma_solve(z, cfg: SolverConfig):
         try:
             while state.iter < cfg.max_iters:
                 prev_p, prev_q = state.p, state.q
-                start = (state.b, state.q, state.y_p, state.y_q)
-                rho_now, coeff = ctx.sweep(state.iter)
+                rho_now, coeff = _shift(state.rho, sig2, cfg.rho_max)
                 state.rho = rho_now
                 rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
                 state.b = update_b(state, z, svd, rhs=rhs, coeff=coeff)
@@ -392,17 +356,8 @@ def slrma_solve(z, cfg: SolverConfig):
                 b_minus_q = state.b - state.q
                 r_p = np.abs(b_minus_p).max()
                 r_q = np.abs(b_minus_q).max()
-                may_stop = r_p < cfg.tol and r_q < cfg.tol and rho_now > ctx.top_sq
-                if on_trunk:
-                    if state.p.any():
-                        ctx.leave(state.iter, start)
-                        on_trunk = False
-                    elif may_stop:
-                        on_trunk = False  # whether it stops depends on gamma
-                    elif state.iter == len(ctx.trunk):
-                        ctx.extend(state, ztb, max_resid)
                 state = update_multipliers(state, cfg, b_minus_p, b_minus_q)
-                if may_stop:
+                if r_p < cfg.tol and r_q < cfg.tol and rho_now > top_sq:
                     trace = state.objective_trace
                     if len(trace) >= window:
                         tail = trace[-window:]
@@ -418,68 +373,17 @@ def slrma_solve(z, cfg: SolverConfig):
     return _extract(state, z, cfg, converged, max_resid)
 
 
-def gamma_for_sparsity(z, cfg: SolverConfig, target_pb, tol_pb, probe_log=None):
-    """Find gamma whose solve lands near the requested zero fraction.
+def gamma_for_sparsity(z, cfg: SolverConfig, target_pb):
+    """Solve Z for a basis with exactly `kept_entries` nonzero entries.
 
-    Brackets by doubling from gamma0 = 1e-8 * lambda_1(Z Z^T) / m, then
-    bisects on log gamma. Every probe is a full solve; the best probe (by
-    distance to the target) is returned as (gamma, factorization).
+    One `slrma_solve` of `cfg` with its P step projecting onto the l0 ball
+    of that count, so the zero fraction is `target_pb` up to the rounding of
+    the count, with no search over gamma. Returns (cfg.gamma, factorization):
+    the projection uses no gamma of its own. A target outside [0, 1), or one
+    that would leave a column of B empty, raises ValueError before Z is
+    factored.
     """
-    if not 0.0 <= target_pb < 1.0:
-        raise ValueError("target_pb must lie in [0, 1)")
-    ctx = _ZContext(z, cfg)
-    gamma0 = 1e-8 * ctx.top_sq / ctx.z.shape[0]
-    probes = []
-
-    def probe(gamma):
-        result = slrma_solve(ctx, replace(cfg, gamma=gamma))
-        probes.append((gamma, result))
-        if probe_log is not None:
-            probe_log.append((gamma, result.p_b_achieved))
-        return result
-
-    def best():
-        # prefer converged probes; among those, closest achieved fraction
-        gamma, result = min(
-            probes,
-            key=lambda p: (not p[1].converged, abs(p[1].p_b_achieved - target_pb)),
-        )
-        return gamma, result
-
-    result = probe(gamma0)
-    if result.converged and abs(result.p_b_achieved - target_pb) <= tol_pb:
-        return best()
-    if result.p_b_achieved > target_pb:
-        raise TargetUnreachableError(
-            f"p_B at the bracket minimum is already {result.p_b_achieved:.3f}, "
-            f"above target {target_pb:.3f}"
-        )
-    lo = hi = gamma0
-    bracketed = False
-    for _ in range(80):
-        hi *= 2.0
-        result = probe(hi)
-        if result.converged and abs(result.p_b_achieved - target_pb) <= tol_pb:
-            return best()
-        if result.p_b_achieved >= target_pb:
-            bracketed = True
-            break
-        lo = hi
-    if not bracketed:
-        raise TargetUnreachableError(
-            f"could not reach p_B {target_pb:.3f} by doubling gamma "
-            f"up to {hi:.3e}"
-        )
-    for _ in range(MAX_BISECT):
-        mid = float(np.sqrt(lo * hi))
-        result = probe(mid)
-        if result.converged and abs(result.p_b_achieved - target_pb) <= tol_pb:
-            return best()
-        if result.p_b_achieved < target_pb:
-            lo = mid
-        else:
-            hi = mid
-    return best()
+    return cfg.gamma, slrma_solve(z, replace(cfg, target_pb=target_pb))
 
 
 def reconstruct(phi: OrthogonalTransform, factorization: Factorization):

@@ -1,7 +1,7 @@
 """Exhaustive rate-distortion sweeps over (k, p_B target, quantizer step).
 
-The codec's factor stage runs once per (k, p_B target), through the
-sparsity search; its factorization is then encoded with every step pair,
+The codec's factor stage runs once per (k, p_B target), at exactly that
+sparsity; its factorization is then encoded with every step pair,
 decompressed, and measured. Rows are emitted in deterministic grid order
 with full provenance; per-point failures are tagged and the sweep
 continues.
@@ -49,7 +49,6 @@ class SweepGrid:
     steps: tuple                      # (step_b, step_c) pairs
     transform: str = "dct"
     levels: int = 3
-    pb_tol: float = 0.05
     solver: dict = field(default_factory=dict)
 
 
@@ -61,7 +60,6 @@ class SweepRow:
     step_c: float
     transform: str
     p_b_achieved: float = None
-    gamma: float = None
     bits: int = None
     rate: float = None
     rmse: float = None
@@ -89,7 +87,7 @@ class SweepRow:
             "k": self.k,
             "p_B_target": fmt(self.p_b_target),
             "p_B_achieved": fmt(self.p_b_achieved),
-            "gamma": fmt(self.gamma),
+            "gamma": "",  # a target row is re-run from p_B_target, not from a gamma
             "step_b": fmt(self.step_b),
             "step_c": fmt(self.step_c),
             "transform": self.transform,
@@ -156,21 +154,18 @@ def rd_sweep(dataset, grid: SweepGrid):
         for pb in grid.pb_targets:
             params = CodecParams(k=k, step_b=1.0, step_c=1.0,
                                  transform=transform, levels=grid.levels,
-                                 target_pb=pb, pb_tol=grid.pb_tol,
-                                 solver=dict(grid.solver))
+                                 target_pb=pb, solver=dict(grid.solver))
             point = dict(k=k, p_b_target=pb, transform=transform)
             try:
-                streams = factor(transforms, data, params)
+                facts = factor(transforms, data, params)
             except SlrmaError as exc:
                 rows.extend(SweepRow(**point, step_b=step_b, step_c=step_c,
                                      error=_error_text(exc))
                             for step_b, step_c in grid.steps)
                 continue
-            facts = [fact for _, fact in streams]
             nnz = sum(np.count_nonzero(f.basis) for f in facts)
             total = sum(f.basis.size for f in facts)
             point.update(
-                gamma=streams[0][0],
                 p_b_achieved=1.0 - nnz / total,
                 iters=max(f.iterations for f in facts),
                 converged=all(f.converged for f in facts),
@@ -178,8 +173,8 @@ def rd_sweep(dataset, grid: SweepGrid):
             for step_b, step_c in grid.steps:
                 row = SweepRow(**point, step_b=step_b, step_c=step_c)
                 try:
-                    check_converged(streams)
-                    _measure(row, dataset, encode(transforms, streams,
+                    check_converged(facts)
+                    _measure(row, dataset, encode(transforms, facts,
                                                   step_b, step_c))
                 except SlrmaError as exc:
                     row.error = _error_text(exc)

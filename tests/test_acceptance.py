@@ -55,15 +55,15 @@ def image_case():
 
 @pytest.fixture(scope="module")
 def image_fact_60(image_case):
-    cfg = SolverConfig.for_images(0.0, 8)
-    gamma, fact = gamma_for_sparsity(image_case["z"], cfg, 0.6, 0.05)
+    cfg = SolverConfig(gamma=0.0, k=8)
+    gamma, fact = gamma_for_sparsity(image_case["z"], cfg, 0.6)
     return gamma, fact
 
 
 @pytest.fixture(scope="module")
 def image_fact_20(image_case):
-    cfg = SolverConfig.for_images(0.0, 8)
-    gamma, fact = gamma_for_sparsity(image_case["z"], cfg, 0.2, 0.05)
+    cfg = SolverConfig(gamma=0.0, k=8)
+    gamma, fact = gamma_for_sparsity(image_case["z"], cfg, 0.2)
     return gamma, fact
 
 
@@ -80,8 +80,8 @@ def mesh_case():
 
 @pytest.fixture(scope="module")
 def mesh_facts(mesh_case):
-    cfg = SolverConfig.for_meshes(0.0, 6)
-    return [gamma_for_sparsity(z, cfg, 0.8, 0.05) for z in mesh_case["zs"]]
+    cfg = SolverConfig(gamma=0.0, k=6)
+    return [gamma_for_sparsity(z, cfg, 0.8) for z in mesh_case["zs"]]
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +257,16 @@ def test_criterion_8_codec_losslessness_and_bounds(image_case, image_fact_60):
         assert np.array_equal(q.significance, back.significance)
         assert np.array_equal(q.levels, back.levels)
     data = image_case["data"]
-    gamma_60, _ = image_fact_60
+    # the codec's target_pb=0.6 solve is the one image_fact_60 holds
+    _, fact = image_fact_60
     params = CodecParams(k=8, step_b=0.004, step_c=1.0, transform="dct",
-                         gamma=gamma_60)
+                         target_pb=0.6)
     blob = compress_image_set(data.x, data.w, data.h, params)
     assert blob == compress_image_set(data.x, data.w, data.h, params)
     x_hat, _, _ = decompress_image_set(blob)
     x_hat2, _, _ = decompress_image_set(blob)
     assert np.array_equal(x_hat, x_hat2)
     phi = image_case["phi"]
-    fact = slrma_solve(image_case["z"], SolverConfig.for_images(gamma_60, 8))
     from slrma.codec import factor_quantization_bound
 
     bound = factor_quantization_bound(fact.basis, fact.coeffs, 0.004, 1.0)
@@ -276,7 +276,7 @@ def test_criterion_8_codec_losslessness_and_bounds(image_case, image_fact_60):
     errs = []
     for step_b, step_c in ((0.016, 4.0), (0.008, 2.0), (0.004, 1.0)):
         p = CodecParams(k=8, step_b=step_b, step_c=step_c, transform="dct",
-                        gamma=gamma_60)
+                        target_pb=0.6)
         xh, _, _ = decompress_image_set(
             compress_image_set(data.x, data.w, data.h, p))
         errs.append(rmse(data.x, xh))

@@ -6,10 +6,10 @@ that drops or renames one breaks the benchmark. These checks load the
 tracer by path, unchanged, and fail here first.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
-from slrma import sweep
 from slrma.datasets import synth_mesh_seq
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,6 +30,9 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_sweep_records_a_decompress():
+    # imported here, not at collection: a benchmark run earlier in the same
+    # process may have re-imported slrma, and the tracer patches the new one
+    sweep = importlib.import_module("slrma.sweep")
     tracing = load_tracing()
     seq = synth_mesh_seq(16, 8, seed=1)
     grid = sweep.SweepGrid(ks=(2,), pb_targets=(0.5,), steps=((0.004, 1.0),),

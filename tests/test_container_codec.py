@@ -121,9 +121,9 @@ def image_container():
 @pytest.mark.parametrize("fields", [
     dict(step_b=float("nan")), dict(step_c=float("inf")), dict(step_b=0.0),
     dict(step_c=-0.5), dict(m=32), dict(k=0), dict(k=13),
-    dict(transform_params=(8,)),
+    dict(transform_params=(8,)), dict(k=3), dict(n=11),
 ], ids=["nan-step_b", "inf-step_c", "zero-step_b", "negative-step_c",
-        "m-not-wh", "k-zero", "k-above-n", "missing-param"])
+        "m-not-wh", "k-zero", "k-above-n", "missing-param", "k-below", "n-below"])
 def test_decoder_rejects_crafted_header(image_container, fields):
     with pytest.raises(CorruptStreamError):
         decompress_image_set(with_header(image_container, **fields))

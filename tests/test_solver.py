@@ -6,7 +6,7 @@ import pytest
 import slrma.solver as solver_module
 from slrma.codec import CodecParams, compress_mesh_seq
 from slrma.datasets import synth_image_set, synth_mesh_seq
-from slrma.errors import NotConvergedError, TargetUnreachableError
+from slrma.errors import NotConvergedError
 from slrma.numerics import sym_eig, thin_svd
 from slrma.solver import (
     SolverConfig,
@@ -64,6 +64,15 @@ def test_update_p_zero_gamma_passthrough():
     cfg = SolverConfig(gamma=0.0, k=3)
     shifted = state.b + state.y_p / state.rho
     assert np.array_equal(update_p(state, cfg), shifted)
+
+
+def test_update_p_l0_ball_keeps_largest_ties_in_row_major_order():
+    b = np.array([[3.0, -1.0], [1.0, 0.5], [-2.0, 1.0]])
+    state = SolverState(b=b, p=np.zeros((3, 2)), q=np.zeros((3, 2)),
+                        y_p=np.zeros((3, 2)), y_q=np.zeros((3, 2)), rho=2.0)
+    cfg = SolverConfig(gamma=0.0, k=2, target_pb=0.5)  # keeps 3 of 6
+    # |A| = 3, 2, then three tied 1s: the first of them, at (0, 1), is kept
+    assert np.array_equal(update_p(state, cfg), [[3.0, -1.0], [0.0, 0.0], [-2.0, 0.0]])
 
 
 def brute_force_scalar_prox(value, gamma, rho):
@@ -282,38 +291,53 @@ def test_gamma_search_target_zero():
     rng = np.random.default_rng(14)
     z = rng.normal(size=(20, 8))
     cfg = SolverConfig(gamma=0.0, k=3, rho0=1e3, alpha=1.05, rho_max=1e10)
-    gamma, fact = gamma_for_sparsity(z, cfg, 0.0, 0.05)
+    gamma, fact = gamma_for_sparsity(z, cfg, 0.0)
     assert fact.p_b_achieved <= 0.05
     assert gamma <= 1e-4
-
-
-def test_gamma_search_unreachable_below_bracket():
-    # planted data sits at ~94% zeros for any gamma; a low target cannot
-    # be bracketed from above
-    z = planted_problem()
-    cfg = SolverConfig(gamma=0.0, k=4, rho0=1e7, alpha=1.003, rho_max=1e12)
-    with pytest.raises(TargetUnreachableError):
-        gamma_for_sparsity(z, cfg, 0.3, 0.02)
 
 
 def test_gamma_search_planted_high_target():
     z = planted_problem()
     cfg = SolverConfig(gamma=0.0, k=4, rho0=1e7, alpha=1.003, rho_max=1e12)
-    log = []
-    gamma, fact = gamma_for_sparsity(z, cfg, 0.9, 0.1, probe_log=log)
+    gamma, fact = gamma_for_sparsity(z, cfg, 0.9)
     assert fact.converged
     assert abs(fact.p_b_achieved - 0.9) <= 0.1
-    assert all(p == fact.p_b_achieved or g != gamma for g, p in log)
 
 
-@pytest.mark.parametrize("target", [-0.1, 1.0, float("nan")])
+# 0.9 keeps round(0.1 * 4 * 2) = 1 entry, too few for k=2 columns
+@pytest.mark.parametrize("target", [-0.1, 1.0, float("nan"), 0.9])
 def test_gamma_search_rejects_target_before_factoring(monkeypatch, target):
-    def no_context(*args):
+    def no_svd(*args):
         raise AssertionError("factored Z for a target it then rejected")
 
-    monkeypatch.setattr(solver_module, "_ZContext", no_context)
+    monkeypatch.setattr(solver_module, "thin_svd", no_svd)
     with pytest.raises(ValueError):
-        gamma_for_sparsity(np.eye(4), SolverConfig(gamma=0.0, k=2), target, 0.05)
+        gamma_for_sparsity(np.eye(4), SolverConfig(gamma=0.0, k=2), target)
+
+
+def image_z():
+    data = synth_image_set(16, 16, 32, rank=4, noise_sigma=2.0, seed=2)
+    return dct2d(16, 16).forward(data.x)
+
+
+def mesh_x_z():
+    mesh = synth_mesh_seq(64, 32, seed=1)
+    return graph_transform(mesh_adjacency(mesh.faces, mesh.m)).forward(mesh.xx)
+
+
+@pytest.mark.parametrize("case, k, target", [(image_z, 8, 0.6), (mesh_x_z, 6, 0.8)],
+                         ids=["image", "mesh-x"])
+def test_target_solve_ignores_last_bit_rounding(case, k, target):
+    z = case()
+    copy = z * (1.0 + 1e-15 * np.random.default_rng(30).standard_normal(z.shape))
+    assert not np.array_equal(copy, z)
+    cfg = SolverConfig(gamma=0.0, k=k)
+    _, fact = gamma_for_sparsity(z, cfg, target)
+    _, twin = gamma_for_sparsity(copy, cfg, target)
+    assert fact.converged and twin.converged
+    assert fact.iterations == twin.iterations
+    assert np.array_equal(fact.basis != 0.0, twin.basis != 0.0)
+    assert np.count_nonzero(fact.basis) == round((1.0 - target) * z.shape[0] * k)
 
 
 def test_state_initialization():
@@ -497,87 +521,3 @@ def test_solve_matches_reference(case, gamma):
     assert want.converged
     assert bool(rank_losses) == (case is rank_loss_case)
     assert_same_factorization(slrma_solve(z, cfg), want)
-
-
-def test_search_probes_match_independent_reference(monkeypatch):
-    z, cfg = search_case()
-    probes = []
-    b_solves = []
-
-    def recording_solve(data, probe_cfg):
-        result = slrma_solve(data, probe_cfg)
-        probes.append((probe_cfg, result))
-        assert len(data.checkpoints) <= 2
-        return result
-
-    def counting_update_b(*args, **kwargs):
-        b_solves.append(1)
-        return update_b(*args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "slrma_solve", recording_solve)
-    monkeypatch.setattr(solver_module, "update_b", counting_update_b)
-    gamma, fact = gamma_for_sparsity(z, cfg, 0.6, 0.05)
-    monkeypatch.undo()
-    assert len(probes) > 5
-    # the shared all-zero-P sweeps are run once, yet counted in every probe
-    assert len(b_solves) < sum(result.iterations for _, result in probes)
-    for probe_cfg, result in probes:
-        assert_same_factorization(result, reference_solve(z, probe_cfg))
-    chosen = [result for probe_cfg, result in probes if probe_cfg.gamma == gamma]
-    assert fact is chosen[0]
-
-
-def trunk_depth(ctx, gamma):
-    """Leading trunk sweeps on which gamma's threshold keeps P all-zero."""
-    depth = 0
-    for rho, (s_max, *_) in zip(ctx.rhos, ctx.trunk):
-        if s_max > np.sqrt(2.0 * gamma / rho):
-            break
-        depth += 1
-    return depth
-
-
-def test_trunk_resumes_match_independent_reference():
-    z, cfg = search_case()
-    ctx = solver_module._ZContext(z, cfg)
-    gamma0 = 1e-8 * ctx.top_sq / z.shape[0]
-
-    def probe(gamma):
-        probe_cfg = replace(cfg, gamma=gamma)
-        start = ctx.resume(probe_cfg)[0].iter
-        # cut at its resume sweep, the solve returns the resumed state as is
-        cut = replace(probe_cfg, max_iters=start)
-        assert_same_factorization(slrma_solve(ctx, cut), reference_solve(z, cut))
-        assert_same_factorization(slrma_solve(ctx, probe_cfg),
-                                  reference_solve(z, probe_cfg))
-        assert len(ctx.checkpoints) <= 2
-        return start
-
-    # an ascending doubling run: each probe starts where the previous one
-    # left the trunk, and the trunk grows
-    exits = []
-    for j in range(5):
-        start = probe(gamma0 * 2.0**j)
-        assert start == (exits[-1] if exits else 0)
-        exits.append(len(ctx.trunk))
-        assert [c[0] for c in ctx.checkpoints] == exits[-2:]
-    assert exits == sorted(set(exits))
-    ladder = np.geomspace(gamma0, gamma0 * 16.0, 200)
-
-    # a prefix shorter than both kept states: a solve from the start, after
-    # which the two deepest states are still the ones kept
-    short = next(g for g in ladder if 0 < trunk_depth(ctx, g) < exits[-2])
-    assert probe(short) == 0
-    assert [c[0] for c in ctx.checkpoints] == exits[-2:]
-
-    # a prefix between the two kept states: resumes at the shallower one and
-    # replaces it with the sweep where it left
-    mid = next(g for g in ladder if exits[-2] < trunk_depth(ctx, g) < exits[-1])
-    depth = trunk_depth(ctx, mid)
-    assert probe(mid) == exits[-2]
-    assert [c[0] for c in ctx.checkpoints] == [depth, exits[-1]]
-
-    # above every previous gamma: resumes at the deepest state and extends
-    # the trunk past it
-    assert probe(gamma0 * 2.0**6) == exits[-1]
-    assert len(ctx.trunk) > exits[-1]
