@@ -133,7 +133,7 @@ def factor(transforms: Transforms, data, params: CodecParams):
     Returns one Factorization per stream, in order. With `params.gamma` set
     (for meshes a scalar or one value per axis) each stream is solved at
     that gamma on the image or mesh preset schedule. Otherwise each is
-    solved at exactly `params.target_pb` zeros on the schedule anchored at
+    solved for `params.target_pb` zeros on the schedule anchored at
     its sigma_1^2 (the `SolverConfig` defaults). `params.solver` overrides
     either. A solve that does not converge is returned as it is; see
     `check_converged`.

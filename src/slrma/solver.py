@@ -40,8 +40,8 @@ class SolverConfig:
 
     `rho0` and `rho_max` left as None are anchored at sigma_1^2 of the Z
     being solved (`ANCHOR_RHO0`, `ANCHOR_RHO_MAX`). With `target_pb` set,
-    the P step keeps exactly `kept_entries` entries of B and `gamma` only
-    weighs the reported objective.
+    the P step keeps `kept_entries` entries of B (at most that many nonzero)
+    and `gamma` only weighs the reported objective.
     """
 
     gamma: float
@@ -154,17 +154,21 @@ def update_p(state: SolverState, cfg: SolverConfig):
     By default the hard threshold at tau = sqrt(2 gamma / rho). With
     `cfg.target_pb` set, the projection onto the l0 ball instead: keep the
     `kept_entries` largest |A|, ties going to the earlier row-major position,
-    and zero the rest.
+    and zero the rest. The cut is the keep-th largest |A|, found by a
+    partition in O(mk). A kept entry may be zero, so P has at most
+    `kept_entries` nonzero entries, and exactly that many when A has.
     """
     shifted = state.b + state.y_p / state.rho
     if cfg.target_pb is None:
         tau = np.sqrt(2.0 * cfg.gamma / state.rho)
         return np.where(np.abs(shifted) > tau, shifted, 0.0)
     keep = kept_entries(cfg.target_pb, *shifted.shape)
-    largest = np.argsort(-np.abs(shifted), axis=None, kind="stable")[:keep]
-    p = np.zeros_like(shifted)
-    p.flat[largest] = shifted.flat[largest]
-    return p
+    mags = np.abs(shifted).ravel()
+    cut = np.partition(mags, mags.size - keep)[mags.size - keep]  # keep-th largest
+    kept = mags > cut
+    ties = np.flatnonzero(mags == cut)
+    kept[ties[: keep - np.count_nonzero(kept)]] = True
+    return np.where(kept.reshape(shifted.shape), shifted, 0.0)
 
 
 def update_q(state: SolverState):
@@ -374,12 +378,14 @@ def slrma_solve(z, cfg: SolverConfig):
 
 
 def gamma_for_sparsity(z, cfg: SolverConfig, target_pb):
-    """Solve Z for a basis with exactly `kept_entries` nonzero entries.
+    """Solve Z for a basis with at most `kept_entries` nonzero entries.
 
     One `slrma_solve` of `cfg` with its P step projecting onto the l0 ball
-    of that count, so the zero fraction is `target_pb` up to the rounding of
-    the count, with no search over gamma. Returns (cfg.gamma, factorization):
-    the projection uses no gamma of its own. A target outside [0, 1), or one
+    of that count, with no search over gamma. The basis has exactly that
+    many nonzero entries when B + Y_P/rho has, so the zero fraction is then
+    `target_pb` up to the rounding of the count; on data with fewer nonzero
+    entries (an all-zero Z, say) it is higher. Returns (cfg.gamma,
+    factorization): the projection uses no gamma of its own. A target outside [0, 1), or one
     that would leave a column of B empty, raises ValueError before Z is
     factored.
     """

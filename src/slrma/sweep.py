@@ -1,6 +1,6 @@
 """Exhaustive rate-distortion sweeps over (k, p_B target, quantizer step).
 
-The codec's factor stage runs once per (k, p_B target), at exactly that
+The codec's factor stage runs once per (k, p_B target), at that
 sparsity; its factorization is then encoded with every step pair,
 decompressed, and measured. Rows are emitted in deterministic grid order
 with full provenance; per-point failures are tagged and the sweep

@@ -129,6 +129,13 @@ def test_decoder_rejects_crafted_header(image_container, fields):
         decompress_image_set(with_header(image_container, **fields))
 
 
+def test_decoder_rejects_a_header_too_large_to_decode(image_container):
+    # k <= min(m, n) holds, so the header parses; the 4 x (2**32 - 1)
+    # coefficient map is refused before anything is sized for it
+    with pytest.raises(CorruptStreamError, match="exceeds"):
+        decompress_image_set(with_header(image_container, n=2**32 - 1))
+
+
 def test_image_roundtrip_deterministic():
     data = small_image_set()
     one = compress_image_set(data.x, data.w, data.h, IMAGE_PARAMS)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slrma.entropy import entropy_decode, entropy_encode
+from slrma.entropy import MAX_CELLS, entropy_decode, entropy_encode
 from slrma.errors import CorruptStreamError
 from slrma.quant import QuantizedSparseMatrix, dequantize, quantize
 
@@ -105,3 +105,267 @@ def test_entropy_truncation_detected():
     payload = entropy_encode(q)
     with pytest.raises(CorruptStreamError):
         entropy_decode(payload[: max(1, len(payload) // 3)], 16, 16, 0.05)
+
+
+def test_entropy_truncated_preamble_detected():
+    with pytest.raises(CorruptStreamError):
+        entropy_decode(b"\x00\x01\x02\x03", 1, 1, 1.0)
+
+
+def test_entropy_decode_rejects_oversized_shape_before_allocating():
+    # a header can name any u32 shape; the decoder refuses past MAX_CELLS
+    # before it sizes a significance map
+    with pytest.raises(CorruptStreamError):
+        entropy_decode(b"\x00" * 5, 4, 2**32 - 1, 1.0)
+    with pytest.raises(CorruptStreamError):
+        entropy_decode(b"\x00" * 5, MAX_CELLS + 1, 1, 1.0)
+
+
+def test_entropy_encode_rejects_what_the_decoder_refuses():
+    shape = (1, MAX_CELLS + 1)
+    q = QuantizedSparseMatrix(*shape, 1.0, np.broadcast_to(False, shape),
+                              np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError):
+        entropy_encode(q)
+
+
+# ---------------------------------------------------------------------------
+# Reference coder: the class-based range coder the flat loops replaced, kept
+# unchanged as the oracle for their bytes and their errors.
+
+_TOP = 1 << 24
+_MASK32 = 0xFFFFFFFF
+_COUNT_CAP = 1 << 16
+
+CTX_SIGNIFICANCE = 0
+CTX_SIGN = 1
+CTX_EG_PREFIX = 2
+CTX_EG_SUFFIX = 3
+_NUM_CONTEXTS = 4
+
+
+class _Contexts:
+    def __init__(self):
+        self.zeros = [1] * _NUM_CONTEXTS
+        self.ones = [1] * _NUM_CONTEXTS
+
+    def split(self, ctx, rng):
+        c0 = self.zeros[ctx]
+        total = c0 + self.ones[ctx]
+        bound = rng * c0 // total
+        return min(max(bound, 1), rng - 1)
+
+    def update(self, ctx, bit):
+        if bit:
+            self.ones[ctx] += 1
+        else:
+            self.zeros[ctx] += 1
+        if self.zeros[ctx] + self.ones[ctx] >= _COUNT_CAP:
+            self.zeros[ctx] = (self.zeros[ctx] + 1) >> 1
+            self.ones[ctx] = (self.ones[ctx] + 1) >> 1
+
+
+class RangeEncoder:
+    def __init__(self):
+        self.low = 0
+        self.range = _MASK32
+        self.cache = 0
+        self.cache_size = 1
+        self.out = bytearray()
+        self.ctx = _Contexts()
+
+    def encode_bit(self, ctx, bit):
+        bound = self.ctx.split(ctx, self.range)
+        if bit:
+            self.low += bound
+            self.range -= bound
+        else:
+            self.range = bound
+        self.ctx.update(ctx, bit)
+        while self.range < _TOP:
+            self.range = (self.range << 8) & _MASK32
+            self._shift_low()
+
+    def _shift_low(self):
+        if self.low < 0xFF000000 or self.low > _MASK32:
+            carry = self.low >> 32
+            byte = self.cache
+            while self.cache_size:
+                self.out.append((byte + carry) & 0xFF)
+                byte = 0xFF
+                self.cache_size -= 1
+            self.cache = (self.low >> 24) & 0xFF
+        self.cache_size += 1
+        self.low = (self.low & 0x00FFFFFF) << 8
+
+    def finish(self):
+        for _ in range(5):
+            self._shift_low()
+        return bytes(self.out)
+
+
+class RangeDecoder:
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+        self.range = _MASK32
+        self.code = 0
+        self.ctx = _Contexts()
+        self._next_byte()  # the encoder's initial zero cache byte
+        for _ in range(4):
+            self.code = (self.code << 8) | self._next_byte()
+
+    def _next_byte(self):
+        if self.pos >= len(self.data):
+            raise CorruptStreamError("payload ended mid-symbol")
+        byte = self.data[self.pos]
+        self.pos += 1
+        return byte
+
+    def decode_bit(self, ctx):
+        bound = self.ctx.split(ctx, self.range)
+        if self.code < bound:
+            bit = 0
+            self.range = bound
+        else:
+            bit = 1
+            self.code -= bound
+            self.range -= bound
+        self.ctx.update(ctx, bit)
+        while self.range < _TOP:
+            self.range = (self.range << 8) & _MASK32
+            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
+        return bit
+
+
+def _encode_exp_golomb(enc, value):
+    # order-0: z zero bits, a one bit, then the z low bits of value + 1
+    plus = value + 1
+    z = plus.bit_length() - 1
+    for _ in range(z):
+        enc.encode_bit(CTX_EG_PREFIX, 0)
+    enc.encode_bit(CTX_EG_PREFIX, 1)
+    for shift in range(z - 1, -1, -1):
+        enc.encode_bit(CTX_EG_SUFFIX, (plus >> shift) & 1)
+
+
+def _decode_exp_golomb(dec):
+    z = 0
+    while dec.decode_bit(CTX_EG_PREFIX) == 0:
+        z += 1
+        if z > 64:
+            raise CorruptStreamError("runaway Exp-Golomb prefix")
+    plus = 1
+    for _ in range(z):
+        plus = (plus << 1) | dec.decode_bit(CTX_EG_SUFFIX)
+    return plus - 1
+
+
+def reference_encode(q: QuantizedSparseMatrix):
+    enc = RangeEncoder()
+    sig = q.significance.reshape(-1)
+    levels = q.levels
+    idx = 0
+    for bit in sig:
+        if bit:
+            enc.encode_bit(CTX_SIGNIFICANCE, 1)
+            level = int(levels[idx])
+            idx += 1
+            enc.encode_bit(CTX_SIGN, 1 if level < 0 else 0)
+            _encode_exp_golomb(enc, abs(level) - 1)
+        else:
+            enc.encode_bit(CTX_SIGNIFICANCE, 0)
+    return enc.finish()
+
+
+def reference_decode(data, rows, cols, step):
+    dec = RangeDecoder(data)
+    sig = np.zeros(rows * cols, dtype=bool)
+    levels = []
+    for i in range(rows * cols):
+        if dec.decode_bit(CTX_SIGNIFICANCE):
+            sig[i] = True
+            negative = dec.decode_bit(CTX_SIGN)
+            magnitude = _decode_exp_golomb(dec) + 1
+            levels.append(-magnitude if negative else magnitude)
+    if dec.pos != len(data):
+        raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {dec.pos}")
+    return QuantizedSparseMatrix(
+        rows=rows,
+        cols=cols,
+        step=float(step),
+        significance=sig.reshape(rows, cols),
+        levels=np.array(levels, dtype=np.int64),
+    )
+
+
+def decode_outcome(decode, data, rows, cols, corrupt=CorruptStreamError):
+    """What a decoder makes of `data`: its matrix, or the corrupt-stream error."""
+    try:
+        q = decode(data, rows, cols, 1.0)
+    except corrupt:
+        return "corrupt"
+    return q.significance.tobytes(), q.levels.tobytes()
+
+
+def sparse_levels(seed, density, rows, cols):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, cols)) * 40
+    values[rng.random(size=(rows, cols)) > density] = 0.0
+    return quantize(values, 0.03)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 24),
+       st.integers(1, 24), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_entropy_coder_matches_reference(seed, density, rows, cols, damage):
+    q = sparse_levels(seed, density, rows, cols)
+    payload = entropy_encode(q)
+    assert payload == reference_encode(q)
+    assert_same(q, entropy_decode(payload, rows, cols, q.step))
+    # a truncated payload and a payload with one bit flipped each meet the
+    # same outcome in both decoders
+    cut = payload[: damage % len(payload)]
+    flipped = bytearray(payload)
+    flipped[damage % len(payload)] ^= 1 << (damage >> 24) % 8
+    for damaged in (cut, bytes(flipped)):
+        # the reference let a level past int64 escape as OverflowError
+        assert (decode_outcome(entropy_decode, damaged, rows, cols)
+                == decode_outcome(reference_decode, damaged, rows, cols,
+                                  (CorruptStreamError, OverflowError)))
+
+
+def test_entropy_coder_matches_reference_past_count_halving():
+    # 90k significance bits in one context: its counts reach 2**16 and halve
+    q = sparse_levels(7, 0.01, 300, 300)
+    payload = entropy_encode(q)
+    assert payload == reference_encode(q)
+    assert_same(q, entropy_decode(payload, 300, 300, q.step))
+
+
+def test_entropy_coder_matches_reference_on_large_levels():
+    levels = np.array([[2**62, -(2**62) - 5, 1], [-1, 0, 2**40 + 3]], dtype=np.int64)
+    q = QuantizedSparseMatrix(2, 3, 1.0, levels != 0, levels[levels != 0])
+    payload = entropy_encode(q)
+    assert payload == reference_encode(q)
+    assert_same(q, entropy_decode(payload, 2, 3, 1.0))
+
+
+@pytest.mark.parametrize("level", [2**63, -(2**63) - 1, 2**64 - 1])
+def test_entropy_decode_rejects_level_beyond_int64(level):
+    enc = RangeEncoder()
+    enc.encode_bit(CTX_SIGNIFICANCE, 1)
+    enc.encode_bit(CTX_SIGN, 1 if level < 0 else 0)
+    _encode_exp_golomb(enc, abs(level) - 1)
+    payload = enc.finish()
+    with pytest.raises(OverflowError):
+        reference_decode(payload, 1, 1, 1.0)
+    with pytest.raises(CorruptStreamError):
+        entropy_decode(payload, 1, 1, 1.0)
+
+
+def test_entropy_roundtrips_the_int64_extremes():
+    levels = np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max]])
+    q = QuantizedSparseMatrix(1, 2, 1.0, levels != 0, levels.reshape(-1))
+    assert entropy_encode(q) == reference_encode(q)
+    assert_same(q, roundtrip(q))

@@ -13,6 +13,7 @@ from slrma.solver import (
     SolverState,
     gamma_for_sparsity,
     init_state,
+    kept_entries,
     objective,
     reconstruct,
     slrma_solve,
@@ -73,6 +74,28 @@ def test_update_p_l0_ball_keeps_largest_ties_in_row_major_order():
     cfg = SolverConfig(gamma=0.0, k=2, target_pb=0.5)  # keeps 3 of 6
     # |A| = 3, 2, then three tied 1s: the first of them, at (0, 1), is kept
     assert np.array_equal(update_p(state, cfg), [[3.0, -1.0], [0.0, 0.0], [-2.0, 0.0]])
+    # random inputs with ties, zeros and -0.0, every count from k to m*k:
+    # bit for bit the stable-argsort selection
+    rng = np.random.default_rng(11)
+    m, k = 9, 3
+    for _ in range(20):
+        ties = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0], size=(m, k))
+        b = np.where(rng.random((m, k)) < 0.3, rng.normal(size=(m, k)), ties)
+        y_p = rng.choice([0.0, -0.0, 1.0], size=(m, k))
+        state = SolverState(b=b, p=b, q=b, y_p=y_p, y_q=y_p, rho=2.0)
+        for keep in range(k, m * k + 1):
+            cfg = SolverConfig(gamma=0.0, k=k, target_pb=1.0 - keep / (m * k))
+            assert kept_entries(cfg.target_pb, m, k) == keep
+            assert update_p(state, cfg).tobytes() == argsort_l0_projection(state, keep).tobytes()
+
+
+def argsort_l0_projection(state, keep):
+    """The l0-ball P step as a stable sort: the reference for `update_p`."""
+    shifted = state.b + state.y_p / state.rho
+    largest = np.argsort(-np.abs(shifted), axis=None, kind="stable")[:keep]
+    p = np.zeros_like(shifted)
+    p.flat[largest] = shifted.flat[largest]
+    return p
 
 
 def brute_force_scalar_prox(value, gamma, rho):
@@ -302,6 +325,14 @@ def test_gamma_search_planted_high_target():
     gamma, fact = gamma_for_sparsity(z, cfg, 0.9)
     assert fact.converged
     assert abs(fact.p_b_achieved - 0.9) <= 0.1
+
+
+def test_target_count_bounds_the_nonzeros_from_above():
+    # round(0.5 * 16 * 2) = 16 entries are kept, but on an all-zero Z only 2
+    # of them are nonzero: the basis comes out sparser than asked
+    _, fact = gamma_for_sparsity(np.zeros((16, 8)), SolverConfig(gamma=0.0, k=2), 0.5)
+    assert fact.converged
+    assert fact.p_b_achieved == 0.9375
 
 
 # 0.9 keeps round(0.1 * 4 * 2) = 1 entry, too few for k=2 columns
