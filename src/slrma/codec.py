@@ -9,7 +9,7 @@ before quantization to squeeze temporal coherence.
 Compression runs in two stages. `factor` solves every stream once;
 `encode` quantizes, entropy-codes and packs a factorization at given
 quantizer steps, so one factorization can serve many steps (the RD sweep
-does this). `build_transforms` is the one place that builds bases.
+does this). `image_transforms` and `mesh_transforms` build every basis.
 """
 
 from __future__ import annotations
@@ -26,8 +26,13 @@ from .container import (
     pack_container,
     unpack_container,
 )
-from .entropy import entropy_decode, entropy_encode
-from .errors import CorruptStreamError, DigestMismatchError, NotConvergedError
+from .entropy import MAX_CELLS, entropy_decode, entropy_encode
+from .errors import (
+    CorruptStreamError,
+    DigestMismatchError,
+    NotConvergedError,
+    SizeOverflowError,
+)
 from .numerics import as_matrix
 from .quant import dequantize, quantize
 from .solver import (
@@ -40,7 +45,6 @@ from .solver import (
 from .transforms import (
     KIND_DCT2D,
     KIND_DWT2D,
-    KIND_GRAPH,
     OrthogonalTransform,
     dct1d,
     dct2d,
@@ -85,7 +89,7 @@ def factor_quantization_bound(basis, coeffs, step_b, step_c):
 
 @dataclass(frozen=True)
 class Transforms:
-    """The bases one container names; `build_transforms` is their one source."""
+    """The bases one container names; see `image_transforms`, `mesh_transforms`."""
 
     pipeline: int                       # PIPELINE_IMAGE or PIPELINE_MESH
     phi: OrthogonalTransform            # images: 2D DCT or Haar; meshes: graph basis
@@ -93,14 +97,19 @@ class Transforms:
     digest: bytes = b""                 # meshes: connectivity hash for the header
 
 
-def build_transforms(kind, params, faces=None, n=None, digest=None):
-    """Build the bases for a container transform kind and its params.
+def image_kind(transform, levels, w, h):
+    """(kind, params) of a CodecParams.transform name, "dct" or "dwt"."""
+    if transform == "dct":
+        return KIND_DCT2D, (w, h)
+    if transform == "dwt":
+        return KIND_DWT2D, (w, h, levels)
+    raise ValueError(f"unsupported image transform {transform!r}")
 
-    This is the codec's one transform dispatch: compress, decompress and the
-    sweep all come through it. Image kinds take (w, h) for the 2D DCT and
-    (w, h, levels) for the 2D Haar. The graph kind takes (m,), the faces and
-    the frame count n; a container's `digest` is checked against the faces
-    before the O(m^3) eigenbasis is built.
+
+def image_transforms(kind, params):
+    """Image bases for a container transform kind and its params.
+
+    (w, h) for the 2D DCT and (w, h, levels) for the 2D Haar.
     """
     if kind == KIND_DCT2D:
         w, h = params
@@ -108,23 +117,20 @@ def build_transforms(kind, params, faces=None, n=None, digest=None):
     if kind == KIND_DWT2D:
         w, h, levels = params
         return Transforms(PIPELINE_IMAGE, dwt2d(w, h, levels))
-    if kind == KIND_GRAPH:
-        (m,) = params
-        graph = mesh_adjacency(faces, m)
-        found = connectivity_digest(m, graph.edges)
-        if digest is not None and digest != found:
-            raise DigestMismatchError("connectivity does not match the container")
-        return Transforms(PIPELINE_MESH, graph_transform(graph), dct1d(n), found)
-    raise ValueError(f"unsupported transform kind {kind!r}")
+    raise ValueError(f"unsupported image transform kind {kind!r}")
 
 
-def image_transforms(transform, levels, w, h):
-    """Image bases for a CodecParams.transform name, "dct" or "dwt"."""
-    if transform == "dct":
-        return build_transforms(KIND_DCT2D, (w, h))
-    if transform == "dwt":
-        return build_transforms(KIND_DWT2D, (w, h, levels))
-    raise ValueError(f"unsupported image transform {transform!r}")
+def mesh_transforms(faces, m, n, digest=None):
+    """Graph basis of an m-vertex mesh and the 1D DCT along its n frames.
+
+    A container's `digest` is checked against the faces before the O(m^3)
+    eigenbasis is built.
+    """
+    graph = mesh_adjacency(faces, m)
+    found = connectivity_digest(m, graph.edges)
+    if digest is not None and digest != found:
+        raise DigestMismatchError("connectivity does not match the container")
+    return Transforms(PIPELINE_MESH, graph_transform(graph), dct1d(n), found)
 
 
 def factor(transforms: Transforms, data, params: CodecParams):
@@ -217,7 +223,7 @@ def compress_image_set(x, w, h, params: CodecParams):
     x = as_matrix(x, "X")
     if x.shape[0] != w * h:
         raise ValueError(f"X has {x.shape[0]} rows, expected w*h={w * h}")
-    transforms = image_transforms(params.transform, params.levels, w, h)
+    transforms = image_transforms(*image_kind(params.transform, params.levels, w, h))
     return _compress(transforms, [x], params)
 
 
@@ -236,7 +242,7 @@ def decompress_image_set(blob):
     w, h = params[:2]
     if header.m != w * h:
         raise CorruptStreamError(f"m={header.m} but the images hold w*h={w * h} pixels")
-    transforms = build_transforms(header.transform_kind, params)
+    transforms = image_transforms(header.transform_kind, params)
     (x_hat,) = _decode(transforms, header, payloads)
     return x_hat, w, h
 
@@ -248,7 +254,9 @@ def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
     if not xx.shape == xy.shape == xz.shape:
         raise ValueError("coordinate matrices must share one shape")
     m, n = xx.shape
-    transforms = build_transforms(KIND_GRAPH, (m,), faces=faces, n=n)
+    if n * n > MAX_CELLS:  # the decoder refuses a frame DCT this large
+        raise SizeOverflowError(f"{n} frames exceed the frame DCT's {MAX_CELLS} cells")
+    transforms = mesh_transforms(faces, m, n)
     return _compress(transforms, [xx, xy, xz], params)
 
 
@@ -257,6 +265,8 @@ def decompress_mesh_seq(blob, faces):
     header, payloads = unpack_container(blob)
     if header.pipeline != PIPELINE_MESH:
         raise CorruptStreamError("not a mesh-sequence container")
-    transforms = build_transforms(KIND_GRAPH, (header.m,), faces=faces,
-                                  n=header.n, digest=header.digest)
+    if header.n * header.n > MAX_CELLS:
+        raise CorruptStreamError(f"n={header.n} frames exceed the frame DCT's "
+                                 f"{MAX_CELLS} cells")
+    transforms = mesh_transforms(faces, header.m, header.n, header.digest)
     return tuple(_decode(transforms, header, payloads))

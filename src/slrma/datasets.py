@@ -136,7 +136,11 @@ def read_off(path):
             cnt = int(tokens[pos])
             if cnt != 3:
                 raise FormatError(f"{path}: non-triangle face of size {cnt}")
-            faces.append(tuple(int(t) for t in tokens[pos + 1 : pos + 4]))
+            face = tuple(int(t) for t in tokens[pos + 1 : pos + 4])
+            if len(set(face)) != 3 or not all(0 <= v < nv for v in face):
+                raise FormatError(f"{path}: face {face} is degenerate or names "
+                                  f"a vertex outside [0, {nv})")
+            faces.append(face)
             pos += 4
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed OFF data ({exc})") from exc

@@ -5,7 +5,8 @@ alternating closed-form updates of B (shifted linear solve), P (hard
 threshold), Q (nearest orthonormal matrix) and the two multipliers, with
 the penalty rho growing geometrically each sweep. A solve for a sparsity
 target instead constrains ||B||_0 to a fixed count: its P step projects
-onto that l0 ball.
+onto that l0 ball. The output basis is Q orthonormalized on P's support;
+a solve whose basis is not orthonormal to rounding is not converged.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ MESH_DEFAULTS = dict(rho0=1e7, alpha=1.003, rho_max=1e12)
 ANCHOR_RHO0 = 1.05
 ANCHOR_RHO_MAX = 1e6
 
+# Sweeps over which the objective must be flat before a solve may stop.
+OBJECTIVE_WINDOW = 10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -51,7 +55,6 @@ class SolverConfig:
     rho_max: float = None
     tol: float = 1e-6
     max_iters: int = 1000
-    objective_window: int = 10
     target_pb: float = None
 
     def __post_init__(self):
@@ -232,37 +235,28 @@ def update_multipliers(state: SolverState, cfg: SolverConfig, b_minus_p=None,
     )
 
 
-def _masked_gram_schmidt(basis, support, passes=6, target=1e-10):
-    """Re-orthonormalize columns without leaving their zero patterns."""
-    q = basis * support
-    k = q.shape[1]
-    for _ in range(passes):
-        for j in range(k):
-            v = q[:, j].copy()
-            for i in range(j):
-                v -= (q[:, i] @ v) * q[:, i]
-            v *= support[:, j]
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                return q, False
-            q[:, j] = v / norm
-        if np.abs(q.T @ q - np.eye(k)).max() < target:
-            break
-    return q, True
-
-
 def _extract(state: SolverState, z, cfg: SolverConfig, converged, max_resid):
-    """Assemble the output factor: orthonormal Q masked by P's zero pattern."""
+    """Assemble the output factor: Q orthonormalized on P's support.
+
+    Column j is Q's column j on the rows where P's column j is nonzero, less
+    its least-squares projection onto the earlier output columns on those
+    rows: zero elsewhere, it is orthogonal to each of them. Taken twice, the
+    projection holds to rounding ("twice is enough"); a column with nothing
+    left stays zero. A basis over 1e-10 from orthonormal is not converged.
+    """
     support = state.p != 0.0
-    basis = np.where(support, state.q, 0.0)
-    k = cfg.k
-    ortho_dev = np.abs(basis.T @ basis - np.eye(k)).max()
-    if ortho_dev > 1e-8:
-        basis, ok = _masked_gram_schmidt(basis, support.astype(np.float64))
-        if ok:
-            ortho_dev = np.abs(basis.T @ basis - np.eye(k)).max()
-        if not ok or ortho_dev > 1e-6:
-            converged = False
+    basis = np.zeros_like(state.q)
+    for j in range(cfg.k):
+        rows = support[:, j]
+        earlier = basis[rows, :j]
+        v = state.q[rows, j]
+        for _ in range(2):
+            v = v - earlier @ np.linalg.lstsq(earlier, v)[0]
+        norm = np.linalg.norm(v)
+        if norm > 0.0:
+            basis[rows, j] = v / norm
+    if np.abs(basis.T @ basis - np.eye(cfg.k)).max() > 1e-10:
+        converged = False
     coeffs = basis.T @ z
     p_b = 1.0 - np.count_nonzero(basis) / basis.size
     return Factorization(
@@ -329,7 +323,6 @@ def slrma_solve(z, cfg: SolverConfig):
     start = None if cfg.target_pb is None else svd.u[:, :cfg.k]
     state = init_state(m, cfg.k, cfg, start)
     max_resid = 0.0
-    window = max(2, cfg.objective_window)
     converged = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
     # the objective, so numpy's overflow and invalid-value warnings on the
@@ -363,8 +356,8 @@ def slrma_solve(z, cfg: SolverConfig):
                 state = update_multipliers(state, cfg, b_minus_p, b_minus_q)
                 if r_p < cfg.tol and r_q < cfg.tol and rho_now > top_sq:
                     trace = state.objective_trace
-                    if len(trace) >= window:
-                        tail = trace[-window:]
+                    if len(trace) >= OBJECTIVE_WINDOW:
+                        tail = trace[-OBJECTIVE_WINDOW:]
                         flat = (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1]))
                         if flat:
                             converged = True

@@ -17,18 +17,18 @@ import numpy as np
 
 from .codec import (
     CodecParams,
-    build_transforms,
     check_converged,
     decompress_image_set,
     decompress_mesh_seq,
     encode,
     factor,
+    image_kind,
     image_transforms,
+    mesh_transforms,
 )
 from .datasets import ImageSet
 from .errors import InfinitePsnrError, SlrmaError
 from .metrics import bits_per_frame_vertex, bits_per_pixel, kg_error, psnr, rmse
-from .transforms import KIND_GRAPH
 
 # Not called here: perfbench/tracing.py resolves these names in this module.
 from .codec import compress_image_set, compress_mesh_seq  # noqa: F401
@@ -140,14 +140,13 @@ def rd_sweep(dataset, grid: SweepGrid):
     """Evaluate the full grid; returns (rows, pareto front rows)."""
     if isinstance(dataset, ImageSet):
         transform = grid.transform
-        transforms = image_transforms(transform, grid.levels,
-                                      dataset.w, dataset.h)
+        transforms = image_transforms(*image_kind(transform, grid.levels,
+                                                  dataset.w, dataset.h))
         data = [dataset.x]
     else:
         # meshes always use the graph transform, whatever the grid names
         transform = "gt"
-        transforms = build_transforms(KIND_GRAPH, (dataset.m,),
-                                      faces=dataset.faces, n=dataset.n)
+        transforms = mesh_transforms(dataset.faces, dataset.m, dataset.n)
         data = [dataset.xx, dataset.xy, dataset.xz]
     rows = []
     for k in grid.ks:

@@ -3,7 +3,12 @@ import dataclasses
 from slrma import codec, sweep
 from slrma.cli import cli_main
 from slrma.container import pack_container, unpack_container
-from slrma.datasets import load_image_set, synth_image_set
+from slrma.datasets import (
+    load_image_set,
+    save_mesh_sequence,
+    synth_image_set,
+    synth_mesh_seq,
+)
 from slrma.metrics import psnr, rmse
 
 
@@ -126,6 +131,25 @@ def test_decompress_crafted_header_is_data_error(tmp_path, capsys):
     bad.write_bytes(pack_container(dataclasses.replace(header, m=32), payloads))
     assert run(["decompress-images", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "CorruptStream" in capsys.readouterr().err
+
+
+def test_malformed_off_face_is_data_error(tmp_path, capsys):
+    seq = synth_mesh_seq(16, 4, seed=1)
+    container = tmp_path / "m.slrm"
+    container.write_bytes(codec.compress_mesh_seq(
+        seq.xx, seq.xy, seq.xz, seq.faces,
+        codec.CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5)))
+    # a vertex index past the count, and a degenerate face
+    for bad_face in ((0, 1, 16), (11, 15, 15)):
+        src = tmp_path / "_".join(map(str, bad_face))
+        faces = seq.faces[:-1] + (bad_face,)
+        save_mesh_sequence(dataclasses.replace(seq, faces=faces), src)
+        assert run(["compress-mesh", str(src), "--out", str(tmp_path / "c.slrm"),
+                    "--k", "2", "--target-pb", "0.5", "--step-b", "0.01",
+                    "--step-c", "1.0"]) == 2
+        assert run(["decompress-mesh", str(container), "--faces",
+                    str(sorted(src.glob("*.off"))[0]), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("error: FormatError") == 2
 
 
 def test_missing_file_is_data_error(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import slrma.codec
 from slrma.codec import (
     CodecParams,
     compress_image_set,
@@ -25,6 +26,7 @@ from slrma.errors import (
     BadMagicError,
     CorruptStreamError,
     DigestMismatchError,
+    SizeOverflowError,
     VersionUnsupportedError,
 )
 from slrma.metrics import rmse
@@ -221,7 +223,7 @@ MESH_PARAMS = CodecParams(k=3, step_b=0.002, step_c=0.5, transform="gt",
                           gamma=20.0)
 
 
-def test_mesh_roundtrip_and_digest():
+def test_mesh_roundtrip_and_digest(monkeypatch):
     seq = small_mesh()
     blob = compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces, MESH_PARAMS)
     hx, hy, hz = decompress_mesh_seq(blob, seq.faces)
@@ -231,6 +233,32 @@ def test_mesh_roundtrip_and_digest():
     bad_faces[0] = (bad_faces[0][0], bad_faces[0][2], bad_faces[0][1] + 1)
     with pytest.raises((DigestMismatchError, IndexError, ValueError)):
         decompress_mesh_seq(blob, tuple(bad_faces))
+
+    # and before the eigenbasis is built
+    def no_graph_transform(graph):
+        raise AssertionError("built the graph basis of a mismatched mesh")
+
+    monkeypatch.setattr(slrma.codec, "graph_transform", no_graph_transform)
+    with pytest.raises(DigestMismatchError):
+        decompress_mesh_seq(with_header(blob, digest=bytes(8)), seq.faces)
+
+
+def test_mesh_frame_count_is_bounded_before_the_frame_dct(monkeypatch):
+    # an n x n frame DCT at n = 8193 would hold 2**26 + 16385 cells
+    seq = synth_mesh_seq(16, 4, seed=1)
+    blob = compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces,
+                             CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
+
+    def no_dct1d(n):
+        raise AssertionError(f"built a {n}-point frame DCT")
+
+    monkeypatch.setattr(slrma.codec, "dct1d", no_dct1d)
+    with pytest.raises(CorruptStreamError, match="frames"):
+        decompress_mesh_seq(with_header(blob, n=8193), seq.faces)
+    wide = np.zeros((seq.m, 8193))
+    with pytest.raises(SizeOverflowError):
+        compress_mesh_seq(wide, wide, wide, seq.faces,
+                          CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
 
 
 def test_mesh_static_sequence_dc_concentration():

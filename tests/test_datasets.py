@@ -84,10 +84,15 @@ def test_off_roundtrip_exact(tmp_path):
 
 
 def test_off_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.off"
-    path.write_text("OFX\n1 0 0\n0 0 0\n")
-    with pytest.raises(FormatError):
-        read_off(path)
+    # a bad magic, a face index past the vertex count, a degenerate face
+    vertices = "".join(f"{i} 0 0\n" for i in range(16))
+    for text in ("OFX\n1 0 0\n0 0 0\n",
+                 "OFF\n16 1 0\n" + vertices + "3 0 1 16\n",
+                 "OFF\n16 1 0\n" + vertices + "3 11 15 15\n"):
+        path = tmp_path / "bad.off"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_off(path)
 
 
 def test_off_rejects_non_triangle(tmp_path):
