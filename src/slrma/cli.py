@@ -38,21 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_transform(text):
-    if text == "dct":
-        return "dct", 3
-    if text == "gt":
-        return "gt", 0
-    if text.startswith("dwt:"):
-        try:
-            return "dwt", int(text.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad transform spec {text!r}") from None
-    if text == "dwt":
-        return "dwt", 3
-    raise UsageError(f"unknown transform {text!r}")
-
-
 def _solver_flags(args):
     return dict(rho0=args.rho0, alpha=args.alpha, rho_max=args.rho_max,
                 tol=args.tol, max_iters=args.max_iters)
@@ -66,11 +51,16 @@ def _add_solver_args(sub):
     sub.add_argument("--max-iters", dest="max_iters", type=int, default=None)
 
 
+def _add_transform_args(sub):
+    sub.add_argument("--transform", choices=("dct", "dwt", "gt"), default="dct")
+    sub.add_argument("--levels", type=int, default=3, help="dwt levels")
+
+
 def _add_codec_args(sub):
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--target-pb", dest="target_pb", type=float, default=None)
     sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--transform", default="dct")
+    _add_transform_args(sub)
     sub.add_argument("--step-b", dest="step_b", type=float, default=0.004)
     sub.add_argument("--step-c", dest="step_c", type=float, default=2.0)
     _add_solver_args(sub)
@@ -130,7 +120,7 @@ def _build_parser():
     sub.add_argument("--pbs", default="0.4,0.6,0.8")
     sub.add_argument("--steps", default="0.008:4,0.004:2,0.002:1",
                      help="comma list of step_b:step_c pairs")
-    sub.add_argument("--transform", default="dct")
+    _add_transform_args(sub)
     sub.add_argument("--csv", required=True)
     _add_solver_args(sub)
 
@@ -149,12 +139,11 @@ def _build_parser():
 
 
 def _codec_params(args):
-    kind, levels = _parse_transform(args.transform)
     if args.gamma is None and args.target_pb is None:
         raise UsageError("need --gamma or --target-pb")
     return CodecParams(
         k=args.k, step_b=args.step_b, step_c=args.step_c,
-        transform=kind, levels=levels, gamma=args.gamma,
+        transform=args.transform, levels=args.levels, gamma=args.gamma,
         target_pb=args.target_pb, solver=_solver_flags(args),
     )
 
@@ -238,7 +227,6 @@ def _cmd_measure(args):
 
 
 def _cmd_rd_sweep(args):
-    kind, levels = _parse_transform(args.transform)
     ks = tuple(int(t) for t in args.ks.split(","))
     pbs = tuple(float(t) for t in args.pbs.split(","))
     steps = tuple(tuple(float(x) for x in pair.split(":"))
@@ -251,7 +239,8 @@ def _cmd_rd_sweep(args):
             data = datasets.synth_image_set(16, 16, 32, rank=4,
                                             noise_sigma=2.0, seed=args.seed)
         grid = SweepGrid(ks=ks, pb_targets=pbs, steps=steps,
-                         transform=kind, levels=levels, solver=solver)
+                         transform=args.transform, levels=args.levels,
+                         solver=solver)
     else:
         if args.data:
             data = datasets.load_mesh_sequence(_collect([args.data], ".off"))

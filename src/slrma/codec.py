@@ -35,13 +35,7 @@ from .errors import (
 )
 from .numerics import as_matrix
 from .quant import dequantize, quantize
-from .solver import (
-    IMAGE_DEFAULTS,
-    MESH_DEFAULTS,
-    SolverConfig,
-    gamma_for_sparsity,
-    slrma_solve,
-)
+from .solver import SolverConfig, gamma_for_sparsity, slrma_solve
 from .transforms import (
     KIND_DCT2D,
     KIND_DWT2D,
@@ -67,10 +61,10 @@ class CodecParams:
     target_pb: float = None
     solver: dict = field(default_factory=dict)  # rho0/alpha/rho_max/tol/...
 
-    def solver_config(self, defaults, **fields):
-        """`defaults` overridden by the set entries of `solver`, plus `fields`."""
-        merged = {**defaults, **{k: v for k, v in self.solver.items() if v is not None}}
-        return SolverConfig(k=self.k, **fields, **merged)
+    def solver_config(self, **fields):
+        """A SolverConfig of `fields` and the set entries of `solver`."""
+        overrides = {k: v for k, v in self.solver.items() if v is not None}
+        return SolverConfig(k=self.k, **fields, **overrides)
 
 
 def factor_quantization_bound(basis, coeffs, step_b, step_c):
@@ -138,13 +132,11 @@ def factor(transforms: Transforms, data, params: CodecParams):
 
     Returns one Factorization per stream, in order. With `params.gamma` set
     (for meshes a scalar or one value per axis) each stream is solved at
-    that gamma on the image or mesh preset schedule. Otherwise each is
-    solved for `params.target_pb` zeros on the schedule anchored at
-    its sigma_1^2 (the `SolverConfig` defaults). `params.solver` overrides
-    either. A solve that does not converge is returned as it is; see
-    `check_converged`.
+    that gamma, otherwise for `params.target_pb` zeros. Either solve runs
+    on the schedule anchored at the stream's sigma_1^2 (the `SolverConfig`
+    defaults) unless `params.solver` overrides it. A solve that does not
+    converge is returned as it is; see `check_converged`.
     """
-    presets = IMAGE_DEFAULTS if transforms.pipeline == PIPELINE_IMAGE else MESH_DEFAULTS
     gammas = params.gamma
     if np.ndim(gammas) == 0:
         gammas = [gammas] * len(data)
@@ -152,10 +144,10 @@ def factor(transforms: Transforms, data, params: CodecParams):
     for x, gamma in zip(data, gammas, strict=True):
         z = transforms.phi.forward(x)
         if gamma is not None:
-            facts.append(slrma_solve(z, params.solver_config(presets, gamma=float(gamma))))
+            facts.append(slrma_solve(z, params.solver_config(gamma=float(gamma))))
         elif params.target_pb is not None:
             # the config names the target too, so (z, cfg) alone re-runs the solve
-            cfg = params.solver_config({}, gamma=0.0, target_pb=params.target_pb)
+            cfg = params.solver_config(gamma=0.0, target_pb=params.target_pb)
             facts.append(gamma_for_sparsity(z, cfg, params.target_pb)[1])
         else:
             raise ValueError("need either gamma or target_pb")
@@ -199,16 +191,28 @@ def encode(transforms: Transforms, facts, step_b, step_c):
 
 
 def _decode(transforms: Transforms, header, payloads):
-    """Inverse of `encode` after unpacking: one reconstruction per stream."""
+    """Inverse of `encode` after unpacking: one reconstruction per stream.
+
+    Every payload is decoded before any stream is reconstructed. A
+    reconstruction that is not finite (a crafted but finite step can overflow
+    it) raises CorruptStreamError.
+    """
+    mesh = transforms.pipeline == PIPELINE_MESH
+    shape_c = (header.n, header.k) if mesh else (header.k, header.n)
+    quantized = [(entropy_decode(payload_b, header.m, header.k, header.step_b),
+                  entropy_decode(payload_c, *shape_c, header.step_c))
+                 for payload_b, payload_c in zip(payloads[::2], payloads[1::2])]
     out = []
-    for payload_b, payload_c in zip(payloads[::2], payloads[1::2]):
-        basis = dequantize(entropy_decode(payload_b, header.m, header.k, header.step_b))
-        if transforms.pipeline == PIPELINE_IMAGE:
-            coeffs = dequantize(entropy_decode(payload_c, header.k, header.n, header.step_c))
-        else:
-            coeff_dct = dequantize(entropy_decode(payload_c, header.n, header.k, header.step_c))
-            coeffs = transforms.frames.inverse(coeff_dct).T  # k x n
-        out.append(transforms.phi.inverse(basis @ coeffs))
+    # an overflow is caught by the finiteness check, so its warnings say nothing new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q_b, q_c in quantized:
+            coeffs = dequantize(q_c)
+            if mesh:
+                coeffs = transforms.frames.inverse(coeffs).T  # k x n
+            x_hat = transforms.phi.inverse(dequantize(q_b) @ coeffs)
+            if not np.isfinite(x_hat).all():
+                raise CorruptStreamError("the steps overflow the reconstruction")
+            out.append(x_hat)
     return out
 
 
@@ -268,5 +272,8 @@ def decompress_mesh_seq(blob, faces):
     if header.n * header.n > MAX_CELLS:
         raise CorruptStreamError(f"n={header.n} frames exceed the frame DCT's "
                                  f"{MAX_CELLS} cells")
-    transforms = mesh_transforms(faces, header.m, header.n, header.digest)
+    try:
+        transforms = mesh_transforms(faces, header.m, header.n, header.digest)
+    except IndexError as exc:  # a face names a vertex past the container's m
+        raise DigestMismatchError("connectivity does not match the container") from exc
     return tuple(_decode(transforms, header, payloads))

@@ -26,10 +26,6 @@ from .numerics import (
 )
 from .transforms import OrthogonalTransform
 
-# Penalty-schedule presets for the two data families.
-IMAGE_DEFAULTS = dict(rho0=1e-4, alpha=1.05, rho_max=1e10)
-MESH_DEFAULTS = dict(rho0=1e7, alpha=1.003, rho_max=1e12)
-
 # A rho0 or rho_max left unset is this multiple of sigma_1(Z)^2.
 ANCHOR_RHO0 = 1.05
 ANCHOR_RHO_MAX = 1e6
@@ -73,14 +69,6 @@ class SolverConfig:
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
 
-    @classmethod
-    def for_images(cls, gamma, k, **overrides):
-        return cls(gamma=gamma, k=k, **{**IMAGE_DEFAULTS, **overrides})
-
-    @classmethod
-    def for_meshes(cls, gamma, k, **overrides):
-        return cls(gamma=gamma, k=k, **{**MESH_DEFAULTS, **overrides})
-
 
 @dataclass
 class SolverState:
@@ -122,11 +110,9 @@ def objective(z, b, gamma, ztb=None):
     return float(-np.sum(ztb**2) + gamma * np.count_nonzero(b))
 
 
-def init_state(m, k, cfg: SolverConfig, start=None):
-    """B = P = Q = `start` (default: the leftmost k identity columns), zero multipliers."""
-    if start is None:
-        start = np.eye(m)[:, :k]
-    zeros = np.zeros((m, k))
+def init_state(start, cfg: SolverConfig):
+    """B = P = Q = the m x k `start`, zero multipliers, rho = rho0."""
+    zeros = np.zeros(start.shape)
     return SolverState(b=start.copy(), p=start.copy(), q=start.copy(),
                        y_p=zeros, y_q=zeros.copy(), rho=cfg.rho0)
 
@@ -301,9 +287,8 @@ def slrma_solve(z, cfg: SolverConfig):
     exhaust max_iters, or whose iterate overflows, return converged=False
     with diagnostics intact.
 
-    A gamma solve starts from the identity columns; a `target_pb` solve
-    starts from the top-k left singular vectors of Z. A rho0 or rho_max
-    left unset is anchored at sigma_1^2 of Z.
+    Every solve starts from the top-k left singular vectors of Z, and a
+    rho0 or rho_max left unset is anchored at sigma_1^2 of Z.
     """
     z = as_matrix(z, "Z")
     m, n = z.shape
@@ -320,8 +305,7 @@ def slrma_solve(z, cfg: SolverConfig):
     cfg = replace(cfg,
                   rho0=ANCHOR_RHO0 * anchor if cfg.rho0 is None else cfg.rho0,
                   rho_max=ANCHOR_RHO_MAX * anchor if cfg.rho_max is None else cfg.rho_max)
-    start = None if cfg.target_pb is None else svd.u[:, :cfg.k]
-    state = init_state(m, cfg.k, cfg, start)
+    state = init_state(svd.u[:, :cfg.k], cfg)
     max_resid = 0.0
     converged = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and

@@ -84,6 +84,22 @@ def test_image_cli_end_to_end(tmp_path, capsys):
     assert header.split(",")[0] == "rmse"
 
 
+def test_transform_and_levels_flags(tmp_path, capsys):
+    src = tmp_path / "in"
+    container = tmp_path / "c.slrm"
+    assert run(["synth", "--kind", "images", "--out", str(src),
+                "--w", "8", "--h", "8", "--n", "6", "--rank", "2"]) == 0
+    compress = ["compress-images", str(src), "--out", str(container),
+                "--k", "2", "--target-pb", "0.5"]
+    assert run(compress + ["--transform", "dwt", "--levels", "2"]) == 0
+    header, _ = unpack_container(container.read_bytes())
+    assert (header.transform_kind, header.transform_params) == ("dwt2d", (8, 8, 2))
+    capsys.readouterr()
+    for bad in (["--transform", "dwt:2"], ["--transform", "haar"], ["--levels", "two"]):
+        assert run(compress + bad) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
 def test_measure_identical_flags_infinite_psnr(tmp_path, capsys):
     src = tmp_path / "in"
     assert run(["synth", "--kind", "images", "--out", str(src),

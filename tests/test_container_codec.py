@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slrma.codec
 from slrma.codec import (
@@ -123,9 +126,11 @@ def image_container():
 @pytest.mark.parametrize("fields", [
     dict(step_b=float("nan")), dict(step_c=float("inf")), dict(step_b=0.0),
     dict(step_c=-0.5), dict(m=32), dict(k=0), dict(k=13),
-    dict(transform_params=(8,)), dict(k=3), dict(n=11),
+    dict(transform_params=(8,)), dict(k=3), dict(n=11), dict(step_b=1e308),
 ], ids=["nan-step_b", "inf-step_c", "zero-step_b", "negative-step_c",
-        "m-not-wh", "k-zero", "k-above-n", "missing-param", "k-below", "n-below"])
+        "m-not-wh", "k-zero", "k-above-n", "missing-param", "k-below", "n-below",
+        "overflowing-step_b"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_decoder_rejects_crafted_header(image_container, fields):
     with pytest.raises(CorruptStreamError):
         decompress_image_set(with_header(image_container, **fields))
@@ -159,7 +164,7 @@ def test_image_near_lossless_limit():
     from slrma.solver import SolverConfig, slrma_solve
 
     phi = dct2d(8, 8)
-    fact = slrma_solve(phi.forward(data.x), SolverConfig.for_images(50.0, 4))
+    fact = slrma_solve(phi.forward(data.x), SolverConfig(gamma=50.0, k=4))
     x_ref = reconstruct(phi, fact)
     assert np.abs(x_hat - x_ref).max() < 1e-6
 
@@ -172,7 +177,7 @@ def test_image_error_within_quantization_bound():
     from slrma.solver import SolverConfig, slrma_solve
 
     phi = dct2d(8, 8)
-    fact = slrma_solve(phi.forward(data.x), SolverConfig.for_images(50.0, 4))
+    fact = slrma_solve(phi.forward(data.x), SolverConfig(gamma=50.0, k=4))
     x_ref = reconstruct(phi, fact)
     bound = factor_quantization_bound(fact.basis, fact.coeffs,
                                       IMAGE_PARAMS.step_b, IMAGE_PARAMS.step_c)
@@ -279,7 +284,7 @@ def test_mesh_static_sequence_dc_concentration():
     u_dct = dct1d(n)
     from slrma.solver import SolverConfig, slrma_solve
 
-    fact = slrma_solve(u_gt.forward(xx), SolverConfig.for_meshes(1e-3, 1))
+    fact = slrma_solve(u_gt.forward(xx), SolverConfig(gamma=1e-3, k=1))
     coeff_dct = u_dct.forward(fact.coeffs.T)
     energy = coeff_dct[:, 0] ** 2
     assert energy[0] > 0.999 * energy.sum()
@@ -329,6 +334,43 @@ def test_mesh_hand_pipeline_identity():
         coeffs = u_dct.inverse(coeff_by_axis[axis]).T
         expected = u_gt.inverse(basis_by_axis[axis] @ coeffs)
         assert np.abs(out[axis] - expected).max() < 1e-10
+
+
+@functools.cache
+def fuzz_case(kind):
+    """(container at an explicit gamma, decoder to a list of arrays, their shapes)."""
+    if kind == "image":
+        data = small_image_set()
+        blob = compress_image_set(data.x, data.w, data.h, IMAGE_PARAMS)
+        return blob, lambda b: [decompress_image_set(b)[0]], [data.x.shape]
+    seq = small_mesh()
+    blob = compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces, MESH_PARAMS)
+    return blob, lambda b: list(decompress_mesh_seq(b, seq.faces)), [seq.xx.shape] * 3
+
+
+@pytest.mark.parametrize("kind", ["image", "mesh"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(flips=st.lists(st.tuples(st.integers(0, 96) | st.integers(0, 2**16),
+                                st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+@example(flips=[(12, 67)], cut=None)  # mesh: m below the faces' vertex count
+@example(flips=[(35, 64)], cut=None)  # image: step_b 0.002 -> ~4e305
+def test_mutated_container_decodes_or_raises_a_typed_error(kind, flips, cut):
+    # header bytes (the first ~96) are flipped as often as payload bytes
+    blob, decode, shapes = fuzz_case(kind)
+    data = bytearray(blob)
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    if cut is not None:
+        del data[cut % len(data):]
+    try:
+        out = decode(bytes(data))
+    except (CorruptStreamError, BadMagicError, VersionUnsupportedError,
+            DigestMismatchError):
+        return
+    assert [x.shape for x in out] == shapes
+    assert all(np.isfinite(x).all() for x in out)
 
 
 def test_rate_accounting_exact():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slrma.solver as solver_module
-from slrma.codec import CodecParams, compress_mesh_seq
+from slrma.codec import CodecParams, compress_mesh_seq, decompress_mesh_seq
 from slrma.datasets import synth_image_set, synth_mesh_seq
 from slrma.errors import NotConvergedError
+from slrma.metrics import rmse
 from slrma.numerics import sym_eig, thin_svd
 from slrma.solver import (
     SolverConfig,
@@ -239,7 +240,7 @@ def test_solve_gamma_zero_recovers_lrma_error():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(64, 4)) @ rng.normal(size=(4, 16)) * 3.0
     z += rng.normal(size=(64, 16)) * 0.1
-    fact = slrma_solve(z, SolverConfig.for_images(0.0, 4))
+    fact = slrma_solve(z, SolverConfig(gamma=0.0, k=4))
     sigma = np.linalg.svd(z, compute_uv=False)
     optimal = np.sqrt(np.sum(sigma[4:] ** 2))
     achieved = np.linalg.norm(z - fact.basis @ fact.coeffs)
@@ -263,7 +264,7 @@ def test_solve_planted_sparse_basis():
 def test_solve_full_rank_lossless():
     rng = np.random.default_rng(12)
     z = rng.normal(size=(8, 8))
-    fact = slrma_solve(z, SolverConfig.for_images(0.0, 8))
+    fact = slrma_solve(z, SolverConfig(gamma=0.0, k=8))
     # with k = m any orthogonal factor reconstructs exactly; the rotation
     # itself is objective-neutral, so convergence flags are not asserted
     assert np.linalg.norm(z - fact.basis @ fact.coeffs) < 1e-6 * np.linalg.norm(z)
@@ -358,19 +359,22 @@ def mesh_x_z():
     return graph_transform(mesh_adjacency(mesh.faces, mesh.m)).forward(mesh.xx)
 
 
-@pytest.mark.parametrize("case, k, target", [(image_z, 8, 0.6), (mesh_x_z, 6, 0.8)],
-                         ids=["image", "mesh-x"])
-def test_target_solve_ignores_last_bit_rounding(case, k, target):
+@pytest.mark.parametrize("case, k, target, gamma",
+                         [(image_z, 8, 0.6, 0.0), (mesh_x_z, 6, 0.8, 0.0),
+                          (image_z, 8, None, 55.5), (mesh_x_z, 6, None, 10.0)],
+                         ids=["image", "mesh-x", "image-gamma-55.5", "mesh-x-gamma-10"])
+def test_target_solve_ignores_last_bit_rounding(case, k, target, gamma):
     z = case()
     copy = z * (1.0 + 1e-15 * np.random.default_rng(30).standard_normal(z.shape))
     assert not np.array_equal(copy, z)
-    cfg = SolverConfig(gamma=0.0, k=k)
-    _, fact = gamma_for_sparsity(z, cfg, target)
-    _, twin = gamma_for_sparsity(copy, cfg, target)
+    cfg = SolverConfig(gamma=gamma, k=k, target_pb=target)
+    fact = slrma_solve(z, cfg)
+    twin = slrma_solve(copy, cfg)
     assert fact.converged and twin.converged
     assert fact.iterations == twin.iterations
     assert np.array_equal(fact.basis != 0.0, twin.basis != 0.0)
-    assert np.count_nonzero(fact.basis) == round((1.0 - target) * z.shape[0] * k)
+    if target is not None:
+        assert np.count_nonzero(fact.basis) == round((1.0 - target) * z.shape[0] * k)
 
 
 @pytest.mark.parametrize("case, k, target",
@@ -425,49 +429,88 @@ def test_extract_keeps_the_support_and_is_orthonormal_or_unconverged(
 
 
 def test_state_initialization():
-    cfg = SolverConfig(gamma=0.0, k=3)
-    state = init_state(6, 3, cfg)
-    assert np.array_equal(state.p, np.eye(6)[:, :3])
-    assert np.array_equal(state.q, np.eye(6)[:, :3])
-    assert np.abs(state.y_p).max() == 0.0
+    start = np.linalg.qr(np.random.default_rng(31).normal(size=(6, 3)))[0]
+    cfg = SolverConfig(gamma=0.0, k=3, rho0=2.0)
+    state = init_state(start, cfg)
+    for split in (state.b, state.p, state.q):
+        assert np.array_equal(split, start)
+        assert not np.shares_memory(split, start)
+    assert not state.y_p.any() and not state.y_q.any()
     assert state.rho == cfg.rho0
 
 
-def test_gamma_ladder_sparsity_grows_with_gamma():
-    # achieved sparsity should grow with gamma; one inversion is tolerated
-    from slrma.datasets import synth_image_set
-    from slrma.transforms import dct2d
+@pytest.mark.parametrize("target", [None, 0.6], ids=["gamma", "target"])
+def test_every_solve_starts_from_the_top_singular_vectors(monkeypatch, target):
+    starts = []
 
-    data = synth_image_set(16, 16, 32, rank=4, noise_sigma=2.0, seed=2)
-    z = dct2d(16, 16).forward(data.x)
-    ladder = np.geomspace(0.5, 2e4, 9)
-    achieved = [slrma_solve(z, SolverConfig.for_images(float(g), 8)).p_b_achieved
-                for g in ladder]
-    inversions = sum(1 for a, b in zip(achieved, achieved[1:]) if b < a - 1e-12)
-    assert inversions <= 1
+    def spy(start, cfg):
+        starts.append((start.copy(), cfg))
+        return init_state(start, cfg)
+
+    monkeypatch.setattr(solver_module, "init_state", spy)
+    z = image_z()
+    slrma_solve(z, SolverConfig(gamma=55.5, k=8, target_pb=target))
+    svd = thin_svd(z)
+    top_sq = svd.sigma[0] ** 2
+    [(start, cfg)] = starts
+    assert np.array_equal(start, svd.u[:, :8])
+    assert cfg.rho0 == solver_module.ANCHOR_RHO0 * top_sq
+    assert cfg.rho_max == solver_module.ANCHOR_RHO_MAX * top_sq
+    assert cfg.alpha == 1.05
+
+
+def test_gamma_ladder_sparsity_grows_with_gamma():
+    # every solve converges, and the achieved sparsity never falls as gamma grows
+    z = image_z()
+    facts = [slrma_solve(z, SolverConfig(gamma=float(g), k=8))
+             for g in np.geomspace(0.5, 2e4, 10)]
+    assert all(fact.converged for fact in facts)
+    achieved = [fact.p_b_achieved for fact in facts]
+    assert achieved == sorted(achieved)
 
 
 # ---------------------------------------------------------------------------
 # blow-up handling
 
+# A slow schedule from a fixed rho0 = 1e7, which may lie below sigma_1^2.
+SLOW_SCHEDULE = dict(rho0=1e7, alpha=1.003, rho_max=1e12)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_iterate_returns_not_converged():
-    # sigma_1^2 ~ 4.5e7 sits above the mesh preset's rho0 = 1e7: the B
-    # system stays indefinite long enough for the iterate to overflow
+    # sigma_1^2 ~ 4.5e7 sits above rho0 = 1e7: the B system stays
+    # indefinite long enough for the iterate to overflow
     z = np.random.default_rng(0).normal(size=(24, 6)) * 1e3
-    fact = slrma_solve(z, SolverConfig.for_meshes(10.0, 2))
+    fact = slrma_solve(z, SolverConfig(gamma=10.0, k=2, **SLOW_SCHEDULE))
     assert not fact.converged
     assert fact.iterations < 1000
     assert np.isfinite(fact.basis).all() and np.isfinite(fact.coeffs).all()
 
 
+def scaled_mesh():
+    data = synth_mesh_seq(16, 8, seed=1)
+    return (data.xx * 10.0, data.xy * 10.0, data.xz * 10.0), data.faces
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_mesh_compress_is_not_converged_error():
-    data = synth_mesh_seq(16, 8, seed=1)
-    params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=10.0)
+    axes, faces = scaled_mesh()
+    params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=10.0,
+                         solver=SLOW_SCHEDULE)
     with pytest.raises(NotConvergedError):
-        compress_mesh_seq(data.xx * 10.0, data.xy * 10.0, data.xz * 10.0,
-                          data.faces, params)
+        compress_mesh_seq(*axes, faces, params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scaled_mesh_compresses_on_the_anchored_schedule():
+    axes, faces = scaled_mesh()
+    params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=10.0)
+    decoded = decompress_mesh_seq(compress_mesh_seq(*axes, faces, params), faces)
+    assert [x.shape for x in decoded] == [x.shape for x in axes]
+    # within 5% of the error of the best rank-2 approximation of each axis
+    best = np.sqrt(np.mean([np.sum(np.linalg.svd(x, compute_uv=False)[2:] ** 2)
+                            for x in axes]) / axes[0].size)
+    assert rmse(np.vstack(axes), np.vstack(decoded)) < 1.05 * best
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +535,9 @@ def reference_update_q(state, rank_losses=None):
 
 
 def reference_solve(z, cfg, rank_losses=None):
-    m, n = z.shape
     svd = thin_svd(z)
     top_sq = float(svd.sigma[0] ** 2)
-    state = init_state(m, cfg.k, cfg)
+    state = init_state(svd.u[:, :cfg.k], cfg)
     sig2 = svd.sigma**2
     max_resid = 0.0
     converged = False
@@ -579,7 +621,11 @@ def test_update_q_rank_loss_matches_reference():
 
 def search_case():
     data = synth_image_set(8, 8, 16, rank=4, noise_sigma=2.0, seed=2)
-    return dct2d(8, 8).forward(data.x), SolverConfig.for_images(0.0, 3)
+    z = dct2d(8, 8).forward(data.x)
+    top_sq = float(thin_svd(z).sigma[0] ** 2)
+    # the schedule slrma_solve anchors when rho0 and rho_max are unset
+    return z, SolverConfig(gamma=0.0, k=3, rho0=solver_module.ANCHOR_RHO0 * top_sq,
+                           rho_max=solver_module.ANCHOR_RHO_MAX * top_sq)
 
 
 def rank_loss_case():
@@ -587,7 +633,7 @@ def rank_loss_case():
     # few hundred sweeps, so the loop takes update_q's SVD polar branch.
     mesh = synth_mesh_seq(64, 32, seed=1)
     z = graph_transform(mesh_adjacency(mesh.faces, mesh.m)).forward(mesh.xx)
-    return z, SolverConfig.for_meshes(1.0, 6)
+    return z, SolverConfig(gamma=1.0, k=6, **SLOW_SCHEDULE)
 
 
 @pytest.mark.parametrize(
