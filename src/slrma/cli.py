@@ -51,9 +51,17 @@ def _add_solver_args(sub):
     sub.add_argument("--max-iters", dest="max_iters", type=int, default=None)
 
 
+def _level_count(text):
+    """An int of at least 1, the type of --levels."""
+    levels = int(text)
+    if levels < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {levels}")
+    return levels
+
+
 def _add_transform_args(sub):
     sub.add_argument("--transform", choices=("dct", "dwt", "gt"), default="dct")
-    sub.add_argument("--levels", type=int, default=3, help="dwt levels")
+    sub.add_argument("--levels", type=_level_count, default=3, help="dwt levels")
 
 
 def _add_codec_args(sub):

@@ -7,10 +7,16 @@ coded cell by cell in row-major order: a significance bit per cell and, for
 significant cells, a sign bit plus an order-0 Exp-Golomb binarization of
 |level| - 1. Prefix and suffix bits carry their own contexts.
 
-Each direction is one flat loop over local ints. The encoder first lists
-the (context, bit) pairs of the whole matrix, then codes them. The decoder's
-state is the context of the next bit, read in the order significance, sign,
-Exp-Golomb prefix, Exp-Golomb suffix.
+Each direction is nested loops over the cells, and each of the four contexts
+keeps its zero and one counts in two local ints. The encoder walks the
+nonzero positions and codes the run of insignificant cells before each; the
+decoder reads a cell's significance bit, then its sign, its Exp-Golomb prefix
+and its suffix, each inline.
+
+Neither direction clamps the split `rng * c0 // (c0 + c1)` of the range. Before
+every bit rng >= 2**24 (renormalization restores that after each bit) and
+c0, c1 >= 1 with c0 + c1 <= 2**16 - 1 (the counts halve on reaching 2**16), so
+the split lies in [256, rng - 256] and both sub-ranges are nonempty.
 """
 
 from __future__ import annotations
@@ -24,12 +30,6 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 _COUNT_CAP = 1 << 16
 
-CTX_SIGNIFICANCE = 0
-CTX_SIGN = 1
-CTX_EG_PREFIX = 2
-CTX_EG_SUFFIX = 3
-_NUM_CONTEXTS = 4
-
 # Largest matrix, in cells, either direction codes. The decoder sizes its
 # significance map from header fields before it reads a bit, so this is the
 # bound on what a crafted header can make it allocate. It equals the element
@@ -38,34 +38,6 @@ MAX_CELLS = 1 << 26
 
 # Decoded levels are int64: magnitudes up to 2**63 - 1, or 2**63 if negative.
 _INT64_SPAN = 1 << 63
-
-# ASCII "0" and "1" to the bits 0 and 1
-_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _binarize(q: QuantizedSparseMatrix):
-    """The (context, bit) pairs that code `q`, as two byte strings in coding order."""
-    sig, sign = bytes([CTX_SIGNIFICANCE]), bytes([CTX_SIGN])
-    prefix, suffix = bytes([CTX_EG_PREFIX]), bytes([CTX_EG_SUFFIX])
-    ctxs, bits = bytearray(), bytearray()
-    start = 0
-    positions = np.flatnonzero(q.significance).tolist()
-    for pos, level in zip(positions, q.levels.tolist()):
-        plus = abs(level)  # Exp-Golomb codes |level| - 1 as plus = |level|
-        z = plus.bit_length() - 1
-        # the insignificant cells before this one, its significance bit and
-        # its sign bit; then z zero bits and plus in binary, whose leading
-        # one ends the prefix and whose z low bits are the suffix
-        ctxs += sig * (pos - start + 1) + sign + prefix * (z + 1) + suffix * z
-        bits += bytes(pos - start)
-        bits += b"\x01\x01" if level < 0 else b"\x01\x00"
-        bits += bytes(z)
-        bits += format(plus, "b").encode().translate(_ASCII_BITS)
-        start = pos + 1
-    tail = q.rows * q.cols - start
-    ctxs += sig * tail
-    bits += bytes(tail)
-    return ctxs, bits
 
 
 def _shift_low(low, cache, cache_size, out):
@@ -80,36 +52,87 @@ def _shift_low(low, cache, cache_size, out):
 
 def entropy_encode(q: QuantizedSparseMatrix):
     """Losslessly code significance map and nonzero levels to bytes."""
-    if q.rows * q.cols > MAX_CELLS:
+    cells = q.rows * q.cols
+    if cells > MAX_CELLS:
         raise ValueError(f"{q.rows}x{q.cols} matrix exceeds {MAX_CELLS} cells")
-    ctxs, bits = _binarize(q)
-    zeros = [1] * _NUM_CONTEXTS
-    ones = [1] * _NUM_CONTEXTS
     low, rng, cache, cache_size = 0, _MASK32, 0, 1
     out = bytearray()
-    for ctx, bit in zip(ctxs, bits):
-        c0 = zeros[ctx]
-        c1 = ones[ctx]
-        bound = rng * c0 // (c0 + c1)
-        if bound < 1:
-            bound = 1
-        elif bound > rng - 1:
-            bound = rng - 1
-        if bit:
+    # zero and one counts of the significance, sign, prefix and suffix contexts
+    sig0 = sig1 = sgn0 = sgn1 = pre0 = pre1 = suf0 = suf1 = 1
+    start = 0
+    # a sentinel level 0 past the last cell codes the trailing insignificant run
+    for pos, level in zip(np.flatnonzero(q.significance).tolist() + [cells],
+                          q.levels.tolist() + [0]):
+        for _ in range(pos - start):  # the insignificant cells before `pos`
+            rng = rng * sig0 // (sig0 + sig1)
+            sig0 += 1
+            if sig0 + sig1 >= _COUNT_CAP:
+                sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
+            while rng < _TOP:
+                rng <<= 8
+                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+        if not level:
+            break
+        # significance 1
+        bound = rng * sig0 // (sig0 + sig1)
+        low += bound
+        rng -= bound
+        sig1 += 1
+        if sig0 + sig1 >= _COUNT_CAP:
+            sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
+        while rng < _TOP:
+            rng <<= 8
+            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+        # sign, 1 for negative
+        bound = rng * sgn0 // (sgn0 + sgn1)
+        if level < 0:
             low += bound
             rng -= bound
-            c1 += 1
-            ones[ctx] = c1
+            sgn1 += 1
         else:
             rng = bound
-            c0 += 1
-            zeros[ctx] = c0
-        if c0 + c1 >= _COUNT_CAP:
-            zeros[ctx] = (c0 + 1) >> 1
-            ones[ctx] = (c1 + 1) >> 1
+            sgn0 += 1
+        if sgn0 + sgn1 >= _COUNT_CAP:
+            sgn0, sgn1 = (sgn0 + 1) >> 1, (sgn1 + 1) >> 1
         while rng < _TOP:
-            rng = (rng << 8) & _MASK32
+            rng <<= 8
             low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+        # Exp-Golomb codes |level| - 1 as plus = |level|: z zero bits and the
+        # one that ends the prefix, then the z low bits of plus
+        plus = abs(level)
+        z = plus.bit_length() - 1
+        for _ in range(z):
+            rng = rng * pre0 // (pre0 + pre1)
+            pre0 += 1
+            if pre0 + pre1 >= _COUNT_CAP:
+                pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
+            while rng < _TOP:
+                rng <<= 8
+                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+        bound = rng * pre0 // (pre0 + pre1)
+        low += bound
+        rng -= bound
+        pre1 += 1
+        if pre0 + pre1 >= _COUNT_CAP:
+            pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
+        while rng < _TOP:
+            rng <<= 8
+            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+        for shift in range(z - 1, -1, -1):
+            bound = rng * suf0 // (suf0 + suf1)
+            if (plus >> shift) & 1:
+                low += bound
+                rng -= bound
+                suf1 += 1
+            else:
+                rng = bound
+                suf0 += 1
+            if suf0 + suf1 >= _COUNT_CAP:
+                suf0, suf1 = (suf0 + 1) >> 1, (suf1 + 1) >> 1
+            while rng < _TOP:
+                rng <<= 8
+                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+        start = pos + 1
     for _ in range(5):  # flush the four bytes of low and the cache
         low, cache, cache_size = _shift_low(low, cache, cache_size, out)
     return bytes(out)
@@ -127,70 +150,104 @@ def entropy_decode(data, rows, cols, step):
     code = int.from_bytes(data[1:5], "big")
     pos = 5
     rng = _MASK32
-    zeros = [1] * _NUM_CONTEXTS
-    ones = [1] * _NUM_CONTEXTS
+    # zero and one counts of the significance, sign, prefix and suffix contexts
+    sig0 = sig1 = sgn0 = sgn1 = pre0 = pre1 = suf0 = suf1 = 1
     sig = bytearray(cells)
     levels = []
-    cell = 0
-    ctx = CTX_SIGNIFICANCE
-    negative = z = plus = 0
-    while cell < cells:
-        c0 = zeros[ctx]
-        c1 = ones[ctx]
-        bound = rng * c0 // (c0 + c1)
-        if bound < 1:
-            bound = 1
-        elif bound > rng - 1:
-            bound = rng - 1
+    for cell in range(cells):
+        # significance
+        bound = rng * sig0 // (sig0 + sig1)
         if code < bound:
-            bit = 0
             rng = bound
-            c0 += 1
-            zeros[ctx] = c0
-        else:
-            bit = 1
-            code -= bound
-            rng -= bound
-            c1 += 1
-            ones[ctx] = c1
-        if c0 + c1 >= _COUNT_CAP:
-            zeros[ctx] = (c0 + 1) >> 1
-            ones[ctx] = (c1 + 1) >> 1
+            sig0 += 1
+            if sig0 + sig1 >= _COUNT_CAP:
+                sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
+            while rng < _TOP:
+                if pos >= end:
+                    raise CorruptStreamError("payload ended mid-symbol")
+                rng <<= 8
+                code = ((code << 8) | data[pos]) & _MASK32
+                pos += 1
+            continue
+        code -= bound
+        rng -= bound
+        sig1 += 1
+        if sig0 + sig1 >= _COUNT_CAP:
+            sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
         while rng < _TOP:
             if pos >= end:
                 raise CorruptStreamError("payload ended mid-symbol")
-            rng = (rng << 8) & _MASK32
+            rng <<= 8
             code = ((code << 8) | data[pos]) & _MASK32
             pos += 1
-        if ctx == CTX_SIGNIFICANCE:
-            if bit:
-                sig[cell] = 1
-                ctx = CTX_SIGN
-            else:
-                cell += 1
-            continue
-        if ctx == CTX_SIGN:
-            negative = bit
-            z = 0
-            ctx = CTX_EG_PREFIX
-            continue
-        if ctx == CTX_EG_PREFIX:
-            if not bit:
-                z += 1
-                if z > 64:
-                    raise CorruptStreamError("runaway Exp-Golomb prefix")
-                continue
-            plus = 1
-            ctx = CTX_EG_SUFFIX
+        sig[cell] = 1
+        # sign
+        bound = rng * sgn0 // (sgn0 + sgn1)
+        negative = code >= bound
+        if negative:
+            code -= bound
+            rng -= bound
+            sgn1 += 1
         else:
-            plus = (plus << 1) | bit
-            z -= 1
-        if not z:  # the level's last bit
-            if plus >= _INT64_SPAN + negative:
-                raise CorruptStreamError("level does not fit in int64")
-            levels.append(-plus if negative else plus)
-            cell += 1
-            ctx = CTX_SIGNIFICANCE
+            rng = bound
+            sgn0 += 1
+        if sgn0 + sgn1 >= _COUNT_CAP:
+            sgn0, sgn1 = (sgn0 + 1) >> 1, (sgn1 + 1) >> 1
+        while rng < _TOP:
+            if pos >= end:
+                raise CorruptStreamError("payload ended mid-symbol")
+            rng <<= 8
+            code = ((code << 8) | data[pos]) & _MASK32
+            pos += 1
+        # Exp-Golomb prefix: z zero bits, then a one
+        z = 0
+        while True:
+            bound = rng * pre0 // (pre0 + pre1)
+            one = code >= bound
+            if one:
+                code -= bound
+                rng -= bound
+                pre1 += 1
+            else:
+                rng = bound
+                pre0 += 1
+            if pre0 + pre1 >= _COUNT_CAP:
+                pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
+            while rng < _TOP:
+                if pos >= end:
+                    raise CorruptStreamError("payload ended mid-symbol")
+                rng <<= 8
+                code = ((code << 8) | data[pos]) & _MASK32
+                pos += 1
+            if one:
+                break
+            z += 1
+            if z > 64:
+                raise CorruptStreamError("runaway Exp-Golomb prefix")
+        # suffix: the z bits of plus = |level| below its leading one
+        plus = 1
+        for _ in range(z):
+            bound = rng * suf0 // (suf0 + suf1)
+            if code >= bound:
+                code -= bound
+                rng -= bound
+                suf1 += 1
+                plus = (plus << 1) | 1
+            else:
+                rng = bound
+                suf0 += 1
+                plus <<= 1
+            if suf0 + suf1 >= _COUNT_CAP:
+                suf0, suf1 = (suf0 + 1) >> 1, (suf1 + 1) >> 1
+            while rng < _TOP:
+                if pos >= end:
+                    raise CorruptStreamError("payload ended mid-symbol")
+                rng <<= 8
+                code = ((code << 8) | data[pos]) & _MASK32
+                pos += 1
+        if plus >= _INT64_SPAN + negative:
+            raise CorruptStreamError("level does not fit in int64")
+        levels.append(-plus if negative else plus)
     if pos != end:
         # the encoder's flush ends every payload exactly where its last
         # symbol is read; a wrong header shape usually stops elsewhere

@@ -9,11 +9,18 @@ Conventions pinned here and relied on by the codec:
   coarse to fine.
 - Graph transform columns are Laplacian eigenvectors by ascending
   eigenvalue, signs fixed as in ``numerics``.
+
+The builders the codec calls (`dct1d`, `dct2d`, `dwt2d`, `graph_transform`)
+each keep their last `BASES_KEPT` bases in a `functools.lru_cache`, so
+repeated compress and decompress calls on one shape build each basis once.
+A cached basis is shared by every caller, so its matrix is read-only; the
+uncached build stays reachable as the builder's `__wrapped__`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +33,18 @@ KIND_DWT1D = "dwt1d"
 KIND_DCT2D = "dct2d"
 KIND_DWT2D = "dwt2d"
 KIND_GRAPH = "graph"
+
+# Bases each cached builder keeps. A dense 2D basis of a w x h image holds
+# 8*(w*h)**2 bytes (128 MB at 64 x 64), and the cache holds it until it is
+# evicted or `cache_clear()` is called. The caches are typed: a basis's
+# params go into container headers, so one built from 16.0 must not answer
+# a call with 16.
+BASES_KEPT = 4
+
+
+def _read_only(mat):
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)
@@ -104,6 +123,7 @@ def identity(m):
     return OrthogonalTransform(np.eye(m), KIND_IDENTITY, (m,))
 
 
+@lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct1d(m):
     """Orthonormal DCT-II basis; column j is the frequency-j basis vector."""
     if m < 1:
@@ -112,7 +132,7 @@ def dct1d(m):
     j = np.arange(m)[None, :]
     mat = np.sqrt(2.0 / m) * np.cos(np.pi * (2 * i + 1) * j / (2 * m))
     mat[:, 0] = np.sqrt(1.0 / m)
-    return OrthogonalTransform(mat, KIND_DCT1D, (m,))
+    return OrthogonalTransform(_read_only(mat), KIND_DCT1D, (m,))
 
 
 def _haar_butterfly(size):
@@ -131,7 +151,9 @@ def haar1d(m, levels):
     """Multi-level orthonormal Haar basis, scaling band first."""
     if m < 1:
         raise ValueError("m must be positive")
-    if levels < 1 or m % (1 << levels) != 0:
+    if levels < 1:
+        raise BadLevelsError(f"levels={levels} is below 1")
+    if m % (1 << levels) != 0:
         raise BadLevelsError(f"m={m} not divisible by 2^{levels}")
     analysis = np.eye(m)
     size = m
@@ -143,16 +165,18 @@ def haar1d(m, levels):
     return OrthogonalTransform(analysis.T, KIND_DWT1D, (m, levels))
 
 
+@lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct2d(w, h):
     """2D DCT for h x w images under column-major vectorization."""
     mat = kronecker(dct1d(w).matrix, dct1d(h).matrix)
-    return OrthogonalTransform(mat, KIND_DCT2D, (w, h))
+    return OrthogonalTransform(_read_only(mat), KIND_DCT2D, (w, h))
 
 
+@lru_cache(maxsize=BASES_KEPT, typed=True)
 def dwt2d(w, h, levels):
     """Separable 2D Haar wavelet basis; both sides must support `levels`."""
     mat = kronecker(haar1d(w, levels).matrix, haar1d(h, levels).matrix)
-    return OrthogonalTransform(mat, KIND_DWT2D, (w, h, levels))
+    return OrthogonalTransform(_read_only(mat), KIND_DWT2D, (w, h, levels))
 
 
 def laplacian(g: GraphSpec):
@@ -167,15 +191,15 @@ def laplacian(g: GraphSpec):
     return lap
 
 
+@lru_cache(maxsize=BASES_KEPT, typed=True)
 def graph_transform(g: GraphSpec):
     """Eigenvector basis of the Laplacian, ascending eigenvalue order."""
     if not g.is_connected():
         raise DisconnectedError("graph transform requires a connected graph")
     # The BFS check is exact: a connected graph has one zero eigenvalue, and
     # its next one stays far above rounding at any size dense `eigh` takes.
-    vectors = sym_eig(laplacian(g)).vectors[:, ::-1]
-    return OrthogonalTransform(np.ascontiguousarray(vectors), KIND_GRAPH,
-                               (g.vertex_count,))
+    vectors = np.ascontiguousarray(sym_eig(laplacian(g)).vectors[:, ::-1])
+    return OrthogonalTransform(_read_only(vectors), KIND_GRAPH, (g.vertex_count,))
 
 
 def mesh_adjacency(faces, vertex_count):

@@ -95,9 +95,20 @@ def test_transform_and_levels_flags(tmp_path, capsys):
     header, _ = unpack_container(container.read_bytes())
     assert (header.transform_kind, header.transform_params) == ("dwt2d", (8, 8, 2))
     capsys.readouterr()
-    for bad in (["--transform", "dwt:2"], ["--transform", "haar"], ["--levels", "two"]):
+    for bad in (["--transform", "dwt:2"], ["--transform", "haar"], ["--levels", "two"],
+                ["--levels", "0"], ["--levels", "-1"]):
         assert run(compress + bad) == 1
         assert "usage error" in capsys.readouterr().err
+    # a level count below 1 is a bad flag on every command that takes one
+    for levels in ("0", "-1"):
+        for command in (["compress-mesh", str(src), "--out", str(container), "--k", "2",
+                         "--target-pb", "0.5"],
+                        ["rd-sweep", "--kind", "images", "--csv", str(tmp_path / "s.csv")]):
+            assert run(command + ["--levels", levels]) == 1
+            assert "--levels: must be at least 1" in capsys.readouterr().err
+    # levels the 8x8 images cannot take are a data error
+    assert run(compress + ["--transform", "dwt", "--levels", "4"]) == 2
+    assert "BadLevelsError: m=8 not divisible by 2^4" in capsys.readouterr().err
 
 
 def test_measure_identical_flags_infinite_psnr(tmp_path, capsys):

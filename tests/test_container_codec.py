@@ -239,7 +239,11 @@ def test_mesh_roundtrip_and_digest(monkeypatch):
     with pytest.raises((DigestMismatchError, IndexError, ValueError)):
         decompress_mesh_seq(blob, tuple(bad_faces))
 
-    # and before the eigenbasis is built
+    # and before the eigenbasis is built, even when the cache holds it
+    hits = graph_transform.cache_info().hits
+    decompress_mesh_seq(blob, seq.faces)
+    assert graph_transform.cache_info().hits > hits
+
     def no_graph_transform(graph):
         raise AssertionError("built the graph basis of a mismatched mesh")
 

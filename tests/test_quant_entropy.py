@@ -1,6 +1,8 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slrma.entropy import MAX_CELLS, entropy_decode, entropy_encode
@@ -315,9 +317,22 @@ def sparse_levels(seed, density, rows, cols):
     return quantize(values, 0.03)
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 24),
-       st.integers(1, 24), st.integers(0, 2**31 - 1))
-@settings(max_examples=60, deadline=None)
+def coder_cases(test):
+    """Run `test(seed, density, rows, cols, damage)` on the coder corpus.
+
+    Besides the drawn cases it always runs the benchmark's payload shapes:
+    the 64x6 mesh basis, its 32x6 frame-DCT coefficients and 8x32 image
+    coefficients.
+    """
+    for case in ((1, 0.2, 64, 6, 2**31 - 1), (2, 0.9, 32, 6, 12345),
+                 (3, 0.9, 8, 32, 2**30 + 7)):
+        test = example(*case)(test)
+    test = given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 64),
+                 st.integers(1, 32), st.integers(0, 2**31 - 1))(test)
+    return settings(max_examples=60, deadline=None)(test)
+
+
+@coder_cases
 def test_entropy_coder_matches_reference(seed, density, rows, cols, damage):
     q = sparse_levels(seed, density, rows, cols)
     payload = entropy_encode(q)
@@ -335,12 +350,62 @@ def test_entropy_coder_matches_reference(seed, density, rows, cols, damage):
                                   (CorruptStreamError, OverflowError)))
 
 
+@contextmanager
+def recorded_splits():
+    """(unclamped split, rng) of every bit the reference coder codes in the block."""
+    seen = []
+    split = _Contexts.split
+
+    def recording(self, ctx, rng):
+        c0 = self.zeros[ctx]
+        seen.append((rng * c0 // (c0 + self.ones[ctx]), rng))
+        return split(self, ctx, rng)
+
+    _Contexts.split = recording
+    try:
+        yield seen
+    finally:
+        _Contexts.split = split
+
+
+def assert_split_needs_no_clamp(q):
+    # entropy_encode and entropy_decode do not clamp the split to [1, rng - 1]:
+    # with rng >= 2**24 and c0 + c1 < 2**16 it already lies in [256, rng - 256]
+    with recorded_splits() as seen:
+        reference_decode(reference_encode(q), q.rows, q.cols, q.step)
+    assert seen
+    assert all(256 <= bound <= rng - 256 for bound, rng in seen)
+
+
+@coder_cases
+def test_reference_split_needs_no_clamp(seed, density, rows, cols, _damage):
+    assert_split_needs_no_clamp(sparse_levels(seed, density, rows, cols))
+
+
+def test_reference_split_needs_no_clamp_past_count_halving():
+    assert_split_needs_no_clamp(sparse_levels(7, 0.01, 300, 300))
+
+
 def test_entropy_coder_matches_reference_past_count_halving():
     # 90k significance bits in one context: its counts reach 2**16 and halve
     q = sparse_levels(7, 0.01, 300, 300)
     payload = entropy_encode(q)
     assert payload == reference_encode(q)
     assert_same(q, entropy_decode(payload, 300, 300, q.step))
+
+
+def test_entropy_coder_matches_reference_past_every_count_halving():
+    # every cell significant with a level of +-1 to +-7: the significance,
+    # sign, prefix and suffix contexts each code over 2**16 bits and halve.
+    # The coders halve in a separate place after each kind of bit; at this
+    # seed a count reaches 2**16 at odd counts in each of those places, so
+    # skipping any one halving changes the bytes.
+    levels = np.random.default_rng(13).choice([-7, -5, -3, -2, -1, 1, 2, 3, 4, 6],
+                                              size=(260, 260))
+    q = QuantizedSparseMatrix(260, 260, 1.0, levels != 0, levels.reshape(-1))
+    payload = entropy_encode(q)
+    assert payload == reference_encode(q)
+    assert_same(q, entropy_decode(payload, 260, 260, q.step))
 
 
 def test_entropy_coder_matches_reference_on_large_levels():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from slrma.errors import BadLevelsError, DisconnectedError
 from slrma.transforms import (
+    BASES_KEPT,
     dct1d,
     dct2d,
     dwt2d,
@@ -63,8 +64,11 @@ def test_haar_orthonormal():
 
 
 def test_haar_bad_levels():
-    with pytest.raises(BadLevelsError):
+    with pytest.raises(BadLevelsError, match="not divisible"):
         haar1d(6, 2)
+    for levels in (0, -1):
+        with pytest.raises(BadLevelsError, match=f"levels={levels} is below 1"):
+            haar1d(8, levels)
 
 
 def test_dct2d_degenerate():
@@ -194,3 +198,45 @@ def test_mesh_adjacency_tetrahedron():
 def test_mesh_adjacency_bad_index():
     with pytest.raises(IndexError):
         mesh_adjacency([(0, 1, 7)], 4)
+
+
+def path_graph(m):
+    return graph_spec(m, [(i, i + 1) for i in range(m - 1)])
+
+
+# each cached builder with the arguments of its i-th distinct shape
+CACHED_BUILDERS = {
+    "dct1d": (dct1d, lambda i: (i + 1,)),
+    "dct2d": (dct2d, lambda i: (i + 1, 2)),
+    "dwt2d": (dwt2d, lambda i: (2 * (i + 1), 2, 1)),
+    "graph_transform": (graph_transform, lambda i: (path_graph(i + 2),)),
+}
+
+
+@pytest.mark.parametrize("name", CACHED_BUILDERS)
+def test_cached_basis_is_a_read_only_fresh_build(name):
+    builder, args_of = CACHED_BUILDERS[name]
+    args = args_of(5)
+    phi = builder(*args)
+    assert builder(*args) is phi
+    fresh = builder.__wrapped__(*args)
+    assert (phi.kind, phi.params) == (fresh.kind, fresh.params)
+    assert phi.matrix.tobytes() == fresh.matrix.tobytes()
+    with pytest.raises(ValueError):
+        phi.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("name", CACHED_BUILDERS)
+def test_basis_cache_is_bounded(name):
+    builder, args_of = CACHED_BUILDERS[name]
+    for i in range(BASES_KEPT + 3):
+        builder(*args_of(i))
+    info = builder.cache_info()
+    assert info.maxsize == BASES_KEPT
+    assert info.currsize == BASES_KEPT
+
+
+def test_basis_cache_keys_on_argument_types():
+    # params reach container headers, so they keep the caller's own types
+    assert dct2d(3.0, 3.0).params == (3.0, 3.0)
+    assert type(dct2d(3, 3).params[0]) is int
