@@ -144,6 +144,8 @@ def read_off(path):
             pos += 4
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed OFF data ({exc})") from exc
+    if not np.isfinite(verts).all():
+        raise FormatError(f"{path}: a vertex coordinate is NaN or Inf")
     return verts, tuple(faces)
 
 

@@ -101,29 +101,6 @@ def kronecker(a, b, max_elements=KRON_ELEMENT_BUDGET):
     return np.kron(a, b)
 
 
-def solve_shifted_gram(z, rho, m_rhs, svd=None):
-    """Solve (2*rho*I - 2*Z*Z^T) W = M without forming the m-by-m system.
-
-    With Z = U diag(s) V^T (any thin SVD, so Z may be tall, square or wide)
-    this is
-
-        W = M/(2 rho) + U [diag(1/(2 rho - 2 s_i^2)) - I/(2 rho)] U^T M,
-
-    O(mnk) instead of O(m^3). Pass a precomputed ``svd`` of Z to amortize
-    the factorization across repeated solves with the same Z.
-    """
-    z = as_matrix(z, "Z")
-    m_rhs = as_matrix(m_rhs, "M")
-    if m_rhs.shape[0] != z.shape[0]:
-        raise ValueError(f"M has {m_rhs.shape[0]} rows, expected {z.shape[0]}")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    if svd is None:
-        svd = thin_svd(z)
-    coeff = shifted_gram_coeff(svd.sigma**2, rho)
-    return shifted_gram_apply(svd.u, rho, coeff[:, None], m_rhs)
-
-
 def shifted_gram_coeff(sig2, rho):
     """Per-singular-value coefficients 1/(2 rho - 2 s_i^2) - 1/(2 rho).
 
@@ -140,9 +117,14 @@ def shifted_gram_coeff(sig2, rho):
 
 
 def shifted_gram_apply(u, rho, coeff_col, m_rhs):
-    """The SVD-form solve of `solve_shifted_gram`, with no input checks.
+    """Solve (2*rho*I - 2*Z*Z^T) W = M without forming the m-by-m system.
 
-    `u` is U of the thin SVD of Z and `coeff_col` the output of
-    `shifted_gram_coeff` as an r x 1 column.
+    With Z = U diag(s) V^T (any thin SVD, so Z may be tall, square or wide)
+    this is
+
+        W = M/(2 rho) + U [diag(1/(2 rho - 2 s_i^2)) - I/(2 rho)] U^T M,
+
+    O(mnk) instead of O(m^3). `u` is U and `coeff_col` the output of
+    `shifted_gram_coeff` as an r x 1 column. Nothing is validated.
     """
     return m_rhs / (2.0 * rho) + u @ (coeff_col * (u.T @ m_rhs))

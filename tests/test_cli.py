@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from slrma import codec, sweep
 from slrma.cli import cli_main
 from slrma.container import pack_container, unpack_container
@@ -177,6 +179,24 @@ def test_malformed_off_face_is_data_error(tmp_path, capsys):
         assert run(["decompress-mesh", str(container), "--faces",
                     str(sorted(src.glob("*.off"))[0]), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("error: FormatError") == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+def test_non_finite_off_coordinate_is_data_error(tmp_path, capsys, value):
+    seq = synth_mesh_seq(16, 4, seed=1)
+    src = tmp_path / "seq"
+    save_mesh_sequence(seq, src)
+    frame = sorted(src.glob("*.off"))[1]
+    lines = frame.read_text().splitlines()
+    x, y, z = lines[5].split()
+    lines[5] = f"{x} {value} {z}"
+    frame.write_text("\n".join(lines) + "\n")
+    assert run(["compress-mesh", str(src), "--out", str(tmp_path / "c.slrm"),
+                "--k", "2", "--target-pb", "0.5", "--step-b", "0.01",
+                "--step-c", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "error: FormatError" in err and "NaN or Inf" in err
+    assert "usage error" not in err
 
 
 def test_missing_file_is_data_error(tmp_path):

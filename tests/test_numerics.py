@@ -8,10 +8,10 @@ from slrma.errors import NonSymmetricError, SingularShiftError, SizeOverflowErro
 from slrma.numerics import (
     _column_sign_flips,
     kronecker,
-    solve_shifted_gram,
     sym_eig,
     thin_svd,
 )
+from solver_oracle import solve_shifted_gram
 
 RT2 = np.sqrt(2.0)
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import slrma.solver as solver_module
 from slrma.codec import CodecParams, compress_mesh_seq, decompress_mesh_seq
 from slrma.datasets import synth_image_set, synth_mesh_seq
-from slrma.errors import NotConvergedError
+from slrma.errors import NotConvergedError, SingularShiftError
 from slrma.metrics import rmse
-from slrma.numerics import sym_eig, thin_svd
+from slrma.numerics import shifted_gram_coeff, sym_eig, thin_svd
 from slrma.solver import (
     SolverConfig,
     SolverState,
@@ -26,6 +26,14 @@ from slrma.solver import (
     update_q,
 )
 from slrma.transforms import dct1d, dct2d, graph_transform, identity, mesh_adjacency
+from solver_oracle import (
+    assert_same_factorization,
+    checked_solve,
+    reference_objective,
+    reference_shift,
+    reference_solve,
+    reference_update_q,
+)
 
 
 def random_state(rng, m, k, rho, scale=1.0):
@@ -78,18 +86,24 @@ def test_update_p_l0_ball_keeps_largest_ties_in_row_major_order():
     # |A| = 3, 2, then three tied 1s: the first of them, at (0, 1), is kept
     assert np.array_equal(update_p(state, cfg), [[3.0, -1.0], [0.0, 0.0], [-2.0, 0.0]])
     # random inputs with ties, zeros and -0.0, every count from k to m*k:
-    # bit for bit the stable-argsort selection
+    # bit for bit the stable-argsort selection. Both branches of update_p
+    # run: ties at the cut decide only when more entries than it keeps lie
+    # at or above the cut.
     rng = np.random.default_rng(11)
     m, k = 9, 3
+    tied_cuts = set()
     for _ in range(20):
         ties = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0], size=(m, k))
         b = np.where(rng.random((m, k)) < 0.3, rng.normal(size=(m, k)), ties)
         y_p = rng.choice([0.0, -0.0, 1.0], size=(m, k))
         state = SolverState(b=b, p=b, q=b, y_p=y_p, y_q=y_p, rho=2.0)
+        mags = np.sort(np.abs(b + y_p / 2.0), axis=None)
         for keep in range(k, m * k + 1):
             cfg = SolverConfig(gamma=0.0, k=k, target_pb=1.0 - keep / (m * k))
             assert kept_entries(cfg.target_pb, m, k) == keep
+            tied_cuts.add(np.count_nonzero(mags >= mags[-keep]) > keep)
             assert update_p(state, cfg).tobytes() == argsort_l0_projection(state, keep).tobytes()
+    assert tied_cuts == {False, True}
 
 
 def argsort_l0_projection(state, keep):
@@ -156,6 +170,13 @@ def test_update_q_polar_oracle():
 # ---------------------------------------------------------------------------
 # linear step and multipliers
 
+def b_step(state, z):
+    """`update_b` as the solve calls it, at an unmoved rho."""
+    svd = thin_svd(z)
+    rhs = state.rho * (state.p + state.q) - state.y_p - state.y_q
+    return update_b(state, svd.u, rhs, shifted_gram_coeff(svd.sigma**2, state.rho)[:, None])
+
+
 def test_update_b_shift_only():
     rng = np.random.default_rng(5)
     m, k = 6, 2
@@ -163,7 +184,7 @@ def test_update_b_shift_only():
     q = rng.normal(size=(m, k))
     state = SolverState(b=np.zeros((m, k)), p=p, q=q,
                         y_p=np.zeros((m, k)), y_q=np.zeros((m, k)), rho=1.0)
-    out = update_b(state, np.zeros((m, 3)))
+    out = b_step(state, np.zeros((m, 3)))
     assert np.abs(out - (p + q) / 2.0).max() < 1e-12
 
 
@@ -173,7 +194,7 @@ def test_update_b_zero_rhs():
     state = SolverState(b=np.ones((m, k)), p=np.zeros((m, k)), q=np.zeros((m, k)),
                         y_p=np.zeros((m, k)), y_q=np.zeros((m, k)),
                         rho=float(np.linalg.norm(z, 2) ** 2 + 5.0))
-    assert np.abs(update_b(state, z)).max() < 1e-12
+    assert np.abs(b_step(state, z)).max() < 1e-12
 
 
 def test_update_b_dense_solve_oracle():
@@ -181,7 +202,7 @@ def test_update_b_dense_solve_oracle():
     z = rng.normal(size=(12, 3))
     rho = float(np.linalg.norm(z, 2) ** 2 + 2.0)
     state = random_state(rng, 12, 3, rho=rho)
-    out = update_b(state, z)
+    out = b_step(state, z)
     rhs = rho * (state.p + state.q) - state.y_p - state.y_q
     system = 2 * rho * np.eye(12) - 2 * z @ z.T
     assert np.abs(system @ out - rhs).max() < 1e-8 * np.abs(rhs).max()
@@ -213,24 +234,24 @@ def test_update_multipliers_no_residual():
 # objective
 
 def test_objective_zero_basis():
-    assert objective(np.eye(3), np.zeros((3, 2)), 5.0) == 0.0
+    b = np.zeros((3, 2))
+    assert objective(np.eye(3).T @ b, b, 5.0) == 0.0
 
 
 def test_objective_hand_count():
     z = np.eye(3)
     b = np.zeros((3, 1))
     b[0, 0] = 1.0
-    assert objective(z, b, 2.0) == pytest.approx(1.0)  # -1 + 2*1
+    assert objective(z.T @ b, b, 2.0) == pytest.approx(1.0)  # -1 + 2*1
 
 
 def test_objective_rayleigh_maximum():
     rng = np.random.default_rng(10)
     z = rng.normal(size=(6, 4))
-    from slrma.numerics import sym_eig
-
     eig = sym_eig(z @ z.T)
     top = eig.vectors[:, :1]
-    assert objective(z, top, 0.0) == pytest.approx(-eig.values[0], rel=1e-10)
+    assert objective(z.T @ top, top, 0.0) == pytest.approx(-eig.values[0], rel=1e-10)
+    assert objective(z.T @ top, top, 0.0) == reference_objective(z, top, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +293,14 @@ def test_solve_full_rank_lossless():
 
 def test_solve_output_invariants():
     z = planted_problem()
-    fact = slrma_solve(z, SolverConfig(gamma=2.0, k=4, rho0=1e7, alpha=1.003,
-                                       rho_max=1e12))
+    # the B residual of every sweep, read from the reference loop that this
+    # solve matches bit for bit
+    fact, worst_b = checked_solve(z, SolverConfig(gamma=2.0, k=4, rho0=1e7, alpha=1.003,
+                                                  rho_max=1e12))
     assert np.abs(fact.basis.T @ fact.basis - np.eye(4)).max() < 1e-6
     nnz = np.count_nonzero(fact.basis)
     assert fact.p_b_achieved == pytest.approx(1.0 - nnz / fact.basis.size)
-    assert fact.max_b_residual <= 1e-8
+    assert worst_b <= 1e-8
 
 
 def test_solve_rejects_bad_rank():
@@ -416,7 +439,7 @@ def test_extract_keeps_the_support_and_is_orthonormal_or_unconverged(
     state = SolverState(b=q, p=np.where(support, q, 0.0), q=q, y_p=zeros,
                         y_q=zeros, rho=1.0)
     z = rng.normal(size=(m, 3))
-    fact = solver_module._extract(state, z, SolverConfig(gamma=0.0, k=k), True, 0.0)
+    fact = solver_module._extract(state, z, SolverConfig(gamma=0.0, k=k), True)
     assert np.isfinite(fact.basis).all() and np.isfinite(fact.coeffs).all()
     assert not fact.basis[~support].any()
     dev = np.abs(fact.basis.T @ fact.basis - np.eye(k)).max()
@@ -514,75 +537,51 @@ def test_scaled_mesh_compresses_on_the_anchored_schedule():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity of the lean loop against the reference loop
-#
-# The references below are the solver as first written: update_q through
-# sym_eig (symmetry check, sign convention) with the thin_svd polar factor on
-# rank loss, and a solve that takes its own SVD, validates every step and
-# rebuilds its state each sweep. The lean loop must give the same
-# floating-point results, not merely close ones.
+# bit-identity of the lean loop against the reference loop (solver_oracle)
 
-def reference_update_q(state, rank_losses=None):
-    shifted = state.b + state.y_q / state.rho
-    gram = sym_eig(shifted.T @ shifted)
-    if gram.values[-1] <= 1e-12 * max(gram.values[0], 1e-300):
-        if rank_losses is not None:
-            rank_losses.append(state.iter)
-        polar = thin_svd(shifted)
-        return polar.u @ polar.v.T
-    inv_sqrt = gram.vectors * (gram.values**-0.5)
-    return shifted @ (inv_sqrt @ gram.vectors.T)
-
-
-def reference_solve(z, cfg, rank_losses=None):
-    svd = thin_svd(z)
-    top_sq = float(svd.sigma[0] ** 2)
-    state = init_state(svd.u[:, :cfg.k], cfg)
-    sig2 = svd.sigma**2
-    max_resid = 0.0
-    converged = False
-    while state.iter < cfg.max_iters:
-        for _ in range(64):
-            gaps = np.abs(state.rho - sig2)
-            scales = np.maximum(state.rho, sig2)
-            if (gaps >= 0.01 * scales).all() or state.rho >= cfg.rho_max:
-                break
-            state.rho = min(state.rho * 1.02, cfg.rho_max)
-        rho_now = state.rho
-        prev_p, prev_q = state.p, state.q
-        state.b = update_b(state, z, svd=svd)
-        if not np.isfinite(state.b).all():
-            state.p, state.q = prev_p, prev_q
-            return solver_module._extract(state, z, cfg, False, max_resid)
-        rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
-        applied = 2.0 * rho_now * state.b - 2.0 * (z @ (z.T @ state.b))
-        rel = np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300)
-        max_resid = max(max_resid, float(rel))
-        state.p = update_p(state, cfg)
-        state.q = reference_update_q(state, rank_losses)
-        state.objective_trace.append(objective(z, state.b, cfg.gamma))
-        r_p = np.abs(state.b - state.p).max()
-        r_q = np.abs(state.b - state.q).max()
-        state = update_multipliers(state, cfg)
-        if r_p < cfg.tol and r_q < cfg.tol and rho_now > top_sq:
-            trace = state.objective_trace
-            if len(trace) >= solver_module.OBJECTIVE_WINDOW:
-                tail = trace[-solver_module.OBJECTIVE_WINDOW:]
-                if (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1])):
-                    converged = True
-                    break
-    return solver_module._extract(state, z, cfg, converged, max_resid)
+@st.composite
+def shift_cases(draw):
+    """(rho, sig2, rho_max): sig2 descending, possibly repeated or zero at
+    the tail; rho on either side of the 1% gap boundary above sigma_1^2,
+    between two sig2, or anywhere; rho_max at, just above or far above rho."""
+    values = draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6))
+    values += [0.0] * draw(st.integers(0, 2))
+    sig2 = np.sort(np.array(values))[::-1]
+    top = sig2[0]
+    kind = draw(st.sampled_from(["at-boundary", "below-boundary", "between", "any"]))
+    if kind in ("at-boundary", "below-boundary"):
+        # the smallest double with rho - sigma_1^2 >= 0.01 rho, or the one before it
+        rho = top / 0.99
+        while rho - top >= 0.01 * rho:
+            rho = np.nextafter(rho, 0.0)
+        while not rho - top >= 0.01 * rho:
+            rho = np.nextafter(rho, np.inf)
+        if kind == "below-boundary":
+            rho = np.nextafter(rho, 0.0)
+    elif kind == "between" and np.count_nonzero(sig2) >= 2:
+        i = draw(st.integers(0, np.count_nonzero(sig2) - 2))
+        rho = draw(st.floats(sig2[i + 1], sig2[i]))
+    else:
+        rho = draw(st.floats(1e-3, 1e7))
+    rho = float(rho)
+    rho_max = draw(st.sampled_from([rho, float(np.nextafter(rho, np.inf)), 1.5 * rho, 1e12]))
+    return rho, sig2, max(rho, rho_max)
 
 
-def assert_same_factorization(got, want):
-    assert np.array_equal(got.basis, want.basis)
-    assert np.array_equal(got.coeffs, want.coeffs)
-    assert got.p_b_achieved == want.p_b_achieved
-    assert got.final_objective == want.final_objective
-    assert got.iterations == want.iterations
-    assert got.converged == want.converged
-    assert got.objective_trace == want.objective_trace
-    assert got.max_b_residual == want.max_b_residual
+@given(shift_cases())
+@settings(max_examples=300, deadline=None)
+def test_shift_matches_the_gap_loop(case):
+    rho, sig2, rho_max = case
+    try:
+        want = reference_shift(rho, sig2, rho_max)
+    except SingularShiftError:
+        with pytest.raises(SingularShiftError):
+            solver_module._shift(rho, sig2, 2.0 * sig2[:, None], rho_max)
+        return
+    got = solver_module._shift(rho, sig2, 2.0 * sig2[:, None], rho_max)
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_update_q_matches_reference():
@@ -622,10 +621,8 @@ def test_update_q_rank_loss_matches_reference():
 def search_case():
     data = synth_image_set(8, 8, 16, rank=4, noise_sigma=2.0, seed=2)
     z = dct2d(8, 8).forward(data.x)
-    top_sq = float(thin_svd(z).sigma[0] ** 2)
-    # the schedule slrma_solve anchors when rho0 and rho_max are unset
-    return z, SolverConfig(gamma=0.0, k=3, rho0=solver_module.ANCHOR_RHO0 * top_sq,
-                           rho_max=solver_module.ANCHOR_RHO_MAX * top_sq)
+    # rho0 and rho_max unset: both loops anchor them at sigma_1^2
+    return z, SolverConfig(gamma=0.0, k=3)
 
 
 def rank_loss_case():
@@ -646,7 +643,7 @@ def test_solve_matches_reference(case, gamma):
     z, cfg = case()
     cfg = replace(cfg, gamma=gamma)
     rank_losses = []
-    want = reference_solve(z, cfg, rank_losses)
+    want, _ = reference_solve(z, cfg, rank_losses)
     assert want.converged
     assert bool(rank_losses) == (case is rank_loss_case)
     assert_same_factorization(slrma_solve(z, cfg), want)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slrma.errors import BadLevelsError, DisconnectedError
 from slrma.transforms import (
     BASES_KEPT,
+    GraphSpec,
     dct1d,
     dct2d,
     dwt2d,
@@ -198,6 +199,70 @@ def test_mesh_adjacency_tetrahedron():
 def test_mesh_adjacency_bad_index():
     with pytest.raises(IndexError):
         mesh_adjacency([(0, 1, 7)], 4)
+
+
+def loop_mesh_adjacency(faces, vertex_count):
+    """`mesh_adjacency` as a loop over faces: the reference for the array form."""
+    edges = set()
+    for face in faces:
+        if len(face) != 3:
+            raise ValueError(f"face {face!r} is not a triangle")
+        a, b, c = (int(v) for v in face)
+        for u, v in ((a, b), (a, c), (b, c)):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise IndexError(f"vertex {max(u, v)} outside [0, {vertex_count})")
+            if u == v:
+                raise ValueError(f"degenerate face {face!r}")
+            edges.add((min(u, v), max(u, v)))
+    return GraphSpec(vertex_count, tuple(sorted(edges)))
+
+
+def outcome(build, faces, vertex_count):
+    try:
+        return build(faces, vertex_count)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def face_lists(draw):
+    """Face lists over [0, m), mostly valid; some faces out of range,
+    degenerate, not triangles or float-valued; as tuples or an int array."""
+    m = draw(st.integers(1, 12))
+    vertex = st.integers(0, m - 1)
+    stray = st.integers(-3, m + 3)
+    face = st.tuples(vertex, vertex, vertex).filter(lambda f: len(set(f)) == 3)
+    faces = draw(st.lists(face | st.tuples(stray, stray, stray) if m >= 3 else
+                          st.tuples(stray, stray, stray), max_size=12))
+    if faces and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(faces) - 1))
+        faces[i] = draw(st.sampled_from([faces[i][:2], faces[i] + (0,),
+                                         tuple(float(v) for v in faces[i])]))
+    elif faces and draw(st.booleans()):
+        faces = np.array(faces, dtype=draw(st.sampled_from([np.int64, np.int32])))
+    return faces, m
+
+
+@given(face_lists())
+@settings(max_examples=400, deadline=None)
+def test_mesh_adjacency_matches_the_face_loop(case):
+    faces, m = case
+    want = outcome(loop_mesh_adjacency, faces, m)
+    got = outcome(mesh_adjacency, faces, m)
+    assert got == want
+    if isinstance(got, GraphSpec):
+        assert all(type(v) is int for edge in got.edges for v in edge)
+
+
+@pytest.mark.parametrize("faces, m", [
+    ([(0, 1, 2), (2, 2, 9)], 4),     # a repeated vertex is found before the stray one
+    ([(0, 1, 2), (-1, 3, 3)], 4),    # the pair (a, b) names its larger end
+    (np.array([(0, 1, 2), (1, 3, 1)]), 4),
+    ([(0, 1, 2), (0, 1)], 3),
+    ([], 3),
+])
+def test_mesh_adjacency_first_offending_face(faces, m):
+    assert outcome(mesh_adjacency, faces, m) == outcome(loop_mesh_adjacency, faces, m)
 
 
 def path_graph(m):
