@@ -39,14 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_flags(args):
-    return dict(rho0=args.rho0, alpha=args.alpha, rho_max=args.rho_max,
-                tol=args.tol, max_iters=args.max_iters)
+    return dict(alpha=args.alpha, tol=args.tol, max_iters=args.max_iters)
 
 
 def _add_solver_args(sub):
-    sub.add_argument("--rho0", type=float, default=None)
     sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--rho-max", dest="rho_max", type=float, default=None)
     sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--max-iters", dest="max_iters", type=int, default=None)
 

@@ -59,7 +59,7 @@ class CodecParams:
     levels: int = 3                 # dwt only
     gamma: object = None            # float, or per-axis triple for meshes
     target_pb: float = None
-    solver: dict = field(default_factory=dict)  # rho0/alpha/rho_max/tol/...
+    solver: dict = field(default_factory=dict)  # alpha/tol/max_iters
 
     def solver_config(self, **fields):
         """A SolverConfig of `fields` and the set entries of `solver`."""
@@ -133,9 +133,10 @@ def factor(transforms: Transforms, data, params: CodecParams):
     Returns one Factorization per stream, in order. With `params.gamma` set
     (for meshes a scalar or one value per axis) each stream is solved at
     that gamma, otherwise for `params.target_pb` zeros. Either solve runs
-    on the schedule anchored at the stream's sigma_1^2 (the `SolverConfig`
-    defaults) unless `params.solver` overrides it. A solve that does not
-    converge is returned as it is; see `check_converged`.
+    on the penalty schedule anchored at the stream's sigma_1^2, growing by
+    the `SolverConfig` default alpha unless `params.solver` overrides it. A
+    solve that does not converge is returned as it is; see
+    `check_converged`.
     """
     gammas = params.gamma
     if np.ndim(gammas) == 0:

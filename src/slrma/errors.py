@@ -17,10 +17,6 @@ class SizeOverflowError(SlrmaError):
     """Kronecker product would exceed the configured element budget."""
 
 
-class SingularShiftError(SlrmaError):
-    """2*rho coincides with a squared singular value; caller must perturb rho."""
-
-
 class BadLevelsError(SlrmaError):
     """Wavelet level count incompatible with the signal length."""
 

@@ -11,12 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    NonSymmetricError,
-    SingularShiftError,
-    SizeOverflowError,
-)
+from .errors import NoConvergenceError, NonSymmetricError, SizeOverflowError
 
 # Elements allowed in a Kronecker product result (2**26 doubles = 512 MiB).
 KRON_ELEMENT_BUDGET = 1 << 26
@@ -101,21 +96,6 @@ def kronecker(a, b, max_elements=KRON_ELEMENT_BUDGET):
     return np.kron(a, b)
 
 
-def shifted_gram_coeff(sig2, rho):
-    """Per-singular-value coefficients 1/(2 rho - 2 s_i^2) - 1/(2 rho).
-
-    Raises SingularShiftError when 2*rho is within a 1e-10 relative gap of
-    some 2*s_i^2, where the shifted system is numerically singular.
-    """
-    denom = 2.0 * rho - 2.0 * sig2
-    gap_floor = 1e-10 * max(2.0 * rho, 2.0 * float(sig2[0]))
-    if np.abs(denom).min() < gap_floor:
-        raise SingularShiftError(
-            "2*rho is within the relative gap of a squared singular value"
-        )
-    return 1.0 / denom - 1.0 / (2.0 * rho)
-
-
 def shifted_gram_apply(u, rho, coeff_col, m_rhs):
     """Solve (2*rho*I - 2*Z*Z^T) W = M without forming the m-by-m system.
 
@@ -124,7 +104,7 @@ def shifted_gram_apply(u, rho, coeff_col, m_rhs):
 
         W = M/(2 rho) + U [diag(1/(2 rho - 2 s_i^2)) - I/(2 rho)] U^T M,
 
-    O(mnk) instead of O(m^3). `u` is U and `coeff_col` the output of
-    `shifted_gram_coeff` as an r x 1 column. Nothing is validated.
+    O(mnk) instead of O(m^3). `u` is U and `coeff_col` the diagonal of the
+    bracket as an r x 1 column. Nothing is validated.
     """
     return m_rhs / (2.0 * rho) + u @ (coeff_col * (u.T @ m_rhs))

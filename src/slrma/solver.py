@@ -3,10 +3,13 @@
 Minimizes -||Z^T B||_F^2 + gamma*||B||_0 subject to B^T B = I_k by
 alternating closed-form updates of B (shifted linear solve), P (hard
 threshold), Q (nearest orthonormal matrix) and the two multipliers, with
-the penalty rho growing geometrically each sweep. A solve for a sparsity
-target instead constrains ||B||_0 to a fixed count: its P step projects
-onto that l0 ball. The output basis is Q orthonormalized on P's support;
-a solve whose basis is not orthonormal to rounding is not converged.
+the penalty rho growing geometrically each sweep. The schedule is derived
+from Z: rho starts at ANCHOR_RHO0 sigma_1^2, above every squared singular
+value, and grows by `alpha` up to ANCHOR_RHO_MAX sigma_1^2. A solve for a
+sparsity target instead constrains ||B||_0 to a fixed count: its P step
+projects onto that l0 ball. The output basis is Q orthonormalized on P's
+support; a solve whose basis is not orthonormal to rounding is not
+converged.
 
 A sweep computes only what decides the solve. The residual of the B
 system, (2 rho I - 2 Z Z^T) B = rhs, changes no iterate, so the loop does
@@ -24,13 +27,13 @@ from .errors import NoConvergenceError
 from .numerics import (
     as_matrix,
     shifted_gram_apply,
-    shifted_gram_coeff,
     sym_eig,  # noqa: F401 -- no longer called here; perfbench traces it by this name
     thin_svd,
 )
 from .transforms import OrthogonalTransform
 
-# A rho0 or rho_max left unset is this multiple of sigma_1(Z)^2.
+# The penalty schedule runs from ANCHOR_RHO0 to ANCHOR_RHO_MAX times
+# sigma_1(Z)^2 (times 1.0 for an all-zero Z, which has no scale).
 ANCHOR_RHO0 = 1.05
 ANCHOR_RHO_MAX = 1e6
 
@@ -42,17 +45,16 @@ OBJECTIVE_WINDOW = 10
 class SolverConfig:
     """One solve's settings.
 
-    `rho0` and `rho_max` left as None are anchored at sigma_1^2 of the Z
-    being solved (`ANCHOR_RHO0`, `ANCHOR_RHO_MAX`). With `target_pb` set,
-    the P step keeps `kept_entries` entries of B (at most that many nonzero)
-    and `gamma` only weighs the reported objective.
+    `alpha` is the growth factor of the penalty schedule, which starts and
+    ends at multiples of sigma_1^2 of the Z being solved (`ANCHOR_RHO0`,
+    `ANCHOR_RHO_MAX`). With `target_pb` set, the P step keeps
+    `kept_entries` entries of B (at most that many nonzero) and `gamma`
+    only weighs the reported objective.
     """
 
     gamma: float
     k: int
-    rho0: float = None
     alpha: float = 1.05
-    rho_max: float = None
     tol: float = 1e-6
     max_iters: int = 1000
     target_pb: float = None
@@ -64,10 +66,6 @@ class SolverConfig:
             raise ValueError("k must be positive")
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1")
-        if any(r is not None and not r > 0.0 for r in (self.rho0, self.rho_max)):
-            raise ValueError("rho0 and rho_max must be positive")
-        if None not in (self.rho0, self.rho_max) and self.rho0 > self.rho_max:
-            raise ValueError("need rho0 <= rho_max")
         if self.target_pb is not None and not 0.0 <= self.target_pb < 1.0:
             raise ValueError("target_pb must lie in [0, 1)")
         if self.tol <= 0.0:
@@ -103,11 +101,11 @@ def objective(ztb, b, gamma):
     return float(-np.sum(ztb**2) + gamma * np.count_nonzero(b))
 
 
-def init_state(start, cfg: SolverConfig):
-    """B = P = Q = the m x k `start`, zero multipliers, rho = rho0."""
+def init_state(start, rho):
+    """B = P = Q = the m x k `start`, zero multipliers, penalty `rho`."""
     zeros = np.zeros(start.shape)
     return SolverState(b=start.copy(), p=start.copy(), q=start.copy(),
-                       y_p=zeros, y_q=zeros.copy(), rho=cfg.rho0)
+                       y_p=zeros, y_q=zeros.copy(), rho=rho)
 
 
 def kept_entries(target_pb, m, k):
@@ -119,7 +117,7 @@ def update_b(state: SolverState, u, rhs, coeff):
     """Solve (2 rho I - 2 Z Z^T) B = rhs, rhs = rho (P + Q) - Y_P - Y_Q.
 
     `u` is U of the thin SVD of Z and `coeff` the sweep's r x 1 shift
-    coefficients from `_shift`; nothing is validated.
+    coefficients 1/(2 rho - 2 s_i^2) - 1/(2 rho); nothing is validated.
     """
     return shifted_gram_apply(u, state.rho, coeff, rhs)
 
@@ -186,25 +184,21 @@ def update_q(state: SolverState):
     return u @ vt
 
 
-def update_multipliers(state: SolverState, cfg: SolverConfig, b_minus_p=None,
-                       b_minus_q=None):
-    """Y_P += rho (B - P); Y_Q += rho (B - Q); rho <- min(rho*alpha, rho_max).
+def update_multipliers(state: SolverState, b_minus_p, b_minus_q, alpha, ceiling):
+    """Y_P += rho (B - P); Y_Q += rho (B - Q); rho <- min(rho*alpha, ceiling).
 
-    The solver loop passes the differences B - P and B - Q it has already
-    formed for its residuals. Returns a new state and leaves the input
-    untouched; the new state shares the input's B, P, Q and objective trace.
+    `b_minus_p` and `b_minus_q` are B - P and B - Q, which the solver loop
+    has already formed for its residuals. Returns a new state and leaves the
+    input untouched; the new state shares the input's B, P, Q and objective
+    trace.
     """
-    if b_minus_p is None:
-        b_minus_p = state.b - state.p
-    if b_minus_q is None:
-        b_minus_q = state.b - state.q
     return SolverState(
         b=state.b,
         p=state.p,
         q=state.q,
         y_p=state.y_p + state.rho * b_minus_p,
         y_q=state.y_q + state.rho * b_minus_q,
-        rho=min(state.rho * cfg.alpha, cfg.rho_max),
+        rho=min(state.rho * alpha, ceiling),
         iter=state.iter + 1,
         objective_trace=state.objective_trace,
     )
@@ -245,49 +239,22 @@ def _extract(state: SolverState, z, cfg: SolverConfig, converged):
     )
 
 
-def _shift(rho, sig2, two_sig2, rho_max):
-    """Sweep penalty `rho` moved clear of every squared singular value, with
-    its r x 1 shift coefficients for `shifted_gram_apply`.
-
-    At a crossing the shifted system is singular, and even near-misses
-    amplify one mode of B by 1/gap, which the multipliers then take many
-    sweeps to drain. A 2% exclusion zone caps the amplification at ~50x and
-    keeps the B solve comfortably within its residual tolerance. Raises
-    SingularShiftError when rho_max leaves rho numerically on a squared
-    singular value.
-
-    `two_sig2` is 2 `sig2` as an r x 1 column, formed once per solve. A rho
-    above sigma_1^2 by at least 1% of rho passes every gap test, because
-    rounding is monotone: rho - s_i^2 rounds to no less than
-    rho - sigma_1^2. That rho is returned unmoved, with the coefficients
-    `shifted_gram_coeff` would give and no singularity check, since no gap
-    is within 1e-10 of 2 rho. Every sweep of an anchored schedule takes
-    this path.
-    """
-    top = sig2[0]
-    if rho - top >= 0.01 * rho:  # rho > 0, so this also says rho > top
-        return rho, 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
-    for _ in range(64):
-        gaps = np.abs(rho - sig2)
-        scales = np.maximum(rho, sig2)
-        if (gaps >= 0.01 * scales).all() or rho >= rho_max:
-            break
-        rho = min(rho * 1.02, rho_max)
-    return rho, shifted_gram_coeff(sig2, rho)[:, None]
-
-
 def slrma_solve(z, cfg: SolverConfig):
     """Run the alternating loop on transform-domain data Z.
 
     Stops once the split residuals ||B-P|| and ||B-Q|| are below tol in the
-    max norm, the objective has been flat over the trailing window, and rho
-    has passed the top squared singular value (before that point the B
-    system is indefinite and the iterate is not trustworthy). Runs that
-    exhaust max_iters, or whose iterate overflows, return converged=False
-    with diagnostics intact.
+    max norm and the objective has been flat over the trailing window. Runs
+    that exhaust max_iters, or whose iterate overflows, return
+    converged=False with diagnostics intact.
 
-    Every solve starts from the top-k left singular vectors of Z, and a
-    rho0 or rho_max left unset is anchored at sigma_1^2 of Z.
+    Every solve starts from the top-k left singular vectors of Z, on the
+    penalty schedule anchored at sigma_1^2 of Z. That schedule keeps rho
+    above sigma_1^2, where the B system is positive definite, on every sweep
+    that reaches the stop test, so the test need not check it: for an
+    all-zero Z or a normal sigma_1^2, rho starts above sigma_1^2 and never
+    falls; for a subnormal or infinite sigma_1^2 the top shift coefficient
+    is not finite, so the first sweep's B is not finite and the solve stops
+    there as a blow-up.
     """
     z = as_matrix(z, "Z")
     m, n = z.shape
@@ -298,25 +265,24 @@ def slrma_solve(z, cfg: SolverConfig):
         if keep < cfg.k:  # some column of B would have no entry
             raise ValueError(f"p_B {cfg.target_pb} leaves {keep} entries for k={cfg.k}")
     svd = thin_svd(z)
-    sig2 = svd.sigma**2
-    two_sig2 = 2.0 * sig2[:, None]
-    top_sq = float(svd.sigma[0] ** 2)
-    anchor = top_sq if top_sq > 0.0 else 1.0  # an all-zero Z has no scale
-    cfg = replace(cfg,
-                  rho0=ANCHOR_RHO0 * anchor if cfg.rho0 is None else cfg.rho0,
-                  rho_max=ANCHOR_RHO_MAX * anchor if cfg.rho_max is None else cfg.rho_max)
-    state = init_state(svd.u[:, :cfg.k], cfg)
     converged = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
-    # the objective, so numpy's overflow and invalid-value warnings on the
-    # way there say nothing new.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the objective, so numpy's warnings on the way there say nothing new:
+    # overflow (sigma^2 of data near the top of the float range, or rho),
+    # invalid values (inf - inf) and division by a zero gap between 2 rho
+    # and 2 sigma_1^2 (a subnormal sigma_1^2 that 1.05 does not move).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        two_sig2 = 2.0 * (svd.sigma**2)[:, None]
+        top_sq = float(svd.sigma[0] ** 2)
+        anchor = top_sq if top_sq > 0.0 else 1.0  # an all-zero Z has no scale
+        ceiling = ANCHOR_RHO_MAX * anchor
+        state = init_state(svd.u[:, :cfg.k], ANCHOR_RHO0 * anchor)
         try:
             while state.iter < cfg.max_iters:
                 prev_p, prev_q = state.p, state.q
-                rho_now, coeff = _shift(state.rho, sig2, two_sig2, cfg.rho_max)
-                state.rho = rho_now
-                rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
+                rho = state.rho
+                coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
+                rhs = rho * (state.p + state.q) - state.y_p - state.y_q
                 state.b = update_b(state, svd.u, rhs, coeff)
                 if not np.isfinite(state.b).all():
                     raise FloatingPointError("B overflowed")
@@ -328,11 +294,8 @@ def slrma_solve(z, cfg: SolverConfig):
                 state.objective_trace.append(value)
                 b_minus_p = state.b - state.p
                 b_minus_q = state.b - state.q
-                state = update_multipliers(state, cfg, b_minus_p, b_minus_q)
-                # cheapest test first: each max reduction runs only when the
-                # tests before it have passed
-                if (rho_now > top_sq and np.abs(b_minus_p).max() < cfg.tol
-                        and np.abs(b_minus_q).max() < cfg.tol):
+                state = update_multipliers(state, b_minus_p, b_minus_q, cfg.alpha, ceiling)
+                if np.abs(b_minus_p).max() < cfg.tol and np.abs(b_minus_q).max() < cfg.tol:
                     trace = state.objective_trace
                     if len(trace) >= OBJECTIVE_WINDOW:
                         tail = trace[-OBJECTIVE_WINDOW:]
@@ -341,8 +304,8 @@ def slrma_solve(z, cfg: SolverConfig):
                             converged = True
                             break
         except FloatingPointError:
-            # Numerical blow-up (possible when the penalty schedule dwells near
-            # or below a data singular value); report the last sane iterate.
+            # Numerical blow-up (data whose scale puts sigma_1^2 or rho out
+            # of floating-point range); report the last sane iterate.
             state.p, state.q = prev_p, prev_q
             return _extract(state, z, cfg, False)
     return _extract(state, z, cfg, converged)

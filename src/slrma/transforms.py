@@ -75,13 +75,6 @@ class GraphSpec:
     vertex_count: int
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
-    def degree_sequence(self):
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
     def is_connected(self):
         m = self.vertex_count
         if m == 0:
@@ -117,10 +110,6 @@ def graph_spec(vertex_count, edges):
             raise ValueError(f"self-loop at vertex {a}")
         canon.add((min(a, b), max(a, b)))
     return GraphSpec(vertex_count, tuple(sorted(canon)))
-
-
-def identity(m):
-    return OrthogonalTransform(np.eye(m), KIND_IDENTITY, (m,))
 
 
 @lru_cache(maxsize=BASES_KEPT, typed=True)

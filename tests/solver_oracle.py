@@ -1,26 +1,45 @@
 """The solver as first written, kept as the oracle for `slrma.solver`.
 
-The reference loop validates every step, takes update_q through `sym_eig`
-(symmetry check, sign convention) with the `thin_svd` polar factor on rank
-loss, moves rho by the 64-step gap loop on every sweep, and rebuilds its
-state each sweep. The production loop must give the same floating-point
-iterates, not merely close ones, so the residual of the B system that the
-reference measures on every sweep is the production loop's residual too.
+The reference loop validates every step, checks each sweep's shift for a
+singular gap, takes update_q through `sym_eig` (symmetry check, sign
+convention) with the `thin_svd` polar factor on rank loss, stops only once
+rho has passed sigma_1^2, and rebuilds its state each sweep. The production
+loop must give the same floating-point iterates, not merely close ones, so
+the residual of the B system that the reference measures on every sweep is
+the production loop's residual too.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
 import slrma.solver as solver_module
-from slrma.numerics import (
-    as_matrix,
-    shifted_gram_apply,
-    shifted_gram_coeff,
-    sym_eig,
-    thin_svd,
-)
+from slrma.errors import SlrmaError
+from slrma.numerics import as_matrix, shifted_gram_apply, sym_eig, thin_svd
 from slrma.solver import init_state, update_multipliers, update_p
+from slrma.transforms import KIND_IDENTITY, OrthogonalTransform
+
+
+class SingularShiftError(SlrmaError):
+    """2*rho coincides with a squared singular value."""
+
+
+def identity(m):
+    """The m x m identity transform: the transform domain is the signal's."""
+    return OrthogonalTransform(np.eye(m), KIND_IDENTITY, (m,))
+
+
+def shifted_gram_coeff(sig2, rho):
+    """Per-singular-value coefficients 1/(2 rho - 2 s_i^2) - 1/(2 rho).
+
+    Raises SingularShiftError when 2*rho is within a 1e-10 relative gap of
+    some 2*s_i^2, where the shifted system is numerically singular.
+    """
+    denom = 2.0 * rho - 2.0 * sig2
+    gap_floor = 1e-10 * max(2.0 * rho, 2.0 * float(sig2[0]))
+    if np.abs(denom).min() < gap_floor:
+        raise SingularShiftError(
+            "2*rho is within the relative gap of a squared singular value"
+        )
+    return 1.0 / denom - 1.0 / (2.0 * rho)
 
 
 def solve_shifted_gram(z, rho, m_rhs, svd=None):
@@ -55,17 +74,6 @@ def reference_objective(z, b, gamma):
     return float(-np.sum((z.T @ b) ** 2) + gamma * np.count_nonzero(b))
 
 
-def reference_shift(rho, sig2, rho_max):
-    """The sweep penalty and r x 1 shift coefficients by the 64-step loop."""
-    for _ in range(64):
-        gaps = np.abs(rho - sig2)
-        scales = np.maximum(rho, sig2)
-        if (gaps >= 0.01 * scales).all() or rho >= rho_max:
-            break
-        rho = min(rho * 1.02, rho_max)
-    return rho, shifted_gram_coeff(sig2, rho)[:, None]
-
-
 def reference_update_q(state, rank_losses=None):
     shifted = state.b + state.y_q / state.rho
     gram = sym_eig(shifted.T @ shifted)
@@ -85,26 +93,17 @@ def b_residual(z, b, rho, rhs):
     return float(np.abs(applied - rhs).max() / max(np.abs(rhs).max(), 1e-300))
 
 
-def reference_solve(z, cfg, rank_losses=None):
-    """(factorization, B residual of every sweep) of the reference loop.
-
-    rho0 and rho_max left unset are anchored at sigma_1^2 as `slrma_solve`
-    anchors them. Sweeps whose indices land in `rank_losses` took the SVD
-    polar branch of the Q step.
-    """
+def reference_solve(z, cfg):
+    """(factorization, B residual of every sweep) of the reference loop,
+    on the penalty schedule `slrma_solve` anchors at sigma_1^2."""
     svd = thin_svd(z)
     top_sq = float(svd.sigma[0] ** 2)
     anchor = top_sq if top_sq > 0.0 else 1.0
-    cfg = replace(
-        cfg,
-        rho0=solver_module.ANCHOR_RHO0 * anchor if cfg.rho0 is None else cfg.rho0,
-        rho_max=solver_module.ANCHOR_RHO_MAX * anchor if cfg.rho_max is None else cfg.rho_max)
-    state = init_state(svd.u[:, :cfg.k], cfg)
-    sig2 = svd.sigma**2
+    ceiling = solver_module.ANCHOR_RHO_MAX * anchor
+    state = init_state(svd.u[:, :cfg.k], solver_module.ANCHOR_RHO0 * anchor)
     residuals = []
     converged = False
     while state.iter < cfg.max_iters:
-        state.rho, _ = reference_shift(state.rho, sig2, cfg.rho_max)
         rho_now = state.rho
         prev_p, prev_q = state.p, state.q
         state.b = reference_update_b(state, z, svd=svd)
@@ -114,12 +113,13 @@ def reference_solve(z, cfg, rank_losses=None):
         rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
         residuals.append(b_residual(z, state.b, rho_now, rhs))
         state.p = update_p(state, cfg)
-        state.q = reference_update_q(state, rank_losses)
+        state.q = reference_update_q(state)
         state.objective_trace.append(reference_objective(z, state.b, cfg.gamma))
-        r_p = np.abs(state.b - state.p).max()
-        r_q = np.abs(state.b - state.q).max()
-        state = update_multipliers(state, cfg)
-        if r_p < cfg.tol and r_q < cfg.tol and rho_now > top_sq:
+        b_minus_p = state.b - state.p
+        b_minus_q = state.b - state.q
+        state = update_multipliers(state, b_minus_p, b_minus_q, cfg.alpha, ceiling)
+        if (np.abs(b_minus_p).max() < cfg.tol and np.abs(b_minus_q).max() < cfg.tol
+                and rho_now > top_sq):
             trace = state.objective_trace
             if len(trace) >= solver_module.OBJECTIVE_WINDOW:
                 tail = trace[-solver_module.OBJECTIVE_WINDOW:]

@@ -116,7 +116,7 @@ def test_criterion_2_subproblem_oracles(mesh_case, mesh_facts):
             y_p=rng.normal(size=(m, k)), y_q=np.zeros((m, k)),
             rho=float(rng.uniform(0.5, 5.0)),
         )
-        cfg = SolverConfig(gamma=float(rng.uniform(0.05, 2.0)), k=k, rho0=1.0)
+        cfg = SolverConfig(gamma=float(rng.uniform(0.05, 2.0)), k=k)
         out = update_p(state, cfg)
         shifted = state.b + state.y_p / state.rho
         grid = np.linspace(-3.0, 3.0, 601)
@@ -148,8 +148,7 @@ def test_criterion_2_subproblem_oracles(mesh_case, mesh_facts):
         worst_b = max(worst_b, resid)
     q_basis, _ = np.linalg.qr(rng.normal(size=(32, 4)))
     planted = np.eye(48)[:, :4] @ (np.diag([10.0, 7, 5, 3.5]) @ q_basis.T * 4)
-    _, resid = checked_solve(planted, SolverConfig(gamma=2.0, k=4, rho0=1e7,
-                                                   alpha=1.003, rho_max=1e12))
+    _, resid = checked_solve(planted, SolverConfig(gamma=2.0, k=4))
     worst_b = max(worst_b, resid)
     assert worst_b <= 1e-8
     report(2, "subproblem-oracles",

@@ -21,6 +21,13 @@ def run(argv):
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["synth", "--kind", "images", "--out", "x", "--bogus"]) == 1
     assert "usage error" in capsys.readouterr().err
+    # the penalty schedule is derived from the data: no flag sets its ends
+    for command in (["compress-images", "x.pgm", "--out", "x", "--k", "2", "--gamma", "1"],
+                    ["compress-mesh", "x.off", "--out", "x", "--k", "2", "--gamma", "1"],
+                    ["rd-sweep", "--kind", "images", "--csv", "x.csv"]):
+        for flag in ("--rho0", "--rho-max"):
+            assert run(command + [flag, "1"]) == 1
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():

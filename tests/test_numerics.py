@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slrma.errors import NonSymmetricError, SingularShiftError, SizeOverflowError
+from slrma.errors import NonSymmetricError, SizeOverflowError
 from slrma.numerics import (
     _column_sign_flips,
     kronecker,
     sym_eig,
     thin_svd,
 )
-from solver_oracle import solve_shifted_gram
+from solver_oracle import SingularShiftError, solve_shifted_gram
 
 RT2 = np.sqrt(2.0)
 

@@ -192,8 +192,7 @@ def test_mesh_adjacency_shared_edge():
 def test_mesh_adjacency_tetrahedron():
     faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     g = mesh_adjacency(faces, 4)
-    assert len(g.edges) == 6
-    assert np.array_equal(g.degree_sequence(), [3, 3, 3, 3])
+    assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_mesh_adjacency_bad_index():
