@@ -39,13 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_flags(args):
-    return dict(alpha=args.alpha, tol=args.tol, max_iters=args.max_iters)
+    return dict(alpha=args.alpha)
 
 
 def _add_solver_args(sub):
     sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--max-iters", dest="max_iters", type=int, default=None)
 
 
 def _level_count(text):
@@ -236,7 +234,7 @@ def _cmd_rd_sweep(args):
     pbs = tuple(float(t) for t in args.pbs.split(","))
     steps = tuple(tuple(float(x) for x in pair.split(":"))
                   for pair in args.steps.split(","))
-    solver = {k: v for k, v in _solver_flags(args).items() if v is not None}
+    solver = _solver_flags(args)
     if args.kind == "images":
         if args.data:
             data = datasets.load_image_set(_collect([args.data], ".pgm"))

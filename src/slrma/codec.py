@@ -57,9 +57,9 @@ class CodecParams:
     step_c: float
     transform: str = "dct"          # images: dct | dwt; meshes always gt
     levels: int = 3                 # dwt only
-    gamma: object = None            # float, or per-axis triple for meshes
+    gamma: float = None
     target_pb: float = None
-    solver: dict = field(default_factory=dict)  # alpha/tol/max_iters
+    solver: dict = field(default_factory=dict)  # alpha
 
     def solver_config(self, **fields):
         """A SolverConfig of `fields` and the set entries of `solver`."""
@@ -131,28 +131,21 @@ def factor(transforms: Transforms, data, params: CodecParams):
     """Factor stage: solve Z = Phi^T X of every stream in `data`.
 
     Returns one Factorization per stream, in order. With `params.gamma` set
-    (for meshes a scalar or one value per axis) each stream is solved at
-    that gamma, otherwise for `params.target_pb` zeros. Either solve runs
-    on the penalty schedule anchored at the stream's sigma_1^2, growing by
-    the `SolverConfig` default alpha unless `params.solver` overrides it. A
-    solve that does not converge is returned as it is; see
-    `check_converged`.
+    every stream is solved at that gamma, otherwise for `params.target_pb`
+    zeros. Either solve runs on the penalty schedule anchored at the
+    stream's sigma_1^2, growing by the `SolverConfig` default alpha unless
+    `params.solver` overrides it. A solve that does not converge is
+    returned as it is; see `check_converged`.
     """
-    gammas = params.gamma
-    if np.ndim(gammas) == 0:
-        gammas = [gammas] * len(data)
-    facts = []
-    for x, gamma in zip(data, gammas, strict=True):
-        z = transforms.phi.forward(x)
-        if gamma is not None:
-            facts.append(slrma_solve(z, params.solver_config(gamma=float(gamma))))
-        elif params.target_pb is not None:
-            # the config names the target too, so (z, cfg) alone re-runs the solve
-            cfg = params.solver_config(gamma=0.0, target_pb=params.target_pb)
-            facts.append(gamma_for_sparsity(z, cfg, params.target_pb)[1])
-        else:
-            raise ValueError("need either gamma or target_pb")
-    return facts
+    if params.gamma is not None:
+        cfg = params.solver_config(gamma=float(params.gamma))
+        return [slrma_solve(transforms.phi.forward(x), cfg) for x in data]
+    if params.target_pb is None:
+        raise ValueError("need either gamma or target_pb")
+    # the config names the target too, so (z, cfg) alone re-runs the solve
+    cfg = params.solver_config(gamma=0.0, target_pb=params.target_pb)
+    return [gamma_for_sparsity(transforms.phi.forward(x), cfg, params.target_pb)[1]
+            for x in data]
 
 
 def check_converged(facts):

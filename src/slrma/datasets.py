@@ -284,8 +284,8 @@ def synth_mesh_seq(m, n, amplitude=100.0, seed=0):
     """
     from .transforms import graph_transform, mesh_adjacency
 
-    if m < 3 or n < 1:
-        raise ValueError("need at least 3 vertices and 1 frame")
+    if m < 4 or n < 1:  # the static shape reads harmonics 1 to 3
+        raise ValueError("need at least 4 vertices and 1 frame")
     rng = np.random.default_rng(seed)
     rows, cols, faces = grid_strip_faces(m)
     harmonics = graph_transform(mesh_adjacency(faces, m)).matrix

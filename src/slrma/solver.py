@@ -37,13 +37,17 @@ from .transforms import OrthogonalTransform
 ANCHOR_RHO0 = 1.05
 ANCHOR_RHO_MAX = 1e6
 
-# Sweeps over which the objective must be flat before a solve may stop.
+# The stopping rule: both split residuals below TOL in the max norm and the
+# objective flat to TOL (relative) over the last OBJECTIVE_WINDOW sweeps,
+# within MAX_ITERS sweeps.
+TOL = 1e-6
+MAX_ITERS = 1000
 OBJECTIVE_WINDOW = 10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """One solve's settings.
+    """One solve's settings; the stopping rule is fixed (`TOL`, `MAX_ITERS`).
 
     `alpha` is the growth factor of the penalty schedule, which starts and
     ends at multiples of sigma_1^2 of the Z being solved (`ANCHOR_RHO0`,
@@ -55,21 +59,18 @@ class SolverConfig:
     gamma: float
     k: int
     alpha: float = 1.05
-    tol: float = 1e-6
-    max_iters: int = 1000
     target_pb: float = None
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        # written so that NaN fails every check
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
         if self.k < 1:
             raise ValueError("k must be positive")
-        if self.alpha <= 1.0:
+        if not self.alpha > 1.0:
             raise ValueError("alpha must exceed 1")
         if self.target_pb is not None and not 0.0 <= self.target_pb < 1.0:
             raise ValueError("target_pb must lie in [0, 1)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -242,9 +243,9 @@ def _extract(state: SolverState, z, cfg: SolverConfig, converged):
 def slrma_solve(z, cfg: SolverConfig):
     """Run the alternating loop on transform-domain data Z.
 
-    Stops once the split residuals ||B-P|| and ||B-Q|| are below tol in the
+    Stops once the split residuals ||B-P|| and ||B-Q|| are below TOL in the
     max norm and the objective has been flat over the trailing window. Runs
-    that exhaust max_iters, or whose iterate overflows, return
+    that exhaust MAX_ITERS, or whose iterate overflows, return
     converged=False with diagnostics intact.
 
     Every solve starts from the top-k left singular vectors of Z, on the
@@ -278,7 +279,7 @@ def slrma_solve(z, cfg: SolverConfig):
         ceiling = ANCHOR_RHO_MAX * anchor
         state = init_state(svd.u[:, :cfg.k], ANCHOR_RHO0 * anchor)
         try:
-            while state.iter < cfg.max_iters:
+            while state.iter < MAX_ITERS:
                 prev_p, prev_q = state.p, state.q
                 rho = state.rho
                 coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
@@ -295,11 +296,11 @@ def slrma_solve(z, cfg: SolverConfig):
                 b_minus_p = state.b - state.p
                 b_minus_q = state.b - state.q
                 state = update_multipliers(state, b_minus_p, b_minus_q, cfg.alpha, ceiling)
-                if np.abs(b_minus_p).max() < cfg.tol and np.abs(b_minus_q).max() < cfg.tol:
+                if np.abs(b_minus_p).max() < TOL and np.abs(b_minus_q).max() < TOL:
                     trace = state.objective_trace
                     if len(trace) >= OBJECTIVE_WINDOW:
                         tail = trace[-OBJECTIVE_WINDOW:]
-                        flat = (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1]))
+                        flat = (max(tail) - min(tail)) < TOL * (1.0 + abs(trace[-1]))
                         if flat:
                             converged = True
                             break

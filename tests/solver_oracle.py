@@ -103,7 +103,7 @@ def reference_solve(z, cfg):
     state = init_state(svd.u[:, :cfg.k], solver_module.ANCHOR_RHO0 * anchor)
     residuals = []
     converged = False
-    while state.iter < cfg.max_iters:
+    while state.iter < solver_module.MAX_ITERS:
         rho_now = state.rho
         prev_p, prev_q = state.p, state.q
         state.b = reference_update_b(state, z, svd=svd)
@@ -118,12 +118,13 @@ def reference_solve(z, cfg):
         b_minus_p = state.b - state.p
         b_minus_q = state.b - state.q
         state = update_multipliers(state, b_minus_p, b_minus_q, cfg.alpha, ceiling)
-        if (np.abs(b_minus_p).max() < cfg.tol and np.abs(b_minus_q).max() < cfg.tol
+        if (np.abs(b_minus_p).max() < solver_module.TOL
+                and np.abs(b_minus_q).max() < solver_module.TOL
                 and rho_now > top_sq):
             trace = state.objective_trace
             if len(trace) >= solver_module.OBJECTIVE_WINDOW:
                 tail = trace[-solver_module.OBJECTIVE_WINDOW:]
-                if (max(tail) - min(tail)) < cfg.tol * (1.0 + abs(trace[-1])):
+                if (max(tail) - min(tail)) < solver_module.TOL * (1.0 + abs(trace[-1])):
                     converged = True
                     break
     return solver_module._extract(state, z, cfg, converged), residuals

@@ -21,17 +21,46 @@ def run(argv):
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["synth", "--kind", "images", "--out", "x", "--bogus"]) == 1
     assert "usage error" in capsys.readouterr().err
-    # the penalty schedule is derived from the data: no flag sets its ends
+    # the penalty schedule and the stopping rule are fixed: no flag sets them
     for command in (["compress-images", "x.pgm", "--out", "x", "--k", "2", "--gamma", "1"],
                     ["compress-mesh", "x.off", "--out", "x", "--k", "2", "--gamma", "1"],
                     ["rd-sweep", "--kind", "images", "--csv", "x.csv"]):
-        for flag in ("--rho0", "--rho-max"):
-            assert run(command + [flag, "1"]) == 1
-            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        for flag, value in (("--rho0", "1"), ("--rho-max", "1"), ("--tol", "1e-6"),
+                            ("--max-iters", "5")):
+            assert run(command + [flag, value]) == 1
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():
     assert run([]) == 1
+
+
+def test_nan_flag_values_are_usage_errors(tmp_path, capsys):
+    src = tmp_path / "in"
+    assert run(["synth", "--kind", "images", "--out", str(src),
+                "--w", "8", "--h", "8", "--n", "6", "--rank", "2"]) == 0
+    compress = ["compress-images", str(src), "--out", str(tmp_path / "c.slrm"), "--k", "2"]
+    for flags in (["--gamma", "nan"], ["--gamma", "1", "--alpha", "nan"]):
+        assert run(compress + flags) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
+def test_synth_mesh_too_few_vertices_is_usage_error(tmp_path, capsys):
+    for m in ("2", "3"):
+        assert run(["synth", "--kind", "mesh", "--out", str(tmp_path / m), "--m", m]) == 1
+        assert "need at least 4 vertices" in capsys.readouterr().err
+
+
+def test_solver_blow_up_is_not_converged_exit_code(tmp_path, capsys):
+    # sigma_1 ~ 1e155: sigma_1^2 overflows, so the solve stops before its first sweep
+    seq = synth_mesh_seq(16, 8, seed=1)
+    scaled = dataclasses.replace(seq, xx=seq.xx * 1e153, xy=seq.xy * 1e153,
+                                 xz=seq.xz * 1e153)
+    save_mesh_sequence(scaled, tmp_path / "seq")
+    assert run(["compress-mesh", str(tmp_path / "seq"), "--out", str(tmp_path / "c.slrm"),
+                "--k", "2", "--target-pb", "0.5"]) == 3
+    assert capsys.readouterr().err == (
+        "not converged: solver did not converge within 0 iterations\n")
 
 
 def test_synth_images_deterministic(tmp_path):

@@ -167,6 +167,13 @@ def test_synth_mesh_connected_and_valid():
     assert seq.xx.shape == (64, 8)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_synth_mesh_rejects_too_few_vertices(m):
+    # the static shape reads harmonics 1 to 3
+    with pytest.raises(ValueError, match="at least 4 vertices"):
+        synth_mesh_seq(m, 4)
+
+
 def test_grid_strip_prime_vertex_count():
     rows, cols, faces = grid_strip_faces(13)
     from slrma.transforms import mesh_adjacency

@@ -457,6 +457,24 @@ def test_state_initialization():
     assert state.rho == 2.0
 
 
+@pytest.mark.parametrize("fields", [
+    dict(gamma=-0.5), dict(gamma=float("nan")), dict(k=0), dict(alpha=1.0),
+    dict(alpha=float("nan")), dict(target_pb=1.0), dict(target_pb=float("nan")),
+], ids=["gamma-negative", "gamma-nan", "k-zero", "alpha-one", "alpha-nan",
+        "target-one", "target-nan"])
+def test_solver_config_rejects_bad_values(fields):
+    with pytest.raises(ValueError):
+        SolverConfig(**{"gamma": 1.0, "k": 2, **fields})
+
+
+@pytest.mark.parametrize("name", ["tol", "max_iters", "rho0"])
+def test_solver_dict_names_only_alpha(name):
+    # the stopping rule and the penalty schedule are fixed: no setting names them
+    params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=1.0, solver={name: 5})
+    with pytest.raises(TypeError):
+        params.solver_config(gamma=1.0)
+
+
 @pytest.mark.parametrize("target", [None, 0.6], ids=["gamma", "target"])
 def test_every_solve_starts_from_the_top_singular_vectors(monkeypatch, target):
     starts = []

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from slrma import codec, sweep
+from slrma import codec, solver, sweep
 from slrma.codec import (
     CodecParams,
     compress_image_set,
@@ -49,7 +49,7 @@ def one_shot_compress(data, params):
     return compress_mesh_seq(data.xx, data.xy, data.xz, data.faces, params)
 
 
-def test_rd_sweep_single_point_matches_standalone():
+def test_rd_sweep_single_point_matches_standalone(monkeypatch):
     # The sweep encodes its one factorization per target at every step pair;
     # a one-shot compress with the row's target must give the same container
     # size and distortion, or the same error.
@@ -57,35 +57,38 @@ def test_rd_sweep_single_point_matches_standalone():
     mesh = synth_mesh_seq(16, 8, seed=1)
     two_steps = ((0.008, 2.0), (0.004, 1.0))
     cases = [
-        (images, SweepGrid(ks=(3,), pb_targets=(0.3,), steps=two_steps)),
+        (images, SweepGrid(ks=(3,), pb_targets=(0.3,), steps=two_steps),
+         solver.MAX_ITERS),
         (mesh, SweepGrid(ks=(2,), pb_targets=(0.5,), steps=two_steps,
-                         solver={"alpha": 1.02})),
-        # the solve stops at max_iters: a NotConvergedError row
+                         solver={"alpha": 1.02}), solver.MAX_ITERS),
+        # the solve stops after 5 sweeps: a NotConvergedError row
         (mesh, SweepGrid(ks=(2,), pb_targets=(0.5,), steps=((0.004, 1.0),),
-                         solver={"alpha": 1.02, "max_iters": 5})),
+                         solver={"alpha": 1.02}), 5),
     ]
     errors = 0
-    for data, grid in cases:
-        rows, _ = rd_sweep(data, grid)
-        for row in rows:
-            params = CodecParams(k=row.k, step_b=row.step_b, step_c=row.step_c,
-                                 transform=grid.transform, levels=grid.levels,
-                                 target_pb=row.p_b_target, solver=dict(grid.solver))
-            if row.error:
-                errors += 1
-                with pytest.raises(NotConvergedError) as info:
-                    one_shot_compress(data, params)
-                assert row.error == f"NotConvergedError: {info.value}"
-                continue
-            blob = one_shot_compress(data, params)
-            assert row.bits == 8 * len(blob)
-            if isinstance(data, ImageSet):
-                x_hat, _, _ = decompress_image_set(blob)
-                assert row.rmse == rmse(data.x, x_hat)
-            else:
-                hx, hy, hz = decompress_mesh_seq(blob, data.faces)
-                assert row.kg_error == kg_error(data.xx, data.xy, data.xz,
-                                                hx, hy, hz)
+    for data, grid, max_iters in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "MAX_ITERS", max_iters)
+            rows, _ = rd_sweep(data, grid)
+            for row in rows:
+                params = CodecParams(k=row.k, step_b=row.step_b, step_c=row.step_c,
+                                     transform=grid.transform, levels=grid.levels,
+                                     target_pb=row.p_b_target, solver=dict(grid.solver))
+                if row.error:
+                    errors += 1
+                    with pytest.raises(NotConvergedError) as info:
+                        one_shot_compress(data, params)
+                    assert row.error == f"NotConvergedError: {info.value}"
+                    continue
+                blob = one_shot_compress(data, params)
+                assert row.bits == 8 * len(blob)
+                if isinstance(data, ImageSet):
+                    x_hat, _, _ = decompress_image_set(blob)
+                    assert row.rmse == rmse(data.x, x_hat)
+                else:
+                    hx, hy, hz = decompress_mesh_seq(blob, data.faces)
+                    assert row.kg_error == kg_error(data.xx, data.xy, data.xz,
+                                                    hx, hy, hz)
     assert errors == 1
 
 
