@@ -67,20 +67,6 @@ class CodecParams:
         return SolverConfig(k=self.k, **fields, **overrides)
 
 
-def factor_quantization_bound(basis, coeffs, step_b, step_c):
-    """Frobenius bound on the product perturbation from quantizing factors.
-
-    With |dB| <= step_b/2 and |dC| <= step_c/2 elementwise and orthonormal
-    B: ||B^C^ - BC||_F <= ||dB||_F ||C||_2 + ||dC||_F + ||dB||_F ||dC||_F.
-    """
-    m, k = basis.shape
-    n = coeffs.shape[1]
-    db = np.sqrt(m * k) * step_b / 2.0
-    dc = np.sqrt(k * n) * step_c / 2.0
-    c_spec = np.linalg.norm(coeffs, 2)
-    return db * c_spec + dc + db * dc
-
-
 @dataclass(frozen=True)
 class Transforms:
     """The bases one container names; see `image_transforms`, `mesh_transforms`."""

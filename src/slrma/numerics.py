@@ -95,16 +95,3 @@ def kronecker(a, b, max_elements=KRON_ELEMENT_BUDGET):
         )
     return np.kron(a, b)
 
-
-def shifted_gram_apply(u, rho, coeff_col, m_rhs):
-    """Solve (2*rho*I - 2*Z*Z^T) W = M without forming the m-by-m system.
-
-    With Z = U diag(s) V^T (any thin SVD, so Z may be tall, square or wide)
-    this is
-
-        W = M/(2 rho) + U [diag(1/(2 rho - 2 s_i^2)) - I/(2 rho)] U^T M,
-
-    O(mnk) instead of O(m^3). `u` is U and `coeff_col` the diagonal of the
-    bracket as an r x 1 column. Nothing is validated.
-    """
-    return m_rhs / (2.0 * rho) + u @ (coeff_col * (u.T @ m_rhs))

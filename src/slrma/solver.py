@@ -9,7 +9,8 @@ value, and grows by `alpha` up to ANCHOR_RHO_MAX sigma_1^2. A solve for a
 sparsity target instead constrains ||B||_0 to a fixed count: its P step
 projects onto that l0 ball. The output basis is Q orthonormalized on P's
 support; a solve whose basis is not orthonormal to rounding is not
-converged.
+converged. The iterate (B, P, Q, the multipliers, rho) lives in the
+loop's locals, and each step takes and returns plain arrays.
 
 A sweep computes only what decides the solve. The residual of the B
 system, (2 rho I - 2 Z Z^T) B = rhs, changes no iterate, so the loop does
@@ -19,14 +20,12 @@ bit to this loop, checks it on every sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergenceError
 from .numerics import (
     as_matrix,
-    shifted_gram_apply,
     sym_eig,  # noqa: F401 -- no longer called here; perfbench traces it by this name
     thin_svd,
 )
@@ -73,18 +72,6 @@ class SolverConfig:
             raise ValueError("target_pb must lie in [0, 1)")
 
 
-@dataclass
-class SolverState:
-    b: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    y_p: np.ndarray
-    y_q: np.ndarray
-    rho: float
-    iter: int = 0
-    objective_trace: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class Factorization:
     basis: np.ndarray            # m x k, sparse, column-orthonormal
@@ -92,7 +79,6 @@ class Factorization:
     p_b_achieved: float          # exact-zero fraction of basis
     iterations: int
     converged: bool
-    final_objective: float
     objective_trace: tuple = ()
 
 
@@ -102,28 +88,24 @@ def objective(ztb, b, gamma):
     return float(-np.sum(ztb**2) + gamma * np.count_nonzero(b))
 
 
-def init_state(start, rho):
-    """B = P = Q = the m x k `start`, zero multipliers, penalty `rho`."""
-    zeros = np.zeros(start.shape)
-    return SolverState(b=start.copy(), p=start.copy(), q=start.copy(),
-                       y_p=zeros, y_q=zeros.copy(), rho=rho)
-
-
 def kept_entries(target_pb, m, k):
     """Nonzero entries of an m x k basis at zero fraction `target_pb`, rounded."""
     return int(round((1.0 - target_pb) * m * k))
 
 
-def update_b(state: SolverState, u, rhs, coeff):
+def update_b(u, coeff, rho, rhs):
     """Solve (2 rho I - 2 Z Z^T) B = rhs, rhs = rho (P + Q) - Y_P - Y_Q.
 
-    `u` is U of the thin SVD of Z and `coeff` the sweep's r x 1 shift
-    coefficients 1/(2 rho - 2 s_i^2) - 1/(2 rho); nothing is validated.
+    With Z = U diag(s) V^T (any thin SVD, so Z may be tall, square or wide)
+    B = rhs/(2 rho) + U [diag(1/(2 rho - 2 s_i^2)) - I/(2 rho)] U^T rhs, in
+    O(mnk) instead of O(m^3) and without forming the m x m system. `u` is U
+    and `coeff` the diagonal of the bracket as an r x 1 column. Nothing is
+    validated.
     """
-    return shifted_gram_apply(u, state.rho, coeff, rhs)
+    return rhs / (2.0 * rho) + u @ (coeff * (u.T @ rhs))
 
 
-def update_p(state: SolverState, cfg: SolverConfig):
+def update_p(b, y_p, rho, cfg: SolverConfig):
     """P step on A = B + Y_P/rho.
 
     By default the hard threshold at tau = sqrt(2 gamma / rho). With
@@ -133,9 +115,9 @@ def update_p(state: SolverState, cfg: SolverConfig):
     partition in O(mk). A kept entry may be zero, so P has at most
     `kept_entries` nonzero entries, and exactly that many when A has.
     """
-    shifted = state.b + state.y_p / state.rho
+    shifted = b + y_p / rho
     if cfg.target_pb is None:
-        tau = np.sqrt(2.0 * cfg.gamma / state.rho)
+        tau = np.sqrt(2.0 * cfg.gamma / rho)
         return np.where(np.abs(shifted) > tau, shifted, 0.0)
     keep = kept_entries(cfg.target_pb, *shifted.shape)
     mags = np.abs(shifted).ravel()
@@ -148,14 +130,14 @@ def update_p(state: SolverState, cfg: SolverConfig):
     return np.where(kept.reshape(shifted.shape), shifted, 0.0)
 
 
-def update_q(state: SolverState):
+def update_q(b, y_q, rho):
     """Nearest column-orthonormal matrix to A = B + Y_Q/rho: A's polar factor.
 
     With A^T A = V D V^T well conditioned this is the closed form
     A V D^(-1/2) V^T; once A has lost column rank (smallest eigenvalue at
     most 1e-12 of the largest) it is U V^T from A's thin SVD, which is
     defined for any input. Raises FloatingPointError when A^T A overflows
-    and NoConvergenceError when `eigh` or the SVD fails.
+    and LinAlgError when `eigh` or the SVD fails.
 
     The Gram matrix is symmetric by construction, so `eigh` runs on it
     directly, without `sym_eig`'s symmetry check and sign convention: the
@@ -164,48 +146,31 @@ def update_q(state: SolverState):
     fancy-index copy, because the order of V's columns sets the summation
     order of that product.
     """
-    shifted = state.b + state.y_q / state.rho
+    shifted = b + y_q / rho
     gram = shifted.T @ shifted
     if not np.isfinite(gram).all():
         raise FloatingPointError("orthogonality projection input overflowed")
-    try:
-        values, vectors = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    values, vectors = np.linalg.eigh(gram)
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
     if values[-1] > 1e-12 * max(values[0], 1e-300):
         inv_sqrt = vectors * (values**-0.5)
         return shifted @ (inv_sqrt @ vectors.T)
-    try:
-        u, _, vt = np.linalg.svd(shifted, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    u, _, vt = np.linalg.svd(shifted, full_matrices=False)
     return u @ vt
 
 
-def update_multipliers(state: SolverState, b_minus_p, b_minus_q, alpha, ceiling):
-    """Y_P += rho (B - P); Y_Q += rho (B - Q); rho <- min(rho*alpha, ceiling).
+def update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q):
+    """(Y_P + rho (B - P), Y_Q + rho (B - Q)), as new arrays.
 
     `b_minus_p` and `b_minus_q` are B - P and B - Q, which the solver loop
-    has already formed for its residuals. Returns a new state and leaves the
-    input untouched; the new state shares the input's B, P, Q and objective
-    trace.
+    has already formed for its residuals.
     """
-    return SolverState(
-        b=state.b,
-        p=state.p,
-        q=state.q,
-        y_p=state.y_p + state.rho * b_minus_p,
-        y_q=state.y_q + state.rho * b_minus_q,
-        rho=min(state.rho * alpha, ceiling),
-        iter=state.iter + 1,
-        objective_trace=state.objective_trace,
-    )
+    return y_p + rho * b_minus_p, y_q + rho * b_minus_q
 
 
-def _extract(state: SolverState, z, cfg: SolverConfig, converged):
+def _extract(p, q, z, cfg: SolverConfig, iterations, converged, objectives):
     """Assemble the output factor: Q orthonormalized on P's support.
 
     Column j is Q's column j on the rows where P's column j is nonzero, less
@@ -214,12 +179,12 @@ def _extract(state: SolverState, z, cfg: SolverConfig, converged):
     projection holds to rounding ("twice is enough"); a column with nothing
     left stays zero. A basis over 1e-10 from orthonormal is not converged.
     """
-    support = state.p != 0.0
-    basis = np.zeros_like(state.q)
+    support = p != 0.0
+    basis = np.zeros_like(q)
     for j in range(cfg.k):
         rows = support[:, j]
         earlier = basis[rows, :j]
-        v = state.q[rows, j]
+        v = q[rows, j]
         for _ in range(2):
             v = v - earlier @ np.linalg.lstsq(earlier, v)[0]
         norm = np.linalg.norm(v)
@@ -233,10 +198,9 @@ def _extract(state: SolverState, z, cfg: SolverConfig, converged):
         basis=basis,
         coeffs=coeffs,
         p_b_achieved=float(p_b),
-        iterations=state.iter,
+        iterations=iterations,
         converged=converged,
-        final_objective=objective(z.T @ basis, basis, cfg.gamma),
-        objective_trace=tuple(state.objective_trace),
+        objective_trace=tuple(objectives),
     )
 
 
@@ -245,8 +209,8 @@ def slrma_solve(z, cfg: SolverConfig):
 
     Stops once the split residuals ||B-P|| and ||B-Q|| are below TOL in the
     max norm and the objective has been flat over the trailing window. Runs
-    that exhaust MAX_ITERS, or whose iterate overflows, return
-    converged=False with diagnostics intact.
+    that exhaust MAX_ITERS, whose iterate overflows, or whose Q step LAPACK
+    fails to decompose, return converged=False with diagnostics intact.
 
     Every solve starts from the top-k left singular vectors of Z, on the
     penalty schedule anchored at sigma_1^2 of Z. That schedule keeps rho
@@ -266,7 +230,6 @@ def slrma_solve(z, cfg: SolverConfig):
         if keep < cfg.k:  # some column of B would have no entry
             raise ValueError(f"p_B {cfg.target_pb} leaves {keep} entries for k={cfg.k}")
     svd = thin_svd(z)
-    converged = False
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
     # the objective, so numpy's warnings on the way there say nothing new:
     # overflow (sigma^2 of data near the top of the float range, or rho),
@@ -277,39 +240,41 @@ def slrma_solve(z, cfg: SolverConfig):
         top_sq = float(svd.sigma[0] ** 2)
         anchor = top_sq if top_sq > 0.0 else 1.0  # an all-zero Z has no scale
         ceiling = ANCHOR_RHO_MAX * anchor
-        state = init_state(svd.u[:, :cfg.k], ANCHOR_RHO0 * anchor)
+        rho = ANCHOR_RHO0 * anchor
+        # no step writes into its inputs, so the iterate shares its arrays
+        p = q = svd.u[:, :cfg.k]
+        y_p = y_q = np.zeros(p.shape)
+        objectives = []  # one per completed sweep
+        converged = False
         try:
-            while state.iter < MAX_ITERS:
-                prev_p, prev_q = state.p, state.q
-                rho = state.rho
+            while len(objectives) < MAX_ITERS:
                 coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
-                rhs = rho * (state.p + state.q) - state.y_p - state.y_q
-                state.b = update_b(state, svd.u, rhs, coeff)
-                if not np.isfinite(state.b).all():
+                b = update_b(svd.u, coeff, rho, rho * (p + q) - y_p - y_q)
+                if not np.isfinite(b).all():
                     raise FloatingPointError("B overflowed")
-                state.p = update_p(state, cfg)
-                state.q = update_q(state)
-                value = objective(z.T @ state.b, state.b, cfg.gamma)
+                new_p = update_p(b, y_p, rho, cfg)
+                new_q = update_q(b, y_q, rho)
+                value = objective(z.T @ b, b, cfg.gamma)
                 if not np.isfinite(value):
                     raise FloatingPointError("objective overflowed")
-                state.objective_trace.append(value)
-                b_minus_p = state.b - state.p
-                b_minus_q = state.b - state.q
-                state = update_multipliers(state, b_minus_p, b_minus_q, cfg.alpha, ceiling)
+                p, q = new_p, new_q
+                objectives.append(value)
+                b_minus_p = b - p
+                b_minus_q = b - q
+                y_p, y_q = update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q)
+                rho = min(rho * cfg.alpha, ceiling)
                 if np.abs(b_minus_p).max() < TOL and np.abs(b_minus_q).max() < TOL:
-                    trace = state.objective_trace
-                    if len(trace) >= OBJECTIVE_WINDOW:
-                        tail = trace[-OBJECTIVE_WINDOW:]
-                        flat = (max(tail) - min(tail)) < TOL * (1.0 + abs(trace[-1]))
-                        if flat:
+                    if len(objectives) >= OBJECTIVE_WINDOW:
+                        tail = objectives[-OBJECTIVE_WINDOW:]
+                        if max(tail) - min(tail) < TOL * (1.0 + abs(objectives[-1])):
                             converged = True
                             break
-        except FloatingPointError:
-            # Numerical blow-up (data whose scale puts sigma_1^2 or rho out
-            # of floating-point range); report the last sane iterate.
-            state.p, state.q = prev_p, prev_q
-            return _extract(state, z, cfg, False)
-    return _extract(state, z, cfg, converged)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            # A blow-up (data whose scale puts sigma_1^2 or rho out of
+            # floating-point range) or a LAPACK failure in the Q step: the
+            # solve reports the last sane iterate, not converged.
+            pass
+    return _extract(p, q, z, cfg, len(objectives), converged, objectives)
 
 
 def gamma_for_sparsity(z, cfg: SolverConfig, target_pb):

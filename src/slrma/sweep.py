@@ -137,7 +137,13 @@ def _measure(row, dataset, blob):
 
 
 def rd_sweep(dataset, grid: SweepGrid):
-    """Evaluate the full grid; returns (rows, pareto front rows)."""
+    """Evaluate the full grid; returns (rows, pareto front rows). Every
+    target and step is checked, by ValueError, before the first solve."""
+    if not all(0.0 <= pb < 1.0 for pb in grid.pb_targets):
+        raise ValueError(f"p_B targets {grid.pb_targets} must lie in [0, 1)")
+    if not all(len(pair) == 2 and all(0.0 < step < np.inf for step in pair)
+               for pair in grid.steps):
+        raise ValueError(f"steps {grid.steps} must be positive, finite pairs")
     if isinstance(dataset, ImageSet):
         transform = grid.transform
         transforms = image_transforms(*image_kind(transform, grid.levels,

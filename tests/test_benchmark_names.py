@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from slrma.datasets import synth_mesh_seq
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -42,3 +44,18 @@ def test_traced_sweep_records_a_decompress():
         rows, _ = sweep.rd_sweep(seq, grid)
     assert not rows[0].error
     assert any(span.name == "codec.decompress" for span in tracer.spans)
+
+
+def test_traced_solve_records_every_solver_step():
+    # a traced name that the loop no longer calls would read 0 in its
+    # per-layer metric; one small solve must record a span of each step
+    solver = importlib.import_module("slrma.solver")
+    tracing = load_tracing()
+    z = np.random.default_rng(0).normal(size=(12, 6))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, tracing.LAYERS):
+        solver.slrma_solve(z, solver.SolverConfig(gamma=0.5, k=2))
+    recorded = {span.name for span in tracer.spans}
+    steps = {"solver.update_b", "solver.update_p", "solver.update_q",
+             "solver.objective", "solver.multipliers"}
+    assert steps <= recorded

@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from slrma import codec, sweep
+from slrma import codec, solver, sweep
 from slrma.cli import cli_main
 from slrma.container import pack_container, unpack_container
 from slrma.datasets import (
@@ -12,6 +13,7 @@ from slrma.datasets import (
     synth_mesh_seq,
 )
 from slrma.metrics import psnr, rmse
+from slrma.solver import slrma_solve
 
 
 def run(argv):
@@ -61,6 +63,46 @@ def test_solver_blow_up_is_not_converged_exit_code(tmp_path, capsys):
                 "--k", "2", "--target-pb", "0.5"]) == 3
     assert capsys.readouterr().err == (
         "not converged: solver did not converge within 0 iterations\n")
+
+
+def test_lapack_failure_in_a_solve_is_not_converged_exit_code(tmp_path, capsys,
+                                                              monkeypatch):
+    src = tmp_path / "in"
+    assert run(["synth", "--kind", "images", "--out", str(src),
+                "--w", "8", "--h", "8", "--n", "12", "--rank", "2", "--seed", "3"]) == 0
+    eigh = np.linalg.eigh
+
+    def no_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", no_eigh)
+        assert run(["compress-images", str(src), "--out", str(tmp_path / "c.slrm"),
+                    "--k", "4", "--gamma", "50"]) == 3
+    assert np.linalg.eigh is eigh
+    assert capsys.readouterr().err == (
+        "not converged: solver did not converge within 0 iterations\n")
+    assert not (tmp_path / "c.slrm").exists()
+
+
+@pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"]],
+                         ids=["target", "step"])
+def test_rd_sweep_checks_the_whole_grid_before_any_solve(tmp_path, capsys,
+                                                         monkeypatch, flags):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return slrma_solve(*args, **kwargs)
+
+    for module in (codec, solver):
+        monkeypatch.setattr(module, "slrma_solve", counted)
+    csv_path = tmp_path / "sweep.csv"
+    assert run(["rd-sweep", "--kind", "images", "--ks", "2,4", "--pbs", "0.3",
+                "--steps", "0.008:4", "--csv", str(csv_path)] + flags) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert solves == []
+    assert not csv_path.exists()
 
 
 def test_synth_images_deterministic(tmp_path):

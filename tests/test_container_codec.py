@@ -14,7 +14,6 @@ from slrma.codec import (
     compress_mesh_seq,
     decompress_image_set,
     decompress_mesh_seq,
-    factor_quantization_bound,
 )
 from slrma.container import (
     ContainerHeader,
@@ -39,6 +38,20 @@ from slrma.transforms import dct1d, dct2d, graph_transform, mesh_adjacency
 
 IMAGE_PARAMS = CodecParams(k=4, step_b=0.002, step_c=0.5, transform="dct",
                            gamma=50.0)
+
+
+def factor_quantization_bound(basis, coeffs, step_b, step_c):
+    """Frobenius bound on the product perturbation from quantizing factors.
+
+    With |dB| <= step_b/2 and |dC| <= step_c/2 elementwise and orthonormal
+    B: ||B^C^ - BC||_F <= ||dB||_F ||C||_2 + ||dC||_F + ||dB||_F ||dC||_F.
+    """
+    m, k = basis.shape
+    n = coeffs.shape[1]
+    db = np.sqrt(m * k) * step_b / 2.0
+    dc = np.sqrt(k * n) * step_c / 2.0
+    c_spec = np.linalg.norm(coeffs, 2)
+    return db * c_spec + dc + db * dc
 
 
 def small_image_set():
