@@ -9,12 +9,17 @@ before quantization to squeeze temporal coherence.
 Compression runs in two stages. `factor` solves every stream once;
 `encode` quantizes, entropy-codes and packs a factorization at given
 quantizer steps, so one factorization can serve many steps (the RD sweep
-does this). `image_transforms` and `mesh_transforms` build every basis.
+does this). `image_transforms` and `mesh_transforms` build every basis;
+`slrma.transforms` caches the bases and `_connectivity` a mesh's graph and
+digest. A header sizes nothing before it is bounded: an image basis by the
+Kronecker budget, the frame DCT and each payload by `MAX_CELLS`, and the
+vertex count by the vertices the faces touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .container import (
 )
 from .entropy import MAX_CELLS, entropy_decode, entropy_encode
 from .errors import (
+    BadLevelsError,
     CorruptStreamError,
     DigestMismatchError,
     NotConvergedError,
@@ -37,6 +43,7 @@ from .numerics import as_matrix
 from .quant import dequantize, quantize
 from .solver import SolverConfig, gamma_for_sparsity, slrma_solve
 from .transforms import (
+    BASES_KEPT,
     KIND_DCT2D,
     KIND_DWT2D,
     OrthogonalTransform,
@@ -100,14 +107,25 @@ def image_transforms(kind, params):
     raise ValueError(f"unsupported image transform kind {kind!r}")
 
 
+@lru_cache(maxsize=BASES_KEPT, typed=True)
+def _connectivity(faces, m):
+    """(graph, digest) of an m-vertex mesh whose faces are a tuple of tuples:
+    per-mesh state, derived once while among the last `BASES_KEPT` face
+    lists. A face list that raises is not cached."""
+    graph = mesh_adjacency(faces, m)
+    return graph, connectivity_digest(m, graph.edges)
+
+
 def mesh_transforms(faces, m, n, digest=None):
     """Graph basis of an m-vertex mesh and the 1D DCT along its n frames.
 
-    A container's `digest` is checked against the faces before the O(m^3)
-    eigenbasis is built.
+    The faces may be tuples, lists or an int array; their graph and digest
+    come from `_connectivity`, keyed by content. A container's `digest` is
+    checked on every call, before the O(m^3) eigenbasis is built.
     """
-    graph = mesh_adjacency(faces, m)
-    found = connectivity_digest(m, graph.edges)
+    if isinstance(faces, np.ndarray):  # python ints hash faster than numpy scalars
+        faces = faces.tolist()
+    graph, found = _connectivity(tuple(map(tuple, faces)), m)
     if digest is not None and digest != found:
         raise DigestMismatchError("connectivity does not match the container")
     return Transforms(PIPELINE_MESH, graph_transform(graph), dct1d(n), found)
@@ -226,7 +244,10 @@ def decompress_image_set(blob):
     w, h = params[:2]
     if header.m != w * h:
         raise CorruptStreamError(f"m={header.m} but the images hold w*h={w * h} pixels")
-    transforms = image_transforms(header.transform_kind, params)
+    try:
+        transforms = image_transforms(header.transform_kind, params)
+    except (BadLevelsError, SizeOverflowError) as exc:  # no encoder writes these
+        raise CorruptStreamError(str(exc)) from exc
     (x_hat,) = _decode(transforms, header, payloads)
     return x_hat, w, h
 

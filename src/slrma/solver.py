@@ -93,6 +93,19 @@ def kept_entries(target_pb, m, k):
     return int(round((1.0 - target_pb) * m * k))
 
 
+def check_rank(m, n, k, target_pb=None):
+    """Raise ValueError unless a rank-k solve of an m x n Z can start: k in
+    [1, min(m, n)], and a `target_pb` that leaves every column of B an entry.
+    `slrma_solve` checks this before its SVD, and `rd_sweep` for every grid
+    point before its first solve."""
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"k={k} outside [1, {min(m, n)}]")
+    if target_pb is not None:
+        keep = kept_entries(target_pb, m, k)
+        if keep < k:  # some column of B would have no entry
+            raise ValueError(f"p_B {target_pb} leaves {keep} entries for k={k}")
+
+
 def update_b(u, coeff, rho, rhs):
     """Solve (2 rho I - 2 Z Z^T) B = rhs, rhs = rho (P + Q) - Y_P - Y_Q.
 
@@ -222,13 +235,7 @@ def slrma_solve(z, cfg: SolverConfig):
     there as a blow-up.
     """
     z = as_matrix(z, "Z")
-    m, n = z.shape
-    if not 1 <= cfg.k <= min(m, n):
-        raise ValueError(f"k={cfg.k} outside [1, {min(m, n)}]")
-    if cfg.target_pb is not None:
-        keep = kept_entries(cfg.target_pb, m, cfg.k)
-        if keep < cfg.k:  # some column of B would have no entry
-            raise ValueError(f"p_B {cfg.target_pb} leaves {keep} entries for k={cfg.k}")
+    check_rank(*z.shape, cfg.k, cfg.target_pb)
     svd = thin_svd(z)
     # A blow-up is caught by the finiteness checks on B, the Gram matrix and
     # the objective, so numpy's warnings on the way there say nothing new:

@@ -29,6 +29,7 @@ from .codec import (
 from .datasets import ImageSet
 from .errors import InfinitePsnrError, SlrmaError
 from .metrics import bits_per_frame_vertex, bits_per_pixel, kg_error, psnr, rmse
+from .solver import check_rank
 
 # Not called here: perfbench/tracing.py resolves these names in this module.
 from .codec import compress_image_set, compress_mesh_seq  # noqa: F401
@@ -138,7 +139,8 @@ def _measure(row, dataset, blob):
 
 def rd_sweep(dataset, grid: SweepGrid):
     """Evaluate the full grid; returns (rows, pareto front rows). Every
-    target and step is checked, by ValueError, before the first solve."""
+    target, step and (k, target) pair is checked, by ValueError, before the
+    first solve."""
     if not all(0.0 <= pb < 1.0 for pb in grid.pb_targets):
         raise ValueError(f"p_B targets {grid.pb_targets} must lie in [0, 1)")
     if not all(len(pair) == 2 and all(0.0 < step < np.inf for step in pair)
@@ -154,6 +156,10 @@ def rd_sweep(dataset, grid: SweepGrid):
         transform = "gt"
         transforms = mesh_transforms(dataset.faces, dataset.m, dataset.n)
         data = [dataset.xx, dataset.xy, dataset.xz]
+    m, n = data[0].shape  # every stream's Z has the shape of its data
+    for k in grid.ks:
+        for pb in grid.pb_targets:
+            check_rank(m, n, k, pb)
     rows = []
     for k in grid.ks:
         for pb in grid.pb_targets:

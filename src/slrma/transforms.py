@@ -15,6 +15,10 @@ each keep their last `BASES_KEPT` bases in a `functools.lru_cache`, so
 repeated compress and decompress calls on one shape build each basis once.
 A cached basis is shared by every caller, so its matrix is read-only; the
 uncached build stays reachable as the builder's `__wrapped__`.
+
+Sizes can come from a container header, so each is bounded before it is
+allocated for: `dct2d`/`dwt2d` by KRON_ELEMENT_BUDGET, `haar1d`'s levels by
+m's bit length, and `GraphSpec.is_connected` by the vertices edges touch.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadLevelsError, DisconnectedError
-from .numerics import kronecker, sym_eig
+from .errors import BadLevelsError, DisconnectedError, SizeOverflowError
+from .numerics import KRON_ELEMENT_BUDGET, kronecker, sym_eig
 
 KIND_IDENTITY = "identity"
 KIND_DCT1D = "dct1d"
@@ -76,11 +80,15 @@ class GraphSpec:
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def is_connected(self):
+        """Whether a walk from vertex 0 reaches every vertex; "no", sizing
+        nothing by `vertex_count`, when the edges touch fewer vertices."""
         m = self.vertex_count
         if m == 0:
             return False
         if m == 1:
             return True
+        if len({v for edge in self.edges for v in edge}) < m:
+            return False
         adj = [[] for _ in range(m)]
         for a, b in self.edges:
             adj[a].append(b)
@@ -142,7 +150,9 @@ def haar1d(m, levels):
         raise ValueError("m must be positive")
     if levels < 1:
         raise BadLevelsError(f"levels={levels} is below 1")
-    if m % (1 << levels) != 0:
+    # 2^levels divides m >= 1 only if it is at most m; the guard keeps a
+    # header's u32 `levels` from sizing the integer 1 << levels
+    if levels >= int(m).bit_length() or m % (1 << levels) != 0:
         raise BadLevelsError(f"m={m} not divisible by 2^{levels}")
     analysis = np.eye(m)
     size = m
@@ -154,9 +164,18 @@ def haar1d(m, levels):
     return OrthogonalTransform(analysis.T, KIND_DWT1D, (m, levels))
 
 
+def _check_2d_size(w, h):
+    """Refuse a w x h image basis whose (w*h)^2 elements exceed the Kronecker
+    budget, before either 1D basis is built."""
+    if (w * h) ** 2 > KRON_ELEMENT_BUDGET:
+        raise SizeOverflowError(f"a {w} x {h} image basis would hold {(w * h) ** 2} "
+                                f"elements (budget {KRON_ELEMENT_BUDGET})")
+
+
 @lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct2d(w, h):
     """2D DCT for h x w images under column-major vectorization."""
+    _check_2d_size(w, h)
     mat = kronecker(dct1d(w).matrix, dct1d(h).matrix)
     return OrthogonalTransform(_read_only(mat), KIND_DCT2D, (w, h))
 
@@ -164,6 +183,7 @@ def dct2d(w, h):
 @lru_cache(maxsize=BASES_KEPT, typed=True)
 def dwt2d(w, h, levels):
     """Separable 2D Haar wavelet basis; both sides must support `levels`."""
+    _check_2d_size(w, h)
     mat = kronecker(haar1d(w, levels).matrix, haar1d(h, levels).matrix)
     return OrthogonalTransform(_read_only(mat), KIND_DWT2D, (w, h, levels))
 

@@ -85,8 +85,9 @@ def test_lapack_failure_in_a_solve_is_not_converged_exit_code(tmp_path, capsys,
     assert not (tmp_path / "c.slrm").exists()
 
 
-@pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"]],
-                         ids=["target", "step"])
+@pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"],
+                                   ["--ks", "2,40"], ["--ks", "8", "--pbs", "0.999"]],
+                         ids=["target", "step", "k", "k-target"])
 def test_rd_sweep_checks_the_whole_grid_before_any_solve(tmp_path, capsys,
                                                          monkeypatch, flags):
     solves = []

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slrma.codec
+import slrma.transforms
 from slrma.codec import (
     CodecParams,
     compress_image_set,
@@ -28,6 +30,7 @@ from slrma.errors import (
     BadMagicError,
     CorruptStreamError,
     DigestMismatchError,
+    DisconnectedError,
     SizeOverflowError,
     VersionUnsupportedError,
 )
@@ -156,6 +159,58 @@ def test_decoder_rejects_a_header_too_large_to_decode(image_container):
         decompress_image_set(with_header(image_container, n=2**32 - 1))
 
 
+def traced_peak(fn):
+    """Peak bytes traced by `tracemalloc` while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def no_basis(*args):
+    raise AssertionError(f"built a 1D basis for {args}")
+
+
+@pytest.mark.parametrize("transform, params", [
+    ("dct", (8193, 1)), ("dct", (1, 8193)), ("dct", (16384, 1)), ("dwt", (16384, 1, 3)),
+], ids=["dct-8193x1", "dct-1x8193", "dct-16384x1", "dwt-16384x1"])
+def test_image_basis_size_is_bounded_before_any_basis(image_container, monkeypatch,
+                                                      transform, params):
+    # (w*h)^2 above the 2^26-element budget (8192^2 is at it): refused before
+    # dct1d or haar1d builds a w x w or h x h matrix (2 GiB at w = 16384)
+    monkeypatch.setattr(slrma.transforms, "dct1d", no_basis)
+    monkeypatch.setattr(slrma.transforms, "haar1d", no_basis)
+    w, h = params[:2]
+    kind = "dct2d" if transform == "dct" else "dwt2d"
+    crafted = with_header(image_container, transform_kind=kind,
+                          transform_params=params, m=w * h)
+    with pytest.raises(CorruptStreamError, match="budget"):
+        decompress_image_set(crafted)
+    encoder_params = dataclasses.replace(IMAGE_PARAMS, transform=transform)
+    with pytest.raises(SizeOverflowError):
+        compress_image_set(np.zeros((w * h, 12)), w, h, encoder_params)
+
+
+@pytest.fixture(scope="module")
+def dwt_container():
+    data = small_image_set()
+    return compress_image_set(data.x, data.w, data.h,
+                              dataclasses.replace(IMAGE_PARAMS, transform="dwt", levels=2))
+
+
+@pytest.mark.parametrize("levels", [0, 4, 2**30], ids=["zero", "past-m", "2^30"])
+def test_decoder_rejects_crafted_dwt_levels(dwt_container, levels):
+    crafted = with_header(dwt_container, transform_params=(8, 8, levels))
+
+    def decode():
+        with pytest.raises(CorruptStreamError, match="levels|divisible"):
+            decompress_image_set(crafted)
+
+    assert traced_peak(decode) < 2**20  # 1 << 2**30 alone would take 128 MiB
+
+
 def test_image_roundtrip_deterministic():
     data = small_image_set()
     one = compress_image_set(data.x, data.w, data.h, IMAGE_PARAMS)
@@ -281,6 +336,86 @@ def test_mesh_frame_count_is_bounded_before_the_frame_dct(monkeypatch):
     with pytest.raises(SizeOverflowError):
         compress_mesh_seq(wide, wide, wide, seq.faces,
                           CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
+
+
+def tiny_mesh_container():
+    seq = synth_mesh_seq(16, 4, seed=1)
+    blob = compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces,
+                             CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
+    return seq, blob
+
+
+def test_mesh_connectivity_is_derived_once_per_face_list(monkeypatch):
+    seq, blob = tiny_mesh_container()
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    for name in ("mesh_adjacency", "connectivity_digest"):
+        monkeypatch.setattr(slrma.codec, name, spy(getattr(slrma.codec, name)))
+    slrma.codec._connectivity.cache_clear()
+    first = decompress_mesh_seq(blob, seq.faces)
+    assert calls == ["mesh_adjacency", "connectivity_digest"]
+    second = decompress_mesh_seq(blob, seq.faces)
+    assert calls == ["mesh_adjacency", "connectivity_digest"]
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+    # a cache hit still compares the header's digest, before any basis
+    def no_graph_transform(graph):
+        raise AssertionError("built the graph basis of a mismatched mesh")
+
+    monkeypatch.setattr(slrma.codec, "graph_transform", no_graph_transform)
+    with pytest.raises(DigestMismatchError):
+        decompress_mesh_seq(with_header(blob, digest=bytes(8)), seq.faces)
+    assert len(calls) == 2
+
+
+def test_mesh_faces_as_tuples_lists_or_an_array_decode_alike():
+    seq, blob = tiny_mesh_container()
+    forms = [seq.faces, [list(face) for face in seq.faces],
+             np.array(seq.faces, dtype=np.int32)]
+    outs = []
+    for faces in forms:
+        slrma.codec._connectivity.cache_clear()  # each form on a miss, then a hit
+        outs.append(decompress_mesh_seq(blob, faces))
+        outs.append(decompress_mesh_seq(blob, faces))
+        assert compress_mesh_seq(seq.xx, seq.xy, seq.xz, faces,
+                                 CodecParams(k=2, step_b=0.01, step_c=1.0,
+                                             target_pb=0.5)) == blob
+    for out in outs[1:]:
+        for a, b in zip(outs[0], out):
+            assert np.array_equal(a, b)
+
+
+def test_mesh_faces_past_the_vertex_count_are_refused_after_a_hit():
+    seq, blob = tiny_mesh_container()
+    decompress_mesh_seq(blob, seq.faces)
+    cached = slrma.codec._connectivity.cache_info().currsize
+    for bad in (seq.faces + ((0, 1, seq.m),), list(seq.faces) + [[seq.m + 5, 0, 1]]):
+        with pytest.raises(DigestMismatchError):
+            decompress_mesh_seq(blob, bad)
+    assert slrma.codec._connectivity.cache_info().currsize == cached  # nothing cached
+
+
+def test_mesh_vertex_count_is_bounded_by_the_faces():
+    # the digest is an unkeyed hash of public faces, so a crafted container
+    # can name any m with a matching one; vertices no face touches make the
+    # graph disconnected before anything is sized by m
+    seq, blob = tiny_mesh_container()
+    m = 2**22
+    crafted = with_header(blob, m=m, digest=connectivity_digest(
+        m, mesh_adjacency(seq.faces, m).edges))
+
+    def decode():
+        with pytest.raises(DisconnectedError):
+            decompress_mesh_seq(crafted, seq.faces)
+
+    assert traced_peak(decode) < 4 * 2**20
 
 
 def test_mesh_static_sequence_dc_concentration():

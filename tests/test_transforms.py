@@ -70,6 +70,10 @@ def test_haar_bad_levels():
     for levels in (0, -1):
         with pytest.raises(BadLevelsError, match=f"levels={levels} is below 1"):
             haar1d(8, levels)
+    # 2^levels past m is refused before the integer 1 << levels is formed
+    for levels in (4, 2**30):
+        with pytest.raises(BadLevelsError, match="not divisible"):
+            haar1d(8, levels)
 
 
 def test_dct2d_degenerate():
@@ -156,9 +160,11 @@ def test_laplacian_annihilates_constants():
 
 
 def test_graph_transform_disconnected():
-    g = graph_spec(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedError):
-        graph_transform(g)
+    # two components; then a vertex no edge touches, answered from the edges
+    for g in (graph_spec(4, [(0, 1), (2, 3)]), graph_spec(5, [(0, 1), (1, 2), (2, 3)])):
+        assert not g.is_connected()
+        with pytest.raises(DisconnectedError):
+            graph_transform(g)
 
 
 def test_graph_transform_eigenvalues_sorted_nonnegative():
