@@ -11,9 +11,10 @@ Compression runs in two stages. `factor` solves every stream once;
 quantizer steps, so one factorization can serve many steps (the RD sweep
 does this). `image_transforms` and `mesh_transforms` build every basis;
 `slrma.transforms` caches the bases and `_connectivity` a mesh's graph and
-digest. A header sizes nothing before it is bounded: an image basis by the
-Kronecker budget, the frame DCT and each payload by `MAX_CELLS`, and the
-vertex count by the vertices the faces touch.
+digest. A header sizes nothing before it is bounded by `MAX_CELLS` cells: an
+image's two 1D factors (w^2 + h^2) and its decoded stack (w*h*n), the frame
+DCT (n^2) and each payload. A mesh's vertex count is bounded by the vertices
+its faces touch. The encoder refuses what the decoder would refuse.
 """
 
 from __future__ import annotations
@@ -93,17 +94,22 @@ def image_kind(transform, levels, w, h):
     raise ValueError(f"unsupported image transform {transform!r}")
 
 
-def image_transforms(kind, params):
-    """Image bases for a container transform kind and its params.
+def image_transforms(kind, params, n):
+    """Image bases for a stack of n images, given a container transform kind
+    and its params: (w, h) for the 2D DCT and (w, h, levels) for the 2D Haar.
 
-    (w, h) for the 2D DCT and (w, h, levels) for the 2D Haar.
+    Before any basis is built, raises SizeOverflowError when the two 1D
+    factors (w^2 + h^2 cells) or the stack (w*h*n) exceed `MAX_CELLS`.
     """
+    w, h = params[:2]
+    if w * w + h * h > MAX_CELLS:
+        raise SizeOverflowError(f"a {w} x {h} image basis's factors exceed {MAX_CELLS} cells")
+    if w * h * n > MAX_CELLS:
+        raise SizeOverflowError(f"a stack of {n} {w} x {h} images exceeds {MAX_CELLS} cells")
     if kind == KIND_DCT2D:
-        w, h = params
-        return Transforms(PIPELINE_IMAGE, dct2d(w, h))
+        return Transforms(PIPELINE_IMAGE, dct2d(*params))
     if kind == KIND_DWT2D:
-        w, h, levels = params
-        return Transforms(PIPELINE_IMAGE, dwt2d(w, h, levels))
+        return Transforms(PIPELINE_IMAGE, dwt2d(*params))
     raise ValueError(f"unsupported image transform kind {kind!r}")
 
 
@@ -225,7 +231,8 @@ def compress_image_set(x, w, h, params: CodecParams):
     x = as_matrix(x, "X")
     if x.shape[0] != w * h:
         raise ValueError(f"X has {x.shape[0]} rows, expected w*h={w * h}")
-    transforms = image_transforms(*image_kind(params.transform, params.levels, w, h))
+    transforms = image_transforms(*image_kind(params.transform, params.levels, w, h),
+                                  x.shape[1])
     return _compress(transforms, [x], params)
 
 
@@ -245,7 +252,7 @@ def decompress_image_set(blob):
     if header.m != w * h:
         raise CorruptStreamError(f"m={header.m} but the images hold w*h={w * h} pixels")
     try:
-        transforms = image_transforms(header.transform_kind, params)
+        transforms = image_transforms(header.transform_kind, params, header.n)
     except (BadLevelsError, SizeOverflowError) as exc:  # no encoder writes these
         raise CorruptStreamError(str(exc)) from exc
     (x_hat,) = _decode(transforms, header, payloads)

@@ -32,8 +32,9 @@ _COUNT_CAP = 1 << 16
 
 # Largest matrix, in cells, either direction codes. The decoder sizes its
 # significance map from header fields before it reads a bit, so this is the
-# bound on what a crafted header can make it allocate. It equals the element
-# budget of a dense transform basis (numerics.KRON_ELEMENT_BUDGET).
+# bound on what a crafted header can make it allocate. The codec bounds the
+# other arrays a header sizes by it too: a mesh's frame DCT, an image's two
+# 1D basis factors together and its decoded image stack.
 MAX_CELLS = 1 << 26
 
 # Decoded levels are int64: magnitudes up to 2**63 - 1, or 2**63 if negative.

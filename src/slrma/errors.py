@@ -14,7 +14,7 @@ class NoConvergenceError(SlrmaError):
 
 
 class SizeOverflowError(SlrmaError):
-    """Kronecker product would exceed the configured element budget."""
+    """A size or a quantized level exceeds what the codec bounds or stores."""
 
 
 class BadLevelsError(SlrmaError):

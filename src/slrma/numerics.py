@@ -11,10 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonSymmetricError, SizeOverflowError
-
-# Elements allowed in a Kronecker product result (2**26 doubles = 512 MiB).
-KRON_ELEMENT_BUDGET = 1 << 26
+from .errors import NoConvergenceError, NonSymmetricError
 
 
 def as_matrix(a, name="matrix"):
@@ -81,17 +78,3 @@ def thin_svd(a):
         raise NoConvergenceError(str(exc)) from exc
     signs = _column_sign_flips(u)
     return ThinSvd(u * signs, sigma, vt.T * signs)
-
-
-def kronecker(a, b, max_elements=KRON_ELEMENT_BUDGET):
-    """Kronecker product A (x) B with an output-size budget."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    out_elems = a.size * b.size
-    if out_elems > max_elements:
-        raise SizeOverflowError(
-            f"kronecker result would hold {out_elems} elements "
-            f"(budget {max_elements})"
-        )
-    return np.kron(a, b)
-

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeOverflowError
 from .numerics import as_matrix
 
 
@@ -25,12 +26,16 @@ class QuantizedSparseMatrix:
 
 
 def quantize(values, step):
-    """Round half away from zero at the given step size."""
+    """Round half away from zero at the given step size. A level past int64
+    raises SizeOverflowError before any level is cast."""
     values = as_matrix(values, "values")
     if not 0.0 < step < np.inf:
         raise ValueError("step must be positive and finite")
-    levels = np.sign(values) * np.floor(np.abs(values) / step + 0.5)
-    levels = levels.astype(np.int64)
+    with np.errstate(over="ignore"):  # an infinite |value| / step is refused below
+        mags = np.floor(np.abs(values) / step + 0.5)
+    if mags.max() >= 2.0**63:
+        raise SizeOverflowError(f"a level at step {step:g} does not fit in int64")
+    levels = (np.sign(values) * mags).astype(np.int64)
     significance = levels != 0
     return QuantizedSparseMatrix(
         rows=values.shape[0],

@@ -149,8 +149,8 @@ def update_q(b, y_q, rho):
     With A^T A = V D V^T well conditioned this is the closed form
     A V D^(-1/2) V^T; once A has lost column rank (smallest eigenvalue at
     most 1e-12 of the largest) it is U V^T from A's thin SVD, which is
-    defined for any input. Raises FloatingPointError when A^T A overflows
-    and LinAlgError when `eigh` or the SVD fails.
+    defined for any input. Raises FloatingPointError when A^T A is not
+    finite and LinAlgError when `eigh` or the SVD fails.
 
     The Gram matrix is symmetric by construction, so `eigh` runs on it
     directly, without `sym_eig`'s symmetry check and sign convention: the
@@ -237,11 +237,12 @@ def slrma_solve(z, cfg: SolverConfig):
     z = as_matrix(z, "Z")
     check_rank(*z.shape, cfg.k, cfg.target_pb)
     svd = thin_svd(z)
-    # A blow-up is caught by the finiteness checks on B, the Gram matrix and
-    # the objective, so numpy's warnings on the way there say nothing new:
-    # overflow (sigma^2 of data near the top of the float range, or rho),
-    # invalid values (inf - inf) and division by a zero gap between 2 rho
-    # and 2 sigma_1^2 (a subnormal sigma_1^2 that 1.05 does not move).
+    # A blow-up is caught by the finiteness checks on the objective and on
+    # the Q step's Gram matrix, which a non-finite B makes non-finite, so
+    # numpy's warnings on the way say nothing new: overflow (sigma^2 of data
+    # near the top of the float range, or rho), invalid values (inf - inf)
+    # and division by a zero gap between 2 rho and 2 sigma_1^2 (a subnormal
+    # sigma_1^2 that 1.05 does not move).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         two_sig2 = 2.0 * (svd.sigma**2)[:, None]
         top_sq = float(svd.sigma[0] ** 2)
@@ -257,8 +258,6 @@ def slrma_solve(z, cfg: SolverConfig):
             while len(objectives) < MAX_ITERS:
                 coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
                 b = update_b(svd.u, coeff, rho, rho * (p + q) - y_p - y_q)
-                if not np.isfinite(b).all():
-                    raise FloatingPointError("B overflowed")
                 new_p = update_p(b, y_p, rho, cfg)
                 new_q = update_q(b, y_q, rho)
                 value = objective(z.T @ b, b, cfg.gamma)

@@ -149,7 +149,7 @@ def rd_sweep(dataset, grid: SweepGrid):
     if isinstance(dataset, ImageSet):
         transform = grid.transform
         transforms = image_transforms(*image_kind(transform, grid.levels,
-                                                  dataset.w, dataset.h))
+                                                  dataset.w, dataset.h), dataset.n)
         data = [dataset.x]
     else:
         # meshes always use the graph transform, whatever the grid names

@@ -3,8 +3,9 @@
 Conventions pinned here and relied on by the codec:
 
 - 2D transforms use column-major image vectorization: pixel (r, c) of an
-  h-row by w-column image sits at vector index c*h + r, and the 2D matrix
-  is kron(basis_w, basis_h).
+  h-row by w-column image sits at vector index c*h + r, and the 2D basis
+  is kron(basis_w, basis_h), kept as its two factors and applied one image
+  axis at a time; its (w*h)^2 matrix is never formed.
 - Haar output ordering is coarsest scaling band first, then detail bands
   coarse to fine.
 - Graph transform columns are Laplacian eigenvectors by ascending
@@ -13,12 +14,13 @@ Conventions pinned here and relied on by the codec:
 The builders the codec calls (`dct1d`, `dct2d`, `dwt2d`, `graph_transform`)
 each keep their last `BASES_KEPT` bases in a `functools.lru_cache`, so
 repeated compress and decompress calls on one shape build each basis once.
-A cached basis is shared by every caller, so its matrix is read-only; the
+A cached basis is shared by every caller, so its arrays are read-only; the
 uncached build stays reachable as the builder's `__wrapped__`.
 
 Sizes can come from a container header, so each is bounded before it is
-allocated for: `dct2d`/`dwt2d` by KRON_ELEMENT_BUDGET, `haar1d`'s levels by
-m's bit length, and `GraphSpec.is_connected` by the vertices edges touch.
+allocated for: an image's w and h by the codec (`MAX_CELLS`), `haar1d`'s
+levels by m's bit length, and `GraphSpec.is_connected` by the vertices
+edges touch.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadLevelsError, DisconnectedError, SizeOverflowError
-from .numerics import KRON_ELEMENT_BUDGET, kronecker, sym_eig
+from .errors import BadLevelsError, DisconnectedError
+from .numerics import sym_eig
 
 KIND_IDENTITY = "identity"
 KIND_DCT1D = "dct1d"
@@ -38,11 +40,10 @@ KIND_DCT2D = "dct2d"
 KIND_DWT2D = "dwt2d"
 KIND_GRAPH = "graph"
 
-# Bases each cached builder keeps. A dense 2D basis of a w x h image holds
-# 8*(w*h)**2 bytes (128 MB at 64 x 64), and the cache holds it until it is
-# evicted or `cache_clear()` is called. The caches are typed: a basis's
-# params go into container headers, so one built from 16.0 must not answer
-# a call with 16.
+# Bases each cached builder keeps. A basis holds 8*m**2 bytes (a 2D one
+# 8*(w**2 + h**2)) until it is evicted or `cache_clear()` is called. The
+# caches are typed: a basis's params go into container headers, so one
+# built from 16.0 must not answer a call with 16.
 BASES_KEPT = 4
 
 
@@ -53,23 +54,40 @@ def _read_only(mat):
 
 @dataclass(frozen=True)
 class OrthogonalTransform:
-    """An m x m orthonormal matrix plus the recipe that built it."""
+    """An orthonormal basis plus the recipe that built it: the m x m `matrix`
+    of a 1D or graph transform, or kron(matrix, inner) of a 2D one, whose
+    w x w `matrix` acts along an image's columns and h x h `inner` along its
+    rows."""
 
     matrix: np.ndarray
     kind: str
     params: tuple[int, ...] = ()
+    inner: np.ndarray = None
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        m = self.matrix.shape[0]
+        return m if self.inner is None else m * self.inner.shape[0]
 
     def forward(self, x):
         """Analysis: coefficients of the columns of x."""
-        return self.matrix.T @ x
+        if self.inner is None:
+            return self.matrix.T @ x
+        return _separable(self.matrix.T, self.inner.T, x)
 
     def inverse(self, coeffs):
         """Synthesis: reconstruct columns from coefficients."""
-        return self.matrix @ coeffs
+        if self.inner is None:
+            return self.matrix @ coeffs
+        return _separable(self.matrix, self.inner, coeffs)
+
+
+def _separable(outer, inner, x):
+    """kron(outer, inner) @ x for a (w*h) x n x: `outer` on x as a w x (h*n)
+    matrix, then `inner` on each of the w resulting h x n blocks."""
+    w, h, n = outer.shape[0], inner.shape[0], x.shape[1]
+    y = (outer @ x.reshape(w, h * n)).reshape(w, h, n)
+    return (inner @ y).reshape(w * h, n)
 
 
 @dataclass(frozen=True)
@@ -125,23 +143,13 @@ def dct1d(m):
     """Orthonormal DCT-II basis; column j is the frequency-j basis vector."""
     if m < 1:
         raise ValueError("m must be positive")
-    i = np.arange(m)[:, None]
-    j = np.arange(m)[None, :]
-    mat = np.sqrt(2.0 / m) * np.cos(np.pi * (2 * i + 1) * j / (2 * m))
+    # in place: a header may size m, and the build then holds one m x m array
+    mat = np.pi * (2 * np.arange(m)[:, None] + 1) * np.arange(m)
+    mat /= 2 * m
+    np.cos(mat, out=mat)
+    mat *= np.sqrt(2.0 / m)
     mat[:, 0] = np.sqrt(1.0 / m)
     return OrthogonalTransform(_read_only(mat), KIND_DCT1D, (m,))
-
-
-def _haar_butterfly(size):
-    half = size // 2
-    w = np.zeros((size, size))
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(half):
-        w[i, 2 * i] = r
-        w[i, 2 * i + 1] = r
-        w[half + i, 2 * i] = r
-        w[half + i, 2 * i + 1] = -r
-    return w
 
 
 def haar1d(m, levels):
@@ -154,38 +162,34 @@ def haar1d(m, levels):
     # header's u32 `levels` from sizing the integer 1 << levels
     if levels >= int(m).bit_length() or m % (1 << levels) != 0:
         raise BadLevelsError(f"m={m} not divisible by 2^{levels}")
+    # Each level turns the first `size` rows into the scaled sums, then
+    # differences, of their even and odd rows, bit for bit the dense butterfly
+    # product: the two rows of a pair share no nonzero column.
     analysis = np.eye(m)
+    r = 1.0 / np.sqrt(2.0)
     size = m
     for _ in range(levels):
-        step = np.eye(m)
-        step[:size, :size] = _haar_butterfly(size)
-        analysis = step @ analysis
-        size //= 2
-    return OrthogonalTransform(analysis.T, KIND_DWT1D, (m, levels))
-
-
-def _check_2d_size(w, h):
-    """Refuse a w x h image basis whose (w*h)^2 elements exceed the Kronecker
-    budget, before either 1D basis is built."""
-    if (w * h) ** 2 > KRON_ELEMENT_BUDGET:
-        raise SizeOverflowError(f"a {w} x {h} image basis would hold {(w * h) ** 2} "
-                                f"elements (budget {KRON_ELEMENT_BUDGET})")
+        half = size // 2
+        even, odd = analysis[0:size:2].copy(), analysis[1:size:2].copy()
+        np.add(even, odd, out=analysis[:half])
+        np.subtract(even, odd, out=analysis[half:size])
+        analysis[:size] *= r
+        size = half
+        del even, odd  # before the next level's copies, so the build peaks at 2 m^2
+    return OrthogonalTransform(_read_only(analysis.T), KIND_DWT1D, (m, levels))
 
 
 @lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct2d(w, h):
     """2D DCT for h x w images under column-major vectorization."""
-    _check_2d_size(w, h)
-    mat = kronecker(dct1d(w).matrix, dct1d(h).matrix)
-    return OrthogonalTransform(_read_only(mat), KIND_DCT2D, (w, h))
+    return OrthogonalTransform(dct1d(w).matrix, KIND_DCT2D, (w, h), dct1d(h).matrix)
 
 
 @lru_cache(maxsize=BASES_KEPT, typed=True)
 def dwt2d(w, h, levels):
-    """Separable 2D Haar wavelet basis; both sides must support `levels`."""
-    _check_2d_size(w, h)
-    mat = kronecker(haar1d(w, levels).matrix, haar1d(h, levels).matrix)
-    return OrthogonalTransform(_read_only(mat), KIND_DWT2D, (w, h, levels))
+    """Separable 2D Haar wavelet; both sides must support `levels`."""
+    return OrthogonalTransform(haar1d(w, levels).matrix, KIND_DWT2D, (w, h, levels),
+                               haar1d(h, levels).matrix)
 
 
 def laplacian(g: GraphSpec):

@@ -59,3 +59,24 @@ def test_traced_solve_records_every_solver_step():
     steps = {"solver.update_b", "solver.update_p", "solver.update_q",
              "solver.objective", "solver.multipliers"}
     assert steps <= recorded
+
+
+def test_traced_image_round_trip_records_basis_sizes():
+    # `transforms.matrix_mb` reads `.matrix.nbytes` of what `dct2d`/`dwt2d`
+    # return, and the traced run wraps every layer: a 2D image transform must
+    # keep a `.matrix` and round-trip under the whole table
+    codec = importlib.import_module("slrma.codec")
+    datasets = importlib.import_module("slrma.datasets")
+    tracing = load_tracing()
+    data = datasets.synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+    for transform in ("dct", "dwt"):
+        params = codec.CodecParams(k=2, step_b=0.004, step_c=1.0, transform=transform,
+                                   levels=2, target_pb=0.5)
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer, tracing.LAYERS):
+            x_hat, _, _ = codec.decompress_image_set(
+                codec.compress_image_set(data.x, data.w, data.h, params))
+        assert x_hat.shape == data.x.shape
+        builds = [span for span in tracer.spans if span.name == "transforms.build"]
+        assert builds and all(span.error is None for span in builds)
+        assert all(span.info["nbytes"] > 0 for span in builds)

@@ -165,6 +165,16 @@ def test_image_cli_end_to_end(tmp_path, capsys):
     assert header.split(",")[0] == "rmse"
 
 
+def test_quantizer_overflow_is_data_error(tmp_path, capsys):
+    # basis entries of about 0.1 at step 1e-300 are levels far past int64
+    src = tmp_path / "in"
+    assert run(["synth", "--kind", "images", "--out", str(src),
+                "--w", "8", "--h", "8", "--n", "6", "--rank", "2"]) == 0
+    assert run(["compress-images", str(src), "--out", str(tmp_path / "c.slrm"),
+                "--k", "2", "--gamma", "50", "--step-b", "1e-300"]) == 2
+    assert "error: SizeOverflowError" in capsys.readouterr().err
+
+
 def test_transform_and_levels_flags(tmp_path, capsys):
     src = tmp_path / "in"
     container = tmp_path / "c.slrm"

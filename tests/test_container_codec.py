@@ -153,8 +153,8 @@ def test_decoder_rejects_crafted_header(image_container, fields):
 
 
 def test_decoder_rejects_a_header_too_large_to_decode(image_container):
-    # k <= min(m, n) holds, so the header parses; the 4 x (2**32 - 1)
-    # coefficient map is refused before anything is sized for it
+    # k <= min(m, n) holds, so the header parses; its stack of 2**32 - 1
+    # images is refused before anything is sized for it
     with pytest.raises(CorruptStreamError, match="exceeds"):
         decompress_image_set(with_header(image_container, n=2**32 - 1))
 
@@ -178,7 +178,7 @@ def no_basis(*args):
 ], ids=["dct-8193x1", "dct-1x8193", "dct-16384x1", "dwt-16384x1"])
 def test_image_basis_size_is_bounded_before_any_basis(image_container, monkeypatch,
                                                       transform, params):
-    # (w*h)^2 above the 2^26-element budget (8192^2 is at it): refused before
+    # w^2 + h^2 above 2^26 cells (8192^2 alone is at it): refused before
     # dct1d or haar1d builds a w x w or h x h matrix (2 GiB at w = 16384)
     monkeypatch.setattr(slrma.transforms, "dct1d", no_basis)
     monkeypatch.setattr(slrma.transforms, "haar1d", no_basis)
@@ -186,11 +186,52 @@ def test_image_basis_size_is_bounded_before_any_basis(image_container, monkeypat
     kind = "dct2d" if transform == "dct" else "dwt2d"
     crafted = with_header(image_container, transform_kind=kind,
                           transform_params=params, m=w * h)
-    with pytest.raises(CorruptStreamError, match="budget"):
+    with pytest.raises(CorruptStreamError, match="factors exceed"):
         decompress_image_set(crafted)
     encoder_params = dataclasses.replace(IMAGE_PARAMS, transform=transform)
     with pytest.raises(SizeOverflowError):
         compress_image_set(np.zeros((w * h, 12)), w, h, encoder_params)
+
+
+def test_image_stack_is_bounded_before_any_payload(image_container, monkeypatch):
+    # 8 x 8 images, 2**20 + 1 of them: 2**26 + 64 decoded cells
+    def no_payload(*args):
+        raise AssertionError("decoded a payload")
+
+    monkeypatch.setattr(slrma.transforms, "dct1d", no_basis)
+    monkeypatch.setattr(slrma.codec, "entropy_decode", no_payload)
+    with pytest.raises(CorruptStreamError, match="stack .* exceeds"):
+        decompress_image_set(with_header(image_container, n=2**20 + 1))
+    # the encoder's own bound, without a 512 MB input to reach it
+    with pytest.raises(SizeOverflowError, match="stack .* exceeds"):
+        slrma.codec.image_transforms("dct2d", (8, 8), 2**20 + 1)
+
+
+def test_image_basis_of_a_long_row_holds_one_factor(image_container):
+    # a 4096 x 1 header: the decoder builds the 4096-point DCT (128 MiB) and
+    # nothing of the 4096^2 2D basis, then refuses the 64 x 4 payloads
+    crafted = with_header(image_container, transform_params=(4096, 1), m=4096)
+
+    def decode():
+        with pytest.raises(CorruptStreamError):
+            decompress_image_set(crafted)
+
+    try:
+        peak = traced_peak(decode)
+    finally:  # drop the cached 128 MiB factor
+        slrma.transforms.dct1d.cache_clear()
+        slrma.transforms.dct2d.cache_clear()
+    assert peak < 1.25 * 8 * 4096**2
+
+
+def test_large_image_set_roundtrip():
+    # 128 x 128 images: a 2D basis of 16384^2 entries would hold 2 GiB
+    data = synth_image_set(128, 128, 4, rank=2, noise_sigma=2.0, seed=2)
+    params = CodecParams(k=2, step_b=0.004, step_c=1.0, gamma=5.0)
+    x_hat, w, h = decompress_image_set(compress_image_set(data.x, 128, 128, params))
+    assert (w, h) == (128, 128)
+    assert x_hat.shape == (128 * 128, 4)
+    assert rmse(data.x, x_hat) < 2.5  # noise floor is sigma = 2
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slrma.errors import NonSymmetricError, SizeOverflowError
+from slrma.errors import NonSymmetricError
 from slrma.numerics import (
     _column_sign_flips,
-    kronecker,
     sym_eig,
     thin_svd,
 )
@@ -131,39 +130,6 @@ def test_svd_eig_agree_on_singular_values(seed):
     sigma = thin_svd(a).sigma
     lam = np.clip(sym_eig(a.T @ a).values, 0.0, None)
     assert np.allclose(sigma, np.sqrt(lam), rtol=1e-8, atol=1e-8)
-
-
-def test_kronecker_identity():
-    assert np.array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kronecker_hand_case():
-    out = kronecker(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert np.array_equal(out, np.array([[3.0, 6.0], [4.0, 8.0]]))
-
-
-def test_kronecker_mixed_product_probe():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(2, 5))
-    x = rng.normal(size=4)
-    y = rng.normal(size=5)
-    left = kronecker(a, b) @ np.kron(x, y)
-    right = np.kron(a @ x, b @ y)
-    assert np.abs(left - right).max() < 1e-12 * max(np.abs(right).max(), 1.0)
-
-
-def test_kronecker_preserves_orthonormality():
-    rng = np.random.default_rng(5)
-    q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    k = kronecker(q1, q2)
-    assert np.abs(k.T @ k - np.eye(16)).max() < 1e-12
-
-
-def test_kronecker_size_budget():
-    with pytest.raises(SizeOverflowError):
-        kronecker(np.ones((100, 100)), np.ones((100, 100)), max_elements=10**6)
 
 
 def test_solve_shifted_gram_zero_data():

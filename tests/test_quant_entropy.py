@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slrma.codec import CodecParams, compress_image_set
 from slrma.entropy import MAX_CELLS, entropy_decode, entropy_encode
-from slrma.errors import CorruptStreamError
+from slrma.errors import CorruptStreamError, SizeOverflowError
 from slrma.quant import QuantizedSparseMatrix, dequantize, quantize
 
 
@@ -22,6 +23,31 @@ def test_quantize_rejects_step_a_decoder_refuses(step):
     # so the encoder must never write one
     with pytest.raises(ValueError):
         quantize(np.ones((2, 2)), step)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, step", [(1e33, 8.7e-8), (-1e33, 8.7e-8), (1.0, 5e-324),
+                                         (2.0**63, 1.0), (-(2.0**63), 1.0)])
+def test_quantize_refuses_a_level_past_int64(value, step):
+    # the cast would wrap to -2**63 with only a warning
+    with pytest.raises(SizeOverflowError, match="int64"):
+        quantize(np.array([[0.0, value]]), step)
+
+
+def test_quantize_keeps_the_largest_level_int64_holds():
+    top = 2.0**63 - 1024  # the largest double below 2**63
+    q = quantize(np.array([[top, -top]]), 1.0)
+    assert q.levels.tolist() == [2**63 - 1024, -(2**63 - 1024)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compress_refuses_levels_past_int64():
+    # a 4 x 4 x 5 set at 1e33 and step_b 8.7e-8 once wrapped into a container
+    # that decoded with relative error 1
+    x = np.random.default_rng(0).uniform(1.0, 2.0, size=(16, 5)) * 1e33
+    params = CodecParams(k=2, step_b=8.7e-8, step_c=1.0, target_pb=0.5)
+    with pytest.raises(SizeOverflowError):
+        compress_image_set(x, 4, 4, params)
 
 
 def test_quantize_exact_multiples_roundtrip():

@@ -20,8 +20,18 @@ from slrma.transforms import (
 RT2 = np.sqrt(2.0)
 
 
+def dense_basis(phi):
+    """The m x m basis `phi` applies, read off its synthesis of the identity."""
+    return phi.inverse(np.eye(phi.size))
+
+
+def kron_oracle(phi):
+    """A 2D transform's basis as the Kronecker product of its two factors."""
+    return np.kron(phi.matrix, phi.inner)
+
+
 def ortho_dev(phi):
-    m = phi.matrix
+    m = dense_basis(phi)
     eye = np.eye(m.shape[0])
     return max(np.abs(m.T @ m - eye).max(), np.abs(m @ m.T - eye).max())
 
@@ -64,6 +74,32 @@ def test_haar_orthonormal():
     assert ortho_dev(haar1d(8, 3)) < 1e-12
 
 
+def dense_haar(m, levels):
+    """`haar1d`'s analysis matrix as the product of `levels` dense butterflies."""
+    r = 1.0 / np.sqrt(2.0)
+    analysis = np.eye(m)
+    size = m
+    for _ in range(levels):
+        half = size // 2
+        step = np.eye(m)
+        step[:size, :size] = 0.0
+        for i in range(half):
+            step[i, 2 * i] = step[i, 2 * i + 1] = step[half + i, 2 * i] = r
+            step[half + i, 2 * i + 1] = -r
+        analysis = step @ analysis
+        size //= 2
+    return analysis
+
+
+HAAR_CASES = [(m, levels) for m in (2, 4, 6, 8, 12, 16, 24, 40, 64, 96, 512)
+              for levels in range(1, 10) if m % (1 << levels) == 0]
+
+
+@pytest.mark.parametrize("m, levels", HAAR_CASES)
+def test_haar_rows_match_the_dense_butterfly_product(m, levels):
+    assert np.array_equal(haar1d(m, levels).matrix.T, dense_haar(m, levels))
+
+
 def test_haar_bad_levels():
     with pytest.raises(BadLevelsError, match="not divisible"):
         haar1d(6, 2)
@@ -77,7 +113,7 @@ def test_haar_bad_levels():
 
 
 def test_dct2d_degenerate():
-    assert np.array_equal(dct2d(1, 1).matrix, [[1.0]])
+    assert np.array_equal(dense_basis(dct2d(1, 1)), [[1.0]])
 
 
 def test_dct2d_constant_image_dc_only():
@@ -112,6 +148,31 @@ def test_dct2d_vectorization_convention():
     off = grid[1:, :]
     assert np.abs(off).max() < 1e-10
     assert np.abs(grid[0, 1:]).max() > 1.0
+
+
+SEPARABLE_CASES = [("dct", 16, 16), ("dct", 8, 4), ("dct", 4, 8), ("dct", 1, 12),
+                   ("dct", 12, 1), ("dwt", 16, 16), ("dwt", 16, 8), ("dwt", 8, 32)]
+
+
+def separable(kind, w, h):
+    return dct2d(w, h) if kind == "dct" else dwt2d(w, h, 2)
+
+
+@pytest.mark.parametrize("kind, w, h", SEPARABLE_CASES,
+                         ids=[f"{kind}-{w}x{h}" for kind, w, h in SEPARABLE_CASES])
+def test_separable_apply_matches_the_kron_oracle(kind, w, h):
+    # square, w != h, 1 x n and n x 1 images; a 2D basis is never formed
+    phi = separable(kind, w, h)
+    assert phi.size == w * h
+    basis = kron_oracle(phi)
+    x = np.random.default_rng(w * 100 + h).normal(size=(w * h, 5))
+    for got, want in ((phi.forward(x), basis.T @ x), (phi.inverse(x), basis @ x)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_separable_basis_is_orthonormal():
+    for kind, w, h in SEPARABLE_CASES:
+        assert ortho_dev(separable(kind, w, h)) < 1e-12
 
 
 def test_dwt2d_orthonormal_and_levels():
@@ -291,9 +352,13 @@ def test_cached_basis_is_a_read_only_fresh_build(name):
     assert builder(*args) is phi
     fresh = builder.__wrapped__(*args)
     assert (phi.kind, phi.params) == (fresh.kind, fresh.params)
-    assert phi.matrix.tobytes() == fresh.matrix.tobytes()
-    with pytest.raises(ValueError):
-        phi.matrix[0, 0] = 0.0
+    for factor, fresh_factor in ((phi.matrix, fresh.matrix), (phi.inner, fresh.inner)):
+        if factor is None:  # a 1D or graph basis has one matrix
+            assert fresh_factor is None
+            continue
+        assert factor.tobytes() == fresh_factor.tobytes()
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("name", CACHED_BUILDERS)
