@@ -1,7 +1,7 @@
 """Command-line interface: compression, measurement, sweeps, synthesis.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 solver did not
-converge.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 a solve or a LAPACK
+decomposition did not converge.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _level_count(text):
 
 
 def _add_transform_args(sub):
-    sub.add_argument("--transform", choices=("dct", "dwt", "gt"), default="dct")
+    sub.add_argument("--transform", choices=("dct", "dwt"), default="dct")
     sub.add_argument("--levels", type=_level_count, default=3, help="dwt levels")
 
 
@@ -63,7 +63,6 @@ def _add_codec_args(sub):
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--target-pb", dest="target_pb", type=float, default=None)
     sub.add_argument("--gamma", type=float, default=None)
-    _add_transform_args(sub)
     sub.add_argument("--step-b", dest="step_b", type=float, default=0.004)
     sub.add_argument("--step-c", dest="step_c", type=float, default=2.0)
     _add_solver_args(sub)
@@ -91,6 +90,7 @@ def _build_parser():
     sub.add_argument("inputs", nargs="+")
     sub.add_argument("--out", required=True)
     _add_codec_args(sub)
+    _add_transform_args(sub)
 
     sub = subs.add_parser("decompress-images")
     sub.add_argument("container")
@@ -141,20 +141,20 @@ def _build_parser():
     return parser
 
 
-def _codec_params(args):
+def _codec_params(args, **transform):
+    """CodecParams of the shared flags; images add `transform` and `levels`."""
     if args.gamma is None and args.target_pb is None:
         raise UsageError("need --gamma or --target-pb")
     return CodecParams(
-        k=args.k, step_b=args.step_b, step_c=args.step_c,
-        transform=args.transform, levels=args.levels, gamma=args.gamma,
-        target_pb=args.target_pb, solver=_solver_flags(args),
+        k=args.k, step_b=args.step_b, step_c=args.step_c, gamma=args.gamma,
+        target_pb=args.target_pb, solver=_solver_flags(args), **transform,
     )
 
 
 def _cmd_compress_images(args):
     image_set = datasets.load_image_set(_collect(args.inputs, ".pgm"))
-    blob = compress_image_set(image_set.x, image_set.w, image_set.h,
-                              _codec_params(args))
+    params = _codec_params(args, transform=args.transform, levels=args.levels)
+    blob = compress_image_set(image_set.x, image_set.w, image_set.h, params)
     Path(args.out).write_bytes(blob)
     bpp = bits_per_pixel(len(blob), image_set.w, image_set.h, image_set.n)
     print(f"wrote {args.out}: {len(blob)} bytes, {bpp:.4f} bpp")

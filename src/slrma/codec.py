@@ -9,12 +9,13 @@ before quantization to squeeze temporal coherence.
 Compression runs in two stages. `factor` solves every stream once;
 `encode` quantizes, entropy-codes and packs a factorization at given
 quantizer steps, so one factorization can serve many steps (the RD sweep
-does this). `image_transforms` and `mesh_transforms` build every basis;
-`slrma.transforms` caches the bases and `_connectivity` a mesh's graph and
-digest. A header sizes nothing before it is bounded by `MAX_CELLS` cells: an
-image's two 1D factors (w^2 + h^2) and its decoded stack (w*h*n), the frame
-DCT (n^2) and each payload. A mesh's vertex count is bounded by the vertices
-its faces touch. The encoder refuses what the decoder would refuse.
+does this). `image_transforms` and `mesh_transforms` build every basis and
+are each pipeline's only size gate; `slrma.transforms` caches the bases and
+`_connectivity` a mesh's graph and digest. A header sizes nothing before it
+is bounded by `MAX_CELLS` cells: an image's two 1D factors (w^2 + h^2) and
+its decoded stack (w*h*n), a mesh's frame DCT (n^2) and each payload. A
+mesh's vertex count is bounded by the vertices its faces touch. The encoder,
+`rd_sweep` and the decoder refuse alike.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .transforms import (
     BASES_KEPT,
     KIND_DCT2D,
     KIND_DWT2D,
+    KIND_GRAPH,
     OrthogonalTransform,
     dct1d,
     dct2d,
@@ -63,7 +65,7 @@ class CodecParams:
     k: int
     step_b: float
     step_c: float
-    transform: str = "dct"          # images: dct | dwt; meshes always gt
+    transform: str = "dct"          # images: dct | dwt; meshes ignore it
     levels: int = 3                 # dwt only
     gamma: float = None
     target_pb: float = None
@@ -125,10 +127,14 @@ def _connectivity(faces, m):
 def mesh_transforms(faces, m, n, digest=None):
     """Graph basis of an m-vertex mesh and the 1D DCT along its n frames.
 
-    The faces may be tuples, lists or an int array; their graph and digest
-    come from `_connectivity`, keyed by content. A container's `digest` is
-    checked on every call, before the O(m^3) eigenbasis is built.
+    Before anything is built, raises SizeOverflowError when the n x n frame
+    DCT exceeds `MAX_CELLS`. The faces may be tuples, lists or an int array;
+    their graph and digest come from `_connectivity`, keyed by content. A
+    container's `digest` is checked on every call, before the O(m^3)
+    eigenbasis is built.
     """
+    if n * n > MAX_CELLS:
+        raise SizeOverflowError(f"{n} frames exceed the frame DCT's {MAX_CELLS} cells")
     if isinstance(faces, np.ndarray):  # python ints hash faster than numpy scalars
         faces = faces.tolist()
     graph, found = _connectivity(tuple(map(tuple, faces)), m)
@@ -265,10 +271,7 @@ def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
                   ((xx, "Xx"), (xy, "Xy"), (xz, "Xz")))
     if not xx.shape == xy.shape == xz.shape:
         raise ValueError("coordinate matrices must share one shape")
-    m, n = xx.shape
-    if n * n > MAX_CELLS:  # the decoder refuses a frame DCT this large
-        raise SizeOverflowError(f"{n} frames exceed the frame DCT's {MAX_CELLS} cells")
-    transforms = mesh_transforms(faces, m, n)
+    transforms = mesh_transforms(faces, *xx.shape)
     return _compress(transforms, [xx, xy, xz], params)
 
 
@@ -277,11 +280,13 @@ def decompress_mesh_seq(blob, faces):
     header, payloads = unpack_container(blob)
     if header.pipeline != PIPELINE_MESH:
         raise CorruptStreamError("not a mesh-sequence container")
-    if header.n * header.n > MAX_CELLS:
-        raise CorruptStreamError(f"n={header.n} frames exceed the frame DCT's "
-                                 f"{MAX_CELLS} cells")
+    transform = (header.transform_kind, header.transform_params)
+    if transform != (KIND_GRAPH, (header.m,)):
+        raise CorruptStreamError(f"transform {transform} invalid for an m={header.m} mesh")
     try:
         transforms = mesh_transforms(faces, header.m, header.n, header.digest)
+    except SizeOverflowError as exc:  # no encoder writes these
+        raise CorruptStreamError(str(exc)) from exc
     except IndexError as exc:  # a face names a vertex past the container's m
         raise DigestMismatchError("connectivity does not match the container") from exc
     return tuple(_decode(transforms, header, payloads))

@@ -9,10 +9,6 @@ class NonSymmetricError(SlrmaError):
     """Matrix handed to the symmetric eigensolver is not symmetric."""
 
 
-class NoConvergenceError(SlrmaError):
-    """An internal eigen/SVD iteration hit its iteration cap."""
-
-
 class SizeOverflowError(SlrmaError):
     """A size or a quantized level exceeds what the codec bounds or stores."""
 
@@ -30,7 +26,7 @@ class RankTooLargeError(SlrmaError):
 
 
 class NotConvergedError(SlrmaError):
-    """Solver could not produce a usable iterate."""
+    """A solve, or a LAPACK eigen/SVD iteration, did not converge."""
 
 
 class CorruptStreamError(SlrmaError):

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonSymmetricError
+from .errors import NonSymmetricError, NotConvergedError
 
 
 def as_matrix(a, name="matrix"):
@@ -49,7 +49,7 @@ def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Raises NonSymmetricError when the input fails the symmetry check and
-    NoConvergenceError if the underlying QR iteration gives up.
+    NotConvergedError if the underlying QR iteration gives up.
     """
     a = as_matrix(a, "A")
     m, n = a.shape
@@ -61,7 +61,7 @@ def sym_eig(a):
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        raise NotConvergedError(str(exc)) from exc
     order = np.argsort(-values, kind="stable")  # ties keep eigh's order
     values = values[order]
     vectors = vectors[:, order]
@@ -70,11 +70,13 @@ def sym_eig(a):
 
 
 def thin_svd(a):
-    """Thin SVD with r = min(m, n) and the shared sign convention on U."""
+    """Thin SVD with r = min(m, n) and the shared sign convention on U.
+
+    Raises NotConvergedError if LAPACK's SVD does not converge."""
     a = as_matrix(a, "A")
     try:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        raise NotConvergedError(str(exc)) from exc
     signs = _column_sign_flips(u)
     return ThinSvd(u * signs, sigma, vt.T * signs)

@@ -139,8 +139,8 @@ def _measure(row, dataset, blob):
 
 def rd_sweep(dataset, grid: SweepGrid):
     """Evaluate the full grid; returns (rows, pareto front rows). Every
-    target, step and (k, target) pair is checked, by ValueError, before the
-    first solve."""
+    target, step and (k, target) pair is checked, by ValueError, and the
+    data's size by the codec's transform builder, before the first solve."""
     if not all(0.0 <= pb < 1.0 for pb in grid.pb_targets):
         raise ValueError(f"p_B targets {grid.pb_targets} must lie in [0, 1)")
     if not all(len(pair) == 2 and all(0.0 < step < np.inf for step in pair)

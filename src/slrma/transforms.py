@@ -18,9 +18,10 @@ A cached basis is shared by every caller, so its arrays are read-only; the
 uncached build stays reachable as the builder's `__wrapped__`.
 
 Sizes can come from a container header, so each is bounded before it is
-allocated for: an image's w and h by the codec (`MAX_CELLS`), `haar1d`'s
-levels by m's bit length, and `GraphSpec.is_connected` by the vertices
-edges touch.
+allocated for: an image's w and h and a mesh's frame count by the codec
+(`MAX_CELLS`), `haar1d`'s levels by m's bit length (`dwt2d` checks both
+sides before it builds either), and `GraphSpec.is_connected` by the
+vertices edges touch.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def dct1d(m):
     return OrthogonalTransform(_read_only(mat), KIND_DCT1D, (m,))
 
 
-def haar1d(m, levels):
-    """Multi-level orthonormal Haar basis, scaling band first."""
+def _check_haar(m, levels):
+    """Raise unless an m-point Haar basis can take `levels` levels."""
     if m < 1:
         raise ValueError("m must be positive")
     if levels < 1:
@@ -162,6 +163,11 @@ def haar1d(m, levels):
     # header's u32 `levels` from sizing the integer 1 << levels
     if levels >= int(m).bit_length() or m % (1 << levels) != 0:
         raise BadLevelsError(f"m={m} not divisible by 2^{levels}")
+
+
+def haar1d(m, levels):
+    """Multi-level orthonormal Haar basis, scaling band first."""
+    _check_haar(m, levels)
     # Each level turns the first `size` rows into the scaled sums, then
     # differences, of their even and odd rows, bit for bit the dense butterfly
     # product: the two rows of a pair share no nonzero column.
@@ -187,7 +193,10 @@ def dct2d(w, h):
 
 @lru_cache(maxsize=BASES_KEPT, typed=True)
 def dwt2d(w, h, levels):
-    """Separable 2D Haar wavelet; both sides must support `levels`."""
+    """Separable 2D Haar wavelet; both sides must support `levels`, and both
+    are checked before either factor is built."""
+    _check_haar(w, levels)
+    _check_haar(h, levels)
     return OrthogonalTransform(haar1d(w, levels).matrix, KIND_DWT2D, (w, h, levels),
                                haar1d(h, levels).matrix)
 
@@ -215,47 +224,23 @@ def graph_transform(g: GraphSpec):
     return OrthogonalTransform(_read_only(vectors), KIND_GRAPH, (g.vertex_count,))
 
 
-def _check_face(face, vertex_count):
-    """Raise as `mesh_adjacency` does for a face that is not a triangle on
-    [0, vertex_count): its pairs (a, b), (a, c), (b, c) are checked in that
-    order, each for range and then for a repeated vertex. Returns (a, b, c).
-    """
-    if len(face) != 3:
-        raise ValueError(f"face {face!r} is not a triangle")
-    a, b, c = (int(v) for v in face)
-    for u, v in ((a, b), (a, c), (b, c)):
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise IndexError(f"vertex {max(u, v)} outside [0, {vertex_count})")
-        if u == v:
-            raise ValueError(f"degenerate face {face!r}")
-    return a, b, c
-
-
 def mesh_adjacency(faces, vertex_count):
     """Graph of a triangle mesh: union of the edges of every face.
 
-    Faces that numpy reads as an f x 3 integer array are checked and joined
-    as arrays; the first offending face, in order, raises the error
-    `_check_face` gives it. Any other face list is read face by face.
+    Faces are read in order, and the first that is not a triangle on
+    [0, vertex_count) raises: its pairs (a, b), (a, c), (b, c) are checked in
+    that order, each for range (IndexError) and then for a repeated vertex
+    (ValueError).
     """
-    try:
-        tri = np.asarray(faces)
-    except ValueError:  # ragged
-        tri = None
-    if tri is None or tri.ndim != 2 or tri.shape[1] != 3 or tri.dtype.kind not in "iu":
-        tri = np.array([_check_face(face, vertex_count) for face in faces],
-                       dtype=np.int64).reshape(-1, 3)
-    in_range = ((tri >= 0) & (tri < vertex_count)).all(axis=1)
-    distinct = (tri[:, 0] != tri[:, 1]) & (tri[:, 0] != tri[:, 2]) & (tri[:, 1] != tri[:, 2])
-    bad = ~(in_range & distinct)
-    if bad.any():
-        _check_face(faces[int(np.argmax(bad))], vertex_count)
-    tri = tri.astype(np.int64, copy=False)
-    ends = np.stack([tri[:, [0, 0, 1]], tri[:, [1, 2, 2]]])  # pairs (a,b), (a,c), (b,c)
-    # each edge once, sorted: sort its keys lo*m + hi and drop repeats
-    # (not `np.unique`, whose first call imports `numpy.ma`, ~1 MB)
-    keys = np.sort(ends.min(axis=0) * vertex_count + ends.max(axis=0), axis=None)
-    fresh = np.ones(keys.shape, dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    lo, hi = np.divmod(keys[fresh], vertex_count)
-    return GraphSpec(vertex_count, tuple(zip(lo.tolist(), hi.tolist())))
+    edges = set()
+    for face in faces:
+        if len(face) != 3:
+            raise ValueError(f"face {face!r} is not a triangle")
+        a, b, c = (int(v) for v in face)
+        for u, v in ((a, b), (a, c), (b, c)):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise IndexError(f"vertex {max(u, v)} outside [0, {vertex_count})")
+            if u == v:
+                raise ValueError(f"degenerate face {face!r}")
+            edges.add((min(u, v), max(u, v)))
+    return GraphSpec(vertex_count, tuple(sorted(edges)))

@@ -85,6 +85,24 @@ def test_lapack_failure_in_a_solve_is_not_converged_exit_code(tmp_path, capsys,
     assert not (tmp_path / "c.slrm").exists()
 
 
+def test_lapack_failure_in_the_first_svd_is_not_converged_exit_code(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the SVD every solve starts from fails like a Q step does: exit 3, not 2
+    src = tmp_path / "in"
+    assert run(["synth", "--kind", "images", "--out", str(src),
+                "--w", "8", "--h", "8", "--n", "12", "--rank", "2", "--seed", "3"]) == 0
+
+    def no_svd(a, full_matrices=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", no_svd)
+        assert run(["compress-images", str(src), "--out", str(tmp_path / "c.slrm"),
+                    "--k", "4", "--gamma", "50"]) == 3
+    assert capsys.readouterr().err == "not converged: SVD did not converge\n"
+    assert not (tmp_path / "c.slrm").exists()
+
+
 @pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"],
                                    ["--ks", "2,40"], ["--ks", "8", "--pbs", "0.999"]],
                          ids=["target", "step", "k", "k-target"])
@@ -192,11 +210,9 @@ def test_transform_and_levels_flags(tmp_path, capsys):
         assert "usage error" in capsys.readouterr().err
     # a level count below 1 is a bad flag on every command that takes one
     for levels in ("0", "-1"):
-        for command in (["compress-mesh", str(src), "--out", str(container), "--k", "2",
-                         "--target-pb", "0.5"],
-                        ["rd-sweep", "--kind", "images", "--csv", str(tmp_path / "s.csv")]):
-            assert run(command + ["--levels", levels]) == 1
-            assert "--levels: must be at least 1" in capsys.readouterr().err
+        assert run(["rd-sweep", "--kind", "images", "--csv", str(tmp_path / "s.csv"),
+                    "--levels", levels]) == 1
+        assert "--levels: must be at least 1" in capsys.readouterr().err
     # levels the 8x8 images cannot take are a data error
     assert run(compress + ["--transform", "dwt", "--levels", "4"]) == 2
     assert "BadLevelsError: m=8 not divisible by 2^4" in capsys.readouterr().err
@@ -222,7 +238,7 @@ def test_mesh_cli_end_to_end(tmp_path, capsys):
                 "--seed", "1"]) == 0
     assert run(["compress-mesh", str(src), "--out", str(container),
                 "--k", "3", "--gamma", "20", "--step-b", "0.002",
-                "--step-c", "0.5", "--transform", "gt"]) == 0
+                "--step-c", "0.5"]) == 0
     faces_file = sorted(src.glob("*.off"))[0]
     assert run(["decompress-mesh", str(container), "--faces",
                 str(faces_file), "--out", str(recon)]) == 0
@@ -330,5 +346,22 @@ def test_rd_sweep_cli_rejects_unsupported_transform(tmp_path, capsys, monkeypatc
     assert run(["rd-sweep", "--kind", "images", "--transform", "gt",
                 "--ks", "2", "--pbs", "0.3", "--steps", "0.004:1",
                 "--csv", str(csv_path)]) == 1
-    assert "unsupported image transform 'gt'" in capsys.readouterr().err
+    assert "argument --transform: invalid choice: 'gt'" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_compress_mesh_takes_no_image_flags(tmp_path, capsys):
+    src = tmp_path / "mesh"
+    assert run(["synth", "--kind", "mesh", "--out", str(src), "--m", "16", "--n", "4"]) == 0
+    compress = ["compress-mesh", str(src), "--out", str(tmp_path / "m.slrm"),
+                "--k", "2", "--target-pb", "0.5"]
+    for flag, value in (("--transform", "dct"), ("--transform", "gt"),
+                        ("--levels", "2"), ("--levels", "0")):
+        assert run(compress + [flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "m.slrm").exists()
+    # and no command names the graph transform, which only meshes use
+    for command in (["compress-images", "x.pgm", "--out", "x", "--k", "2", "--gamma", "1"],
+                    ["rd-sweep", "--kind", "mesh", "--csv", "x.csv"]):
+        assert run(command + ["--transform", "gt"]) == 1
+        assert "argument --transform: invalid choice: 'gt'" in capsys.readouterr().err

@@ -379,6 +379,16 @@ def test_mesh_frame_count_is_bounded_before_the_frame_dct(monkeypatch):
                           CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
 
 
+@pytest.mark.parametrize("kind, params", [("dct2d", (4, 4)), ("graph", (999,)),
+                                           ("graph", ())],
+                         ids=["image-kind", "other-m", "no-params"])
+def test_mesh_decoder_refuses_a_foreign_transform(kind, params):
+    seq, blob = tiny_mesh_container()
+    with pytest.raises(CorruptStreamError, match="invalid for an m=16 mesh"):
+        decompress_mesh_seq(with_header(blob, transform_kind=kind,
+                                        transform_params=params), seq.faces)
+
+
 def tiny_mesh_container():
     seq = synth_mesh_seq(16, 4, seed=1)
     blob = compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces,
@@ -449,7 +459,7 @@ def test_mesh_vertex_count_is_bounded_by_the_faces():
     # graph disconnected before anything is sized by m
     seq, blob = tiny_mesh_container()
     m = 2**22
-    crafted = with_header(blob, m=m, digest=connectivity_digest(
+    crafted = with_header(blob, m=m, transform_params=(m,), digest=connectivity_digest(
         m, mesh_adjacency(seq.faces, m).edges))
 
     def decode():

@@ -12,7 +12,7 @@ from slrma.codec import (
     decompress_mesh_seq,
 )
 from slrma.datasets import ImageSet, synth_image_set, synth_mesh_seq
-from slrma.errors import NotConvergedError
+from slrma.errors import NotConvergedError, SizeOverflowError
 from slrma.metrics import kg_error, rmse
 from slrma.sweep import CSV_COLUMNS, SweepGrid, pareto_front, rd_sweep, rows_to_csv
 
@@ -106,6 +106,24 @@ def test_rd_sweep_rejects_unsupported_transform_before_any_solve(
                      transform=transform)
     with pytest.raises(ValueError, match="unsupported image transform"):
         rd_sweep(data, grid)
+
+
+def test_rd_sweep_refuses_too_many_frames_before_any_solve(monkeypatch):
+    # the frame bound the mesh codec keeps, at 32 frames: 32^2 cells > 1023
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a mesh its decoder would refuse")
+
+    def no_dct1d(n):
+        raise AssertionError(f"built a {n}-point frame DCT")
+
+    for module in (codec, sweep):
+        monkeypatch.setattr(module, "gamma_for_sparsity", no_solve)
+    monkeypatch.setattr(codec, "slrma_solve", no_solve)
+    monkeypatch.setattr(codec, "dct1d", no_dct1d)
+    monkeypatch.setattr(codec, "MAX_CELLS", 1023)
+    grid = SweepGrid(ks=(2,), pb_targets=(0.5,), steps=((0.004, 1.0),))
+    with pytest.raises(SizeOverflowError, match="32 frames"):
+        rd_sweep(synth_mesh_seq(16, 32, seed=1), grid)
 
 
 def test_csv_schema_and_determinism():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slrma.transforms
 from slrma.errors import BadLevelsError, DisconnectedError
 from slrma.transforms import (
     BASES_KEPT,
@@ -179,6 +180,23 @@ def test_dwt2d_orthonormal_and_levels():
     assert ortho_dev(dwt2d(8, 8, 3)) < 1e-10
     with pytest.raises(BadLevelsError):
         dwt2d(8, 6, 3)
+
+
+def test_dwt2d_checks_both_sides_before_building_either(monkeypatch):
+    # a 1024-point Haar factor is 8 MiB; h = 1 cannot take 3 levels
+    built = []
+
+    def spy(m, levels):
+        built.append(m)
+        return haar1d(m, levels)
+
+    monkeypatch.setattr(slrma.transforms, "haar1d", spy)
+    for w, h in ((1024, 1), (1, 1024)):
+        with pytest.raises(BadLevelsError, match="m=1 not divisible"):
+            dwt2d(w, h, 3)
+    assert built == []
+    dwt2d.__wrapped__(8, 16, 2)
+    assert built == [8, 16]
 
 
 @given(st.integers(0, 2**32 - 1))
