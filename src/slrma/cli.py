@@ -54,9 +54,9 @@ def _level_count(text):
     return levels
 
 
-def _add_transform_args(sub):
-    sub.add_argument("--transform", choices=("dct", "dwt"), default="dct")
-    sub.add_argument("--levels", type=_level_count, default=3, help="dwt levels")
+def _add_transform_args(sub, transform="dct", levels=3):
+    sub.add_argument("--transform", choices=("dct", "dwt"), default=transform)
+    sub.add_argument("--levels", type=_level_count, default=levels, help="dwt levels")
 
 
 def _add_codec_args(sub):
@@ -123,7 +123,7 @@ def _build_parser():
     sub.add_argument("--pbs", default="0.4,0.6,0.8")
     sub.add_argument("--steps", default="0.008:4,0.004:2,0.002:1",
                      help="comma list of step_b:step_c pairs")
-    _add_transform_args(sub)
+    _add_transform_args(sub, transform=None, levels=None)  # images only
     sub.add_argument("--csv", required=True)
     _add_solver_args(sub)
 
@@ -235,16 +235,20 @@ def _cmd_rd_sweep(args):
     steps = tuple(tuple(float(x) for x in pair.split(":"))
                   for pair in args.steps.split(","))
     solver = _solver_flags(args)
+    transform = {name: value for name, value in
+                 (("transform", args.transform), ("levels", args.levels))
+                 if value is not None}
     if args.kind == "images":
         if args.data:
             data = datasets.load_image_set(_collect([args.data], ".pgm"))
         else:
             data = datasets.synth_image_set(16, 16, 32, rank=4,
                                             noise_sigma=2.0, seed=args.seed)
-        grid = SweepGrid(ks=ks, pb_targets=pbs, steps=steps,
-                         transform=args.transform, levels=args.levels,
-                         solver=solver)
+        grid = SweepGrid(ks=ks, pb_targets=pbs, steps=steps, solver=solver,
+                         **transform)
     else:
+        if transform:  # a mesh always uses its graph transform
+            raise UsageError("--transform and --levels apply to --kind images only")
         if args.data:
             data = datasets.load_mesh_sequence(_collect([args.data], ".off"))
         else:

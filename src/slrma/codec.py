@@ -6,12 +6,13 @@ sequences run the same factorization per coordinate axis against the mesh
 graph transform, with an extra 1D DCT applied along the coefficient rows
 before quantization to squeeze temporal coherence.
 
-Compression runs in two stages. `factor` solves every stream once;
-`encode` quantizes, entropy-codes and packs a factorization at given
-quantizer steps, so one factorization can serve many steps (the RD sweep
-does this). `image_transforms` and `mesh_transforms` build every basis and
-are each pipeline's only size gate; `slrma.transforms` caches the bases and
-`_connectivity` a mesh's graph and digest. A header sizes nothing before it
+Compression runs in two stages. `factor` solves a call's streams once,
+as one stack; `encode` quantizes, entropy-codes and packs the stacked
+factorization at given quantizer steps, so one factorization can serve
+many steps (the RD sweep does this). `image_transforms` and
+`mesh_transforms` build every basis and are each pipeline's only size
+gate; `slrma.transforms` caches the bases and `_connectivity` a mesh's
+graph and digest. A header sizes nothing before it
 is bounded by `MAX_CELLS` cells: an image's two 1D factors (w^2 + h^2) and
 its decoded stack (w*h*n), a mesh's frame DCT (n^2) and each payload. A
 mesh's vertex count is bounded by the vertices its faces touch. The encoder,
@@ -144,54 +145,53 @@ def mesh_transforms(faces, m, n, digest=None):
 
 
 def factor(transforms: Transforms, data, params: CodecParams):
-    """Factor stage: solve Z = Phi^T X of every stream in `data`.
+    """Factor stage: solve Z = Phi^T X of every stream in `data` as one stack.
 
-    Returns one Factorization per stream, in order. With `params.gamma` set
-    every stream is solved at that gamma, otherwise for `params.target_pb`
-    zeros. Either solve runs on the penalty schedule anchored at the
-    stream's sigma_1^2, growing by the `SolverConfig` default alpha unless
+    Returns one Factorization of the s x m x n stack of Z, s the number of
+    streams (an image set is a stack of one). With `params.gamma` set every
+    stream is solved at that gamma, otherwise for `params.target_pb` zeros.
+    Either solve runs on the penalty schedule anchored at each stream's
+    sigma_1^2, growing by the `SolverConfig` default alpha unless
     `params.solver` overrides it. A solve that does not converge is
     returned as it is; see `check_converged`.
     """
+    z = np.stack([transforms.phi.forward(x) for x in data])
     if params.gamma is not None:
-        cfg = params.solver_config(gamma=float(params.gamma))
-        return [slrma_solve(transforms.phi.forward(x), cfg) for x in data]
+        return slrma_solve(z, params.solver_config(gamma=float(params.gamma)))
     if params.target_pb is None:
         raise ValueError("need either gamma or target_pb")
     # the config names the target too, so (z, cfg) alone re-runs the solve
     cfg = params.solver_config(gamma=0.0, target_pb=params.target_pb)
-    return [gamma_for_sparsity(transforms.phi.forward(x), cfg, params.target_pb)[1]
-            for x in data]
+    return gamma_for_sparsity(z, cfg, params.target_pb)[1]
 
 
-def check_converged(facts):
-    """Raise NotConvergedError for the first factorization that did not converge."""
-    for fact in facts:
-        if not fact.converged:
-            raise NotConvergedError(
-                f"solver did not converge within {fact.iterations} iterations"
-            )
+def check_converged(fact):
+    """Raise NotConvergedError unless every stream of the factorization converged."""
+    if not fact.converged:
+        raise NotConvergedError(
+            f"solver did not converge within {fact.iterations} iterations"
+        )
 
 
-def encode(transforms: Transforms, facts, step_b, step_c):
-    """Encode stage: quantize, entropy-code and pack one factorization per stream.
+def encode(transforms: Transforms, fact, step_b, step_c):
+    """Encode stage: quantize, entropy-code and pack a stacked factorization,
+    one basis and one coefficient payload per stream.
 
     Meshes take a 1D DCT along the coefficient rows before quantization.
     """
     payloads = []
-    for fact in facts:
-        coeffs = fact.coeffs
+    for basis, coeffs in zip(fact.basis, fact.coeffs):
         if transforms.pipeline == PIPELINE_MESH:
             coeffs = transforms.frames.forward(coeffs.T)  # n x k
-        payloads.append(entropy_encode(quantize(fact.basis, step_b)))
+        payloads.append(entropy_encode(quantize(basis, step_b)))
         payloads.append(entropy_encode(quantize(coeffs, step_c)))
-    m, k = facts[0].basis.shape
+    _, m, k = fact.basis.shape
     header = ContainerHeader(
         pipeline=transforms.pipeline,
         transform_kind=transforms.phi.kind,
         transform_params=transforms.phi.params,
         m=m,
-        n=facts[0].coeffs.shape[1],
+        n=fact.coeffs.shape[-1],
         k=k,
         step_b=step_b,
         step_c=step_c,
@@ -227,9 +227,9 @@ def _decode(transforms: Transforms, header, payloads):
 
 
 def _compress(transforms, data, params: CodecParams):
-    facts = factor(transforms, data, params)
-    check_converged(facts)
-    return encode(transforms, facts, params.step_b, params.step_c)
+    fact = factor(transforms, data, params)
+    check_converged(fact)
+    return encode(transforms, fact, params.step_b, params.step_c)
 
 
 def compress_image_set(x, w, h, params: CodecParams):

@@ -12,6 +12,21 @@ support; a solve whose basis is not orthonormal to rounding is not
 converged. The iterate (B, P, Q, the multipliers, rho) lives in the
 loop's locals, and each step takes and returns plain arrays.
 
+The loop solves an s x m x n stack of same-shape Z as one s x m x k
+iterate, each slice on its own penalty schedule; every step acts slice by
+slice. A slice leaves the stack at the sweep where its own solve would
+stop, with that solve's outcome, and the last slice left runs the plain
+2-D loop, as a lone Z does. Each slice thus gets bit for bit what solving
+it alone gives, which three roundings would break:
+- sigma_1^2 is each slice's numpy-scalar power `float(sigma[0] ** 2)`: an
+  array square `sigma**2` differs from it in the last bit for a few values.
+- `update_q` raises the Gram eigenvalues to -1/2 as a contiguous array:
+  numpy's power rounds a reversed view differently from a contiguous copy,
+  while a contiguous stack rounds each row as the row alone.
+- `update_q` keeps the closed-form polar factor only for slices that have
+  kept their column rank, and forms it under `np.errstate` when a slice
+  has not, so a rank-lost slice raises no warning.
+
 A sweep computes only what decides the solve. The residual of the B
 system, (2 rho I - 2 Z Z^T) B = rhs, changes no iterate, so the loop does
 not form it: the tests' reference solve, whose iterates they tie bit for
@@ -74,8 +89,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Factorization:
-    basis: np.ndarray            # m x k, sparse, column-orthonormal
-    coeffs: np.ndarray           # k x n
+    """One solve's result; a stack's arrays carry its leading slice axis.
+
+    A stack's `p_b_achieved` is taken over every entry, `iterations` is the
+    most any slice ran, `converged` holds when every slice converged, and
+    `objective_trace` holds one trace per slice.
+    """
+
+    basis: np.ndarray            # m x k (s x m x k), sparse, column-orthonormal
+    coeffs: np.ndarray           # k x n (s x k x n)
     p_b_achieved: float          # exact-zero fraction of basis
     iterations: int
     converged: bool
@@ -84,8 +106,10 @@ class Factorization:
 
 def objective(ztb, b, gamma):
     """-||Z^T B||_F^2 + gamma * (number of nonzero entries of B), given the
-    product Z^T B. Nothing is validated: the solve checks its inputs once."""
-    return float(-np.sum(ztb**2) + gamma * np.count_nonzero(b))
+    product Z^T B; one value per slice of a stack. Nothing is validated: the
+    solve checks its inputs once."""
+    return (-np.add.reduce(ztb**2, axis=(-2, -1))
+            + gamma * np.add.reduce(b != 0.0, axis=(-2, -1)))
 
 
 def kept_entries(target_pb, m, k):
@@ -115,11 +139,11 @@ def update_b(u, coeff, rho, rhs):
     and `coeff` the diagonal of the bracket as an r x 1 column. Nothing is
     validated.
     """
-    return rhs / (2.0 * rho) + u @ (coeff * (u.T @ rhs))
+    return rhs / (2.0 * rho) + u @ (coeff * (u.swapaxes(-1, -2) @ rhs))
 
 
 def update_p(b, y_p, rho, cfg: SolverConfig):
-    """P step on A = B + Y_P/rho.
+    """P step on A = B + Y_P/rho, slice by slice.
 
     By default the hard threshold at tau = sqrt(2 gamma / rho). With
     `cfg.target_pb` set, the projection onto the l0 ball instead: keep the
@@ -132,46 +156,69 @@ def update_p(b, y_p, rho, cfg: SolverConfig):
     if cfg.target_pb is None:
         tau = np.sqrt(2.0 * cfg.gamma / rho)
         return np.where(np.abs(shifted) > tau, shifted, 0.0)
-    keep = kept_entries(cfg.target_pb, *shifted.shape)
-    mags = np.abs(shifted).ravel()
-    cut = np.partition(mags, mags.size - keep)[mags.size - keep]  # keep-th largest
-    kept = mags >= cut
-    if np.count_nonzero(kept) > keep:  # ties at the cut: keep the earliest
-        kept = mags > cut
-        ties = np.flatnonzero(mags == cut)
-        kept[ties[: keep - np.count_nonzero(kept)]] = True
+    keep = kept_entries(cfg.target_pb, *shifted.shape[-2:])
+    mags = np.abs(shifted).reshape(shifted.shape[:-2] + (-1,))
+    part = mags.copy()
+    part.partition(-keep)  # along each slice
+    cut = part[..., -keep, None]  # the keep-th largest |A| of each slice
+    kept = mags >= cut  # `keep` entries of each slice, more where |A| ties at the cut
+    if np.count_nonzero(kept) > keep * (kept.size // mags.shape[-1]):
+        rows, row_mags, row_cuts = (a.reshape(-1, a.shape[-1]) for a in (kept, mags, cut))
+        for r in np.flatnonzero(np.count_nonzero(rows, axis=-1) > keep):  # keep the earliest
+            row = row_mags[r] > row_cuts[r]
+            ties = np.flatnonzero(row_mags[r] == row_cuts[r])
+            row[ties[: keep - np.count_nonzero(row)]] = True
+            rows[r] = row
     return np.where(kept.reshape(shifted.shape), shifted, 0.0)
 
 
 def update_q(b, y_q, rho):
-    """Nearest column-orthonormal matrix to A = B + Y_Q/rho: A's polar factor.
+    """Nearest column-orthonormal matrix to A = B + Y_Q/rho: A's polar
+    factor, slice by slice.
 
     With A^T A = V D V^T well conditioned this is the closed form
     A V D^(-1/2) V^T; once A has lost column rank (smallest eigenvalue at
     most 1e-12 of the largest) it is U V^T from A's thin SVD, which is
     defined for any input. Raises FloatingPointError when A^T A is not
-    finite and LinAlgError when `eigh` or the SVD fails.
+    finite and LinAlgError when `eigh` or the SVD fails; on a stack either
+    names no slice.
 
     The Gram matrix is symmetric by construction, so `eigh` runs on it
     directly, without `sym_eig`'s symmetry check and sign convention: the
     product V D^(-1/2) V^T is bit-identical under any column signs of V, as
-    is U V^T under `thin_svd`'s signs. The descending reorder stays a
-    fancy-index copy, because the order of V's columns sets the summation
-    order of that product.
+    is U V^T under `thin_svd`'s signs. The order of V's columns sets the
+    summation order of that product, so the descending reorder is `eigh`'s
+    ascending order reversed into contiguous copies, and a stable sort of
+    the values only where two of them are exactly tied.
     """
     shifted = b + y_q / rho
-    gram = shifted.T @ shifted
+    gram = shifted.swapaxes(-1, -2) @ shifted
     if not np.isfinite(gram).all():
         raise FloatingPointError("orthogonality projection input overflowed")
     values, vectors = np.linalg.eigh(gram)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    if values[-1] > 1e-12 * max(values[0], 1e-300):
-        inv_sqrt = vectors * (values**-0.5)
-        return shifted @ (inv_sqrt @ vectors.T)
+    if np.count_nonzero(values[..., 1:] == values[..., :-1]):  # ties keep eigh's order
+        order = np.argsort(-values, axis=-1, kind="stable")
+        values = np.take_along_axis(values, order, axis=-1)
+        vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    else:
+        values = values[..., ::-1].copy()
+        vectors = vectors[..., ::-1].copy()
+    rank_lost = values[..., -1] <= 1e-12 * np.maximum(values[..., 0], 1e-300)
+    if not np.count_nonzero(rank_lost):
+        return _closed_polar(shifted, values, vectors)
     u, _, vt = np.linalg.svd(shifted, full_matrices=False)
-    return u @ vt
+    if rank_lost.all():
+        return u @ vt
+    # a rank-lost slice's D^(-1/2) divides by zero; its closed form is dropped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        closed = _closed_polar(shifted, values, vectors)
+    return np.where(rank_lost[..., None, None], u @ vt, closed)
+
+
+def _closed_polar(shifted, values, vectors):
+    """A V D^(-1/2) V^T, given D's diagonal `values` as a contiguous array."""
+    inv_sqrt = vectors * (values**-0.5)[..., None, :]
+    return shifted @ (inv_sqrt @ vectors.swapaxes(-1, -2))
 
 
 def update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q):
@@ -184,7 +231,7 @@ def update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q):
 
 
 def _extract(p, q, z, cfg: SolverConfig, iterations, converged, objectives):
-    """Assemble the output factor: Q orthonormalized on P's support.
+    """Assemble one slice's output factor: Q orthonormalized on P's support.
 
     Column j is Q's column j on the rows where P's column j is nonzero, less
     its least-squares projection onto the earlier output columns on those
@@ -218,12 +265,15 @@ def _extract(p, q, z, cfg: SolverConfig, iterations, converged, objectives):
 
 
 def slrma_solve(z, cfg: SolverConfig):
-    """Run the alternating loop on transform-domain data Z.
+    """Run the alternating loop on transform-domain data Z, m x n, or on an
+    s x m x n stack of them.
 
     Stops once the split residuals ||B-P|| and ||B-Q|| are below TOL in the
     max norm and the objective has been flat over the trailing window. Runs
     that exhaust MAX_ITERS, whose iterate overflows, or whose Q step LAPACK
-    fails to decompose, return converged=False with diagnostics intact.
+    fails to decompose, return converged=False with diagnostics intact. A
+    stack's slices each stop by this rule, and a stack returns one
+    Factorization (see there).
 
     Every solve starts from the top-k left singular vectors of Z, on the
     penalty schedule anchored at sigma_1^2 of Z. That schedule keeps rho
@@ -234,9 +284,12 @@ def slrma_solve(z, cfg: SolverConfig):
     is not finite, so the first sweep's B is not finite and the solve stops
     there as a blow-up.
     """
-    z = as_matrix(z, "Z")
-    check_rank(*z.shape, cfg.k, cfg.target_pb)
-    svd = thin_svd(z)
+    z = np.asarray(z, dtype=np.float64)
+    zs = [as_matrix(a, "Z") for a in z] if z.ndim == 3 else [as_matrix(z, "Z")]
+    if not zs:
+        raise ValueError("Z is an empty stack")
+    check_rank(*zs[0].shape, cfg.k, cfg.target_pb)
+    svds = [thin_svd(a) for a in zs]
     # A blow-up is caught by the finiteness checks on the objective and on
     # the Q step's Gram matrix, which a non-finite B makes non-finite, so
     # numpy's warnings on the way say nothing new: overflow (sigma^2 of data
@@ -244,43 +297,143 @@ def slrma_solve(z, cfg: SolverConfig):
     # and division by a zero gap between 2 rho and 2 sigma_1^2 (a subnormal
     # sigma_1^2 that 1.05 does not move).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        two_sig2 = 2.0 * (svd.sigma**2)[:, None]
-        top_sq = float(svd.sigma[0] ** 2)
-        anchor = top_sq if top_sq > 0.0 else 1.0  # an all-zero Z has no scale
-        ceiling = ANCHOR_RHO_MAX * anchor
-        rho = ANCHOR_RHO0 * anchor
-        # no step writes into its inputs, so the iterate shares its arrays
-        p = q = svd.u[:, :cfg.k]
-        y_p = y_q = np.zeros(p.shape)
-        objectives = []  # one per completed sweep
-        converged = False
+        outcomes = _sweeps(zs, svds, cfg)
+    facts = [_extract(p, q, a, cfg, *stop) for a, (p, q, *stop) in zip(zs, outcomes)]
+    if z.ndim == 2:
+        return facts[0]
+    basis = np.stack([f.basis for f in facts])
+    return Factorization(
+        basis=basis,
+        coeffs=np.stack([f.coeffs for f in facts]),
+        p_b_achieved=float(1.0 - np.count_nonzero(basis) / basis.size),
+        iterations=max(f.iterations for f in facts),
+        converged=all(f.converged for f in facts),
+        objective_trace=tuple(f.objective_trace for f in facts),
+    )
+
+
+def _sweeps(zs, svds, cfg: SolverConfig):
+    """The loop over the slices `zs`, given their thin SVDs: one (P, Q,
+    iterations, converged, objectives) per slice, as that slice stops.
+
+    The iterate has a leading slice axis while two or more slices are
+    active, and is indexed only when a slice stops.
+    """
+    # the numpy-scalar power, as a lone solve of each slice takes it
+    top_sq = np.array([float(svd.sigma[0] ** 2) for svd in svds])
+    anchor = np.where(top_sq > 0.0, top_sq, 1.0)  # an all-zero Z has no scale
+    if len(zs) == 1:
+        z, u, sigma, anchor = zs[0], svds[0].u, svds[0].sigma, anchor[0]
+    else:
+        z = np.stack(zs)
+        u = np.stack([svd.u for svd in svds])
+        sigma = np.stack([svd.sigma for svd in svds])
+    two_sig2 = 2.0 * (sigma**2)[..., None]
+    # rho_t = min(ANCHOR_RHO0 anchor alpha^t, ANCHOR_RHO_MAX anchor): the
+    # products run in sequence, so rho_t is the loop's min(rho_(t-1) alpha, cap)
+    factors = np.full(np.shape(anchor) + (MAX_ITERS,), cfg.alpha)
+    factors[..., 0] = ANCHOR_RHO0 * anchor
+    schedule = np.minimum(np.multiply.accumulate(factors, axis=-1),
+                          ANCHOR_RHO_MAX * anchor[..., None])
+    rhos = _by_sweep(schedule)
+    # no step writes into its inputs, so the iterate shares its arrays
+    p = q = u[..., :cfg.k]
+    y_p = y_q = np.zeros(p.shape)
+    objectives = np.empty(p.shape[:-2] + (MAX_ITERS,))  # one per completed sweep
+    active = np.arange(len(zs)).reshape(p.shape[:-2])  # slice numbers
+    outcomes = [None] * len(zs)
+    sweeps = 0
+    while sweeps < MAX_ITERS:
+        rho = rhos[sweeps]
+        coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
+        b = update_b(u, coeff, rho, rho * (p + q) - y_p - y_q)
+        new_p = update_p(b, y_p, rho, cfg)
         try:
-            while len(objectives) < MAX_ITERS:
-                coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
-                b = update_b(svd.u, coeff, rho, rho * (p + q) - y_p - y_q)
-                new_p = update_p(b, y_p, rho, cfg)
-                new_q = update_q(b, y_q, rho)
-                value = objective(z.T @ b, b, cfg.gamma)
-                if not np.isfinite(value):
-                    raise FloatingPointError("objective overflowed")
-                p, q = new_p, new_q
-                objectives.append(value)
-                b_minus_p = b - p
-                b_minus_q = b - q
-                y_p, y_q = update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q)
-                rho = min(rho * cfg.alpha, ceiling)
-                if np.abs(b_minus_p).max() < TOL and np.abs(b_minus_q).max() < TOL:
-                    if len(objectives) >= OBJECTIVE_WINDOW:
-                        tail = objectives[-OBJECTIVE_WINDOW:]
-                        if max(tail) - min(tail) < TOL * (1.0 + abs(objectives[-1])):
-                            converged = True
-                            break
+            new_q = update_q(b, y_q, rho)
         except (FloatingPointError, np.linalg.LinAlgError):
+            new_q = None  # the step failed on some slice
+        value = objective(z.swapaxes(-1, -2) @ b, b, cfg.gamma)
+        if new_q is None or np.count_nonzero(value - value):  # 0 where finite
             # A blow-up (data whose scale puts sigma_1^2 or rho out of
             # floating-point range) or a LAPACK failure in the Q step: the
-            # solve reports the last sane iterate, not converged.
-            pass
-    return _extract(p, q, z, cfg, len(objectives), converged, objectives)
+            # slice reports its last sane iterate, not converged.
+            new_q, failed = _failures(b, y_q, rho, new_q, value)
+            _record(outcomes, failed, active, p, q, objectives, sweeps, False)
+            if failed.all():
+                break
+            (z, u, two_sig2, schedule, p, q, y_p, y_q, objectives, active,
+             b, new_p, new_q, value) = _keep(~failed, (
+                z, u, two_sig2, schedule, p, q, y_p, y_q, objectives, active,
+                b, new_p, new_q, value))
+            rhos = _by_sweep(schedule)
+            rho = rhos[sweeps]
+        p, q = new_p, new_q
+        objectives[..., sweeps] = value
+        sweeps += 1
+        b_minus_p = b - p
+        b_minus_q = b - q
+        y_p, y_q = update_multipliers(y_p, y_q, rho, b_minus_p, b_minus_q)
+        done = np.abs(b_minus_p).max(axis=(-2, -1)) < TOL
+        if np.count_nonzero(done) and sweeps >= OBJECTIVE_WINDOW:
+            done &= np.abs(b_minus_q).max(axis=(-2, -1)) < TOL
+            tail = objectives[..., sweeps - OBJECTIVE_WINDOW:sweeps]
+            done &= tail.max(axis=-1) - tail.min(axis=-1) < TOL * (1.0 + np.abs(value))
+            if np.count_nonzero(done):
+                _record(outcomes, done, active, p, q, objectives, sweeps, True)
+                if done.all():
+                    break
+                (z, u, two_sig2, schedule, p, q, y_p, y_q, objectives,
+                 active) = _keep(~done, (z, u, two_sig2, schedule, p, q,
+                                         y_p, y_q, objectives, active))
+                rhos = _by_sweep(schedule)
+    else:
+        _record(outcomes, np.ones(active.shape, bool), active, p, q, objectives,
+                sweeps, False)
+    return outcomes
+
+
+def _failures(b, y_q, rho, q, value):
+    """(Q, the mask of the slices whose sweep failed), given the sweep's
+    objective `value` and its Q step `q`, None if that step raised. A slice
+    fails on a non-finite objective, or when the Q step raises on the slice
+    alone, which leaves its Q NaN."""
+    failed = np.array(~np.isfinite(value))
+    if q is None:
+        q = np.full(b.shape, np.nan)
+        for at in np.ndindex(failed.shape):
+            try:
+                q[at] = update_q(b[at], y_q[at], np.asarray(rho)[at])
+            except (FloatingPointError, np.linalg.LinAlgError):
+                failed[at] = True
+    return q, failed
+
+
+def _by_sweep(schedule):
+    """The penalty of each sweep, indexed by sweep, from a slice's schedule
+    or a stack's s x MAX_ITERS schedules: floats for one slice, s x 1 x 1
+    arrays for a stack."""
+    if schedule.ndim == 1:
+        return schedule.tolist()
+    return schedule.T[..., None, None]
+
+
+def _record(outcomes, mask, active, p, q, objectives, sweeps, converged):
+    """Store the outcome of every active slice that `mask` marks."""
+    for at in np.ndindex(mask.shape):
+        if mask[at]:
+            outcomes[active[at]] = (p[at], q[at], sweeps, converged,
+                                    objectives[at][:sweeps].tolist())
+
+
+def _keep(keep, arrays):
+    """`arrays` restricted to the active slices `keep` marks; the last slice
+    left drops the slice axis and runs the plain 2-D loop."""
+    if keep.all():
+        return arrays
+    if np.count_nonzero(keep) == 1:
+        at = int(np.flatnonzero(keep)[0])
+        return [a[at] for a in arrays]
+    return [a[keep] for a in arrays]
 
 
 def gamma_for_sparsity(z, cfg: SolverConfig, target_pb):
@@ -299,8 +452,11 @@ def gamma_for_sparsity(z, cfg: SolverConfig, target_pb):
 
 
 def reconstruct(phi: OrthogonalTransform, factorization: Factorization):
-    """Map a transform-domain factorization back to the signal domain."""
+    """Map a transform-domain factorization back to the signal domain; a
+    stacked one slice by slice."""
     product = factorization.basis @ factorization.coeffs
-    if phi.size != product.shape[0]:
+    if phi.size != product.shape[-2]:
         raise ValueError("transform size does not match the factorization")
+    if product.ndim == 3:
+        return np.stack([phi.inverse(a) for a in product])
     return phi.inverse(product)

@@ -168,24 +168,19 @@ def rd_sweep(dataset, grid: SweepGrid):
                                  target_pb=pb, solver=dict(grid.solver))
             point = dict(k=k, p_b_target=pb, transform=transform)
             try:
-                facts = factor(transforms, data, params)
+                fact = factor(transforms, data, params)
             except SlrmaError as exc:
                 rows.extend(SweepRow(**point, step_b=step_b, step_c=step_c,
                                      error=_error_text(exc))
                             for step_b, step_c in grid.steps)
                 continue
-            nnz = sum(np.count_nonzero(f.basis) for f in facts)
-            total = sum(f.basis.size for f in facts)
-            point.update(
-                p_b_achieved=1.0 - nnz / total,
-                iters=max(f.iterations for f in facts),
-                converged=all(f.converged for f in facts),
-            )
+            point.update(p_b_achieved=fact.p_b_achieved, iters=fact.iterations,
+                         converged=fact.converged)
             for step_b, step_c in grid.steps:
                 row = SweepRow(**point, step_b=step_b, step_c=step_c)
                 try:
-                    check_converged(facts)
-                    _measure(row, dataset, encode(transforms, facts,
+                    check_converged(fact)
+                    _measure(row, dataset, encode(transforms, fact,
                                                   step_b, step_c))
                 except SlrmaError as exc:
                     row.error = _error_text(exc)

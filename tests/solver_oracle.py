@@ -148,3 +148,41 @@ def checked_solve(z, cfg):
     assert_same_factorization(got, want)
     assert len(residuals) == got.iterations > 0
     return got, max(residuals)
+
+
+def checked_stack_solve(z, cfg, oracle=True):
+    """`slrma_solve` of an s x m x n stack `z`, each slice tied bit for bit to
+    the 2-D solve of that slice: basis, coeffs, p_B, iterations, converged
+    flag and objective trace, as `_extract` builds them inside the stacked
+    solve. With `oracle`, each 2-D solve is tied to the reference loop too.
+
+    Returns (the stacked factorization, the 2-D factorizations).
+    """
+    built = []
+    extract = solver_module._extract
+
+    def spy(*args):
+        built.append(extract(*args))
+        return built[-1]
+
+    solver_module._extract = spy
+    try:
+        got = solver_module.slrma_solve(z, cfg)
+    finally:
+        solver_module._extract = extract
+    alone = [solver_module.slrma_solve(a, cfg) for a in z]
+    assert len(built) == len(alone)
+    for fact, want in zip(built, alone):
+        assert_same_factorization(fact, want)
+    if oracle:
+        with np.errstate(all="ignore"):  # the reference meets blow-ups unguarded
+            for a, want in zip(z, alone):
+                assert_same_factorization(want, reference_solve(a, cfg)[0])
+    assert np.array_equal(got.basis, np.stack([f.basis for f in alone]))
+    assert np.array_equal(got.coeffs, np.stack([f.coeffs for f in alone]))
+    nnz = sum(np.count_nonzero(f.basis) for f in alone)
+    assert got.p_b_achieved == 1.0 - nnz / got.basis.size
+    assert got.iterations == max(f.iterations for f in alone)
+    assert got.converged == all(f.converged for f in alone)
+    assert got.objective_trace == tuple(f.objective_trace for f in alone)
+    return got, alone

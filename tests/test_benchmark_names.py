@@ -80,3 +80,24 @@ def test_traced_image_round_trip_records_basis_sizes():
         builds = [span for span in tracer.spans if span.name == "transforms.build"]
         assert builds and all(span.error is None for span in builds)
         assert all(span.info["nbytes"] > 0 for span in builds)
+
+
+def test_traced_mesh_compress_gives_the_stability_probe_its_solve():
+    # the tracer keeps the (Z, config) of a compress's one sparsity search,
+    # and the benchmark's stability probe re-solves it through
+    # `slrma.solver.slrma_solve` and reads the outcome's types
+    codec = importlib.import_module("slrma.codec")
+    solver = importlib.import_module("slrma.solver")
+    tracing = load_tracing()
+    seq = synth_mesh_seq(16, 8, seed=1)
+    params = codec.CodecParams(k=2, step_b=0.004, step_c=1.0, target_pb=0.5,
+                               solver={"alpha": 1.02})
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, tracing.LAYERS):
+        codec.compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces, params)
+    assert [span.name for span in tracer.spans].count("solver.search") == 1
+    assert tracer.first_solve is not None
+    fact = solver.slrma_solve(*tracer.first_solve)
+    assert type(fact.p_b_achieved) is float
+    assert type(fact.iterations) is int
+    assert type(fact.converged) is bool

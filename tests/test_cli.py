@@ -350,6 +350,24 @@ def test_rd_sweep_cli_rejects_unsupported_transform(tmp_path, capsys, monkeypatc
     assert not csv_path.exists()
 
 
+def test_mesh_rd_sweep_refuses_image_flags(tmp_path, capsys, monkeypatch):
+    # a mesh sweep always uses the graph transform: an image transform flag
+    # is a usage error before anything is solved, not a flag it ignores
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the flag")
+
+    for module in (codec, sweep):
+        monkeypatch.setattr(module, "gamma_for_sparsity", no_solve)
+    csv_path = tmp_path / "sweep.csv"
+    sweep_mesh = ["rd-sweep", "--kind", "mesh", "--ks", "2", "--pbs", "0.5",
+                  "--steps", "0.004:1", "--csv", str(csv_path)]
+    for flags in (["--transform", "dwt", "--levels", "9"], ["--transform", "dct"],
+                  ["--levels", "3"]):
+        assert run(sweep_mesh + flags) == 1
+        assert "--transform and --levels apply to --kind images only" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_compress_mesh_takes_no_image_flags(tmp_path, capsys):
     src = tmp_path / "mesh"
     assert run(["synth", "--kind", "mesh", "--out", str(src), "--m", "16", "--n", "4"]) == 0

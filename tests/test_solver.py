@@ -27,6 +27,7 @@ from slrma.transforms import dct1d, dct2d, graph_transform, mesh_adjacency
 from solver_oracle import (
     assert_same_factorization,
     checked_solve,
+    checked_stack_solve,
     identity,
     reference_objective,
     reference_solve,
@@ -303,6 +304,20 @@ def test_reconstruct_isometry_oracle():
     err_signal = np.linalg.norm(x - x_hat)
     err_transform = np.linalg.norm(z - fact.basis @ fact.coeffs)
     assert abs(err_signal - err_transform) < 1e-10 * max(err_signal, 1.0)
+
+
+def test_reconstruct_maps_a_stack_slice_by_slice():
+    rng = np.random.default_rng(15)
+    phi = dct2d(4, 4)
+    x = rng.normal(size=(2, 16, 8))
+    fact = slrma_solve(np.stack([phi.forward(a) for a in x]), SolverConfig(gamma=0.0, k=3))
+    x_hat = reconstruct(phi, fact)
+    assert x_hat.shape == x.shape
+    for i in range(2):
+        alone = slrma_solve(phi.forward(x[i]), SolverConfig(gamma=0.0, k=3))
+        assert np.array_equal(x_hat[i], reconstruct(phi, alone))
+    with pytest.raises(ValueError):
+        reconstruct(dct1d(8), fact)
 
 
 # ---------------------------------------------------------------------------
@@ -649,3 +664,222 @@ def test_solve_matches_reference(case, gamma):
     want, _ = reference_solve(z, cfg)
     assert want.converged
     assert_same_factorization(slrma_solve(z, cfg), want)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves: every slice bit for bit its lone solve (solver_oracle)
+
+def mesh_axes_z():
+    """The x, y and z axis Z of the seed-1 64-vertex mesh: a 3 x 64 x 32 stack."""
+    mesh = synth_mesh_seq(64, 32, seed=1)
+    phi = graph_transform(mesh_adjacency(mesh.faces, mesh.m))
+    return np.stack([phi.forward(a) for a in (mesh.xx, mesh.xy, mesh.xz)])
+
+
+def with_y_axis(slice_):
+    """The mesh stack with its y axis replaced by `slice_`."""
+    z = mesh_axes_z()
+    z[1] = slice_
+    return z
+
+
+@pytest.fixture
+def stacked_ties(monkeypatch):
+    """(kind, slice) of every tie a stacked step meets: "cut" when more
+    entries than the l0 ball keeps lie at or above its cut, "eig" when two
+    Gram eigenvalues of the Q step are exactly equal."""
+    ties = set()
+    update_p_, update_q_, eigh = solver_module.update_p, solver_module.update_q, np.linalg.eigh
+
+    def p_spy(b, y_p, rho, cfg):
+        if b.ndim == 3 and cfg.target_pb is not None:
+            keep = kept_entries(cfg.target_pb, *b.shape[-2:])
+            for i, mags in enumerate(np.abs(b + y_p / rho).reshape(len(b), -1)):
+                if np.count_nonzero(mags >= np.sort(mags)[-keep]) > keep:
+                    ties.add(("cut", i))
+        return update_p_(b, y_p, rho, cfg)
+
+    def q_spy(b, y_q, rho):
+        if b.ndim == 3:
+            a = b + y_q / rho
+            for i, values in enumerate(eigh(a.swapaxes(-1, -2) @ a)[0]):
+                if np.count_nonzero(values[1:] == values[:-1]):
+                    ties.add(("eig", i))
+        return update_q_(b, y_q, rho)
+
+    monkeypatch.setattr(solver_module, "update_p", p_spy)
+    monkeypatch.setattr(solver_module, "update_q", q_spy)
+    return ties
+
+
+@pytest.mark.parametrize("z, cfg, iterations, converged, ties", [
+    (mesh_axes_z, dict(k=6, target_pb=0.8), [110, 125, 89], [True] * 3, set()),
+    # every slice runs out of sweeps (k above the axes' rank 8)
+    (mesh_axes_z, dict(k=12, target_pb=0.8), [1000] * 3, [False] * 3, set()),
+    (mesh_axes_z, dict(gamma=30.0, k=6), [92, 91, 89], [True] * 3, set()),
+    (lambda: with_y_axis(np.zeros((64, 32))), dict(k=6, target_pb=0.8),
+     [110, 10, 89], [True] * 3, {("cut", 1), ("eig", 1)}),
+    (lambda: with_y_axis(planted_problem()), dict(k=4, target_pb=0.8),
+     [136, 91, 108], [True] * 3, {("cut", 1)}),
+    (lambda: with_y_axis(5.0 * np.eye(64, 32)), dict(gamma=30.0, k=4),
+     [92, 97, 89], [True] * 3, {("eig", 1)}),
+], ids=["mesh-k6", "mesh-k12", "mesh-gamma-30", "zero-slice", "tie-at-a-cut",
+        "tied-eigenvalues"])
+def test_stack_solves_each_slice_as_alone(stacked_ties, z, cfg, iterations, converged, ties):
+    got, alone = checked_stack_solve(z(), SolverConfig(**{"gamma": 0.0, **cfg}))
+    assert [f.iterations for f in alone] == iterations
+    assert [f.converged for f in alone] == converged
+    assert got.basis.shape == (3, 64, cfg["k"]) and got.coeffs.shape == (3, cfg["k"], 32)
+    assert stacked_ties == ties
+
+
+# sigma_1^2 overflows (x 1e153) or is subnormal (x 1e-160): that slice blows
+# up in its first sweep while the others converge
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e153, 1e-160])
+def test_stack_blow_up_leaves_the_other_slices_to_converge(scale):
+    z = mesh_axes_z()
+    z[1] *= scale
+    # the reference loop's checked B step refuses the blown-up slice's rhs
+    got, alone = checked_stack_solve(z, SolverConfig(gamma=0.0, k=6, target_pb=0.8),
+                                     oracle=False)
+    assert [f.iterations for f in alone] == [110, 0, 89]
+    assert [f.converged for f in alone] == [True, False, True]
+    assert not got.converged and got.iterations == 110
+
+
+def test_stack_with_a_rank_lost_q_step_in_one_slice(monkeypatch):
+    # the seed-55 slice's Q step takes the SVD branch on one sweep
+    losses = set()
+    update_q_, eigh = solver_module.update_q, np.linalg.eigh
+
+    def spy(b, y_q, rho):
+        if b.ndim == 3:
+            a = b + y_q / rho
+            values = eigh(a.swapaxes(-1, -2) @ a)[0]
+            losses.update(np.flatnonzero(values[:, 0] <= 1e-12 * values[:, -1]).tolist())
+        return update_q_(b, y_q, rho)
+
+    monkeypatch.setattr(solver_module, "update_q", spy)
+    z = np.stack([np.random.default_rng(seed).normal(size=(5, 2)) for seed in (0, 55, 1)])
+    got, alone = checked_stack_solve(z, SolverConfig(gamma=0.0, k=2, target_pb=0.5))
+    assert losses == {1}
+    assert got.converged and alone[1].iterations == 248
+
+
+def test_stack_with_eigh_failing_on_one_slice_only(monkeypatch):
+    # eigh fails on the y axis's Gram matrix of its 41st sweep, and a stacked
+    # eigh then fails as a whole: the y axis alone stops after 40 sweeps
+    z = mesh_axes_z()
+    cfg = SolverConfig(gamma=0.0, k=6, target_pb=0.8)
+    eigh = np.linalg.eigh
+    grams = []
+
+    def record(a):
+        grams.append(a.copy())
+        return eigh(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", record)
+        slrma_solve(z[1], cfg)
+    bad = grams[40]
+
+    def failing(a):
+        if any(np.array_equal(g, bad) for g in a.reshape(-1, *bad.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    got, alone = checked_stack_solve(z, cfg, oracle=False)
+    assert [f.iterations for f in alone] == [110, 40, 89]
+    assert [f.converged for f in alone] == [True, False, True]
+
+
+def test_stack_anchors_each_slice_at_its_scalar_sigma_1_squared(monkeypatch):
+    # a lone solve anchors at the numpy-scalar power float(sigma[0] ** 2),
+    # which for these sigma_1 differs in the last bit from the array square
+    sigmas = np.random.default_rng(0).uniform(1.0, 100.0, 20000)
+    trapped = [s for s in sigmas if float(s**2) != (np.array([s]) ** 2)[0]]
+    z = np.zeros((3, 12, 6))
+    for i, s in enumerate(trapped[:3]):
+        z[i, range(6), range(6)] = s * np.linspace(1.0, 0.5, 6)
+    rhos = []
+
+    def spy(u, coeff, rho, rhs):
+        rhos.append(rho)
+        return update_b(u, coeff, rho, rhs)
+
+    monkeypatch.setattr(solver_module, "update_b", spy)
+    checked_stack_solve(z, SolverConfig(gamma=0.0, k=2, target_pb=0.5))
+    sigma = np.stack([thin_svd(a).sigma for a in z])
+    tops = [float(top**2) for top in sigma[:, 0]]
+    assert rhos[0].ravel().tolist() == [solver_module.ANCHOR_RHO0 * t for t in tops]
+    assert tops != (sigma[:, 0] ** 2).tolist()
+
+
+def test_update_q_stack_matches_each_slice_and_the_reference():
+    # numpy's power rounds a reversed 1-D view of the eigenvalues
+    # differently from a contiguous copy on some of these rows, and a
+    # contiguous stack rounds each row as the row alone
+    rng = np.random.default_rng(22)
+    reversed_views_differ = 0
+    for _ in range(60):
+        m = int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(m, 8) + 1))
+        b = rng.normal(size=(3, m, k)) * 10.0 ** rng.uniform(-3, 3)
+        y_q = rng.normal(size=(3, m, k))
+        rho = 10.0 ** rng.uniform(-4, 4, size=(3, 1, 1))
+        got = update_q(b, y_q, rho)
+        for i in range(3):
+            want = reference_update_q(b[i], y_q[i], rho[i, 0, 0])
+            assert np.array_equal(got[i], want)
+            assert np.array_equal(update_q(b[i], y_q[i], rho[i, 0, 0]), want)
+            a = b[i] + y_q[i] / rho[i, 0, 0]
+            ascending = np.linalg.eigh(a.T @ a)[0]
+            reversed_views_differ += not np.array_equal(
+                ascending[::-1] ** -0.5, ascending[::-1].copy() ** -0.5)
+    assert reversed_views_differ > 0
+
+
+def test_update_q_stack_keeps_eigh_order_at_tied_eigenvalues():
+    # A^T A = 3 J + 2 I (J all ones) has a fourfold eigenvalue whose
+    # eigenvectors are not axes: their order sets the rounding of
+    # V D^(-1/2) V^T, and reversing eigh's order reorders them
+    gram = 3.0 * np.ones((5, 5)) + 2.0 * np.eye(5)
+    rng = np.random.default_rng(24)
+    order_matters = 0
+    for scale in np.linspace(0.5, 2.0, 16):
+        tied = np.vstack([np.linalg.cholesky(gram).T, np.zeros((4, 5))]) * scale
+        b = np.stack([rng.normal(size=(9, 5)), tied, rng.normal(size=(9, 5))])
+        zeros = np.zeros(b.shape)
+        got = update_q(b, zeros, np.ones((3, 1, 1)))
+        for i in range(3):
+            assert np.array_equal(got[i], reference_update_q(b[i], zeros[i], 1.0))
+        values, vectors = np.linalg.eigh(tied.T @ tied)
+        if np.count_nonzero(values[1:] == values[:-1]):
+            flipped = vectors[:, ::-1] * values[::-1] ** -0.5 @ vectors[:, ::-1].T
+            order_matters += not np.array_equal(tied @ flipped, got[1])
+    assert order_matters > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_update_q_stack_with_rank_lost_slices_raises_no_warning():
+    rng = np.random.default_rng(23)
+    b = rng.normal(size=(3, 8, 3))
+    b[1, :, -1] = 0.0  # a zero column: the closed form would divide by zero
+    zeros = np.zeros(b.shape)
+    rho = np.array([1.0, 2.0, 3.0])[:, None, None]
+    for stack, lost in ((b, [False, True, False]), (np.stack([b[1]] * 3), [True] * 3)):
+        got = update_q(stack, zeros, rho)
+        for i in range(3):
+            rank_losses = []
+            want = reference_update_q(stack[i], zeros[i], rho[i, 0, 0], rank_losses)
+            assert np.array_equal(got[i], want)
+            assert bool(rank_losses) == lost[i]
+
+
+@pytest.mark.parametrize("z", [np.zeros((0, 4, 4)), np.zeros((2, 2, 4, 4)),
+                               np.full((2, 4, 4), np.nan)], ids=["empty", "4-D", "nan"])
+def test_solve_rejects_a_bad_stack(z):
+    with pytest.raises(ValueError):
+        slrma_solve(z, SolverConfig(gamma=0.0, k=2))
