@@ -190,11 +190,9 @@ def _cmd_decompress_mesh(args):
 
 
 def _cmd_measure(args):
-    try:
-        _collect(args.orig, ".pgm")
-        is_image = True
-    except UsageError:
-        is_image = False
+    # images when the originals are .pgm files or directories holding some
+    is_image = any(any(p.glob("*.pgm")) if p.is_dir() else p.suffix == ".pgm"
+                   for p in map(Path, args.orig))
     lines = []
     if is_image:
         a = datasets.load_image_set(_collect(args.orig, ".pgm"))

@@ -63,6 +63,8 @@ def read_pgm(path):
         fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
+    if not w or not h:
+        raise FormatError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise FormatError(f"{path}: maxval {maxval} unsupported (need 255)")
     raster = data[pos : pos + w * h]
@@ -127,6 +129,8 @@ def read_off(path):
         raise FormatError(f"{path}: missing OFF header")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
+        if nv < 1 or nf < 0:
+            raise FormatError(f"{path}: {nv} vertices and {nf} faces")
         pos = 4  # skip the edge count
         verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64)
         verts = verts.reshape(nv, 3)

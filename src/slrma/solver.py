@@ -14,10 +14,10 @@ loop's locals, and each step takes and returns plain arrays.
 
 The loop solves an s x m x n stack of same-shape Z as one s x m x k
 iterate, each slice on its own penalty schedule; every step acts slice by
-slice. A slice leaves the stack at the sweep where its own solve would
-stop, with that solve's outcome, and the last slice left runs the plain
-2-D loop, as a lone Z does. Each slice thus gets bit for bit what solving
-it alone gives, which three roundings would break:
+slice. A lone m x n Z runs as a stack of one and returns a 2-D result. A
+slice leaves the stack at the sweep where its own solve would stop, with
+that solve's outcome, so each slice gets bit for bit what solving it alone
+gives, which three roundings would break:
 - sigma_1^2 is each slice's numpy-scalar power `float(sigma[0] ** 2)`: an
   array square `sigma**2` differs from it in the last bit for a few values.
 - `update_q` raises the Gram eigenvalues to -1/2 as a contiguous array:
@@ -316,35 +316,28 @@ def _sweeps(zs, svds, cfg: SolverConfig):
     """The loop over the slices `zs`, given their thin SVDs: one (P, Q,
     iterations, converged, objectives) per slice, as that slice stops.
 
-    The iterate has a leading slice axis while two or more slices are
-    active, and is indexed only when a slice stops.
+    The iterate always has a leading slice axis, one slice for a lone Z,
+    and is indexed only when a slice stops.
     """
     # the numpy-scalar power, as a lone solve of each slice takes it
     top_sq = np.array([float(svd.sigma[0] ** 2) for svd in svds])
-    anchor = np.where(top_sq > 0.0, top_sq, 1.0)  # an all-zero Z has no scale
-    if len(zs) == 1:
-        z, u, sigma, anchor = zs[0], svds[0].u, svds[0].sigma, anchor[0]
-    else:
-        z = np.stack(zs)
-        u = np.stack([svd.u for svd in svds])
-        sigma = np.stack([svd.sigma for svd in svds])
-    two_sig2 = 2.0 * (sigma**2)[..., None]
-    # rho_t = min(ANCHOR_RHO0 anchor alpha^t, ANCHOR_RHO_MAX anchor): the
-    # products run in sequence, so rho_t is the loop's min(rho_(t-1) alpha, cap)
-    factors = np.full(np.shape(anchor) + (MAX_ITERS,), cfg.alpha)
-    factors[..., 0] = ANCHOR_RHO0 * anchor
-    schedule = np.minimum(np.multiply.accumulate(factors, axis=-1),
-                          ANCHOR_RHO_MAX * anchor[..., None])
-    rhos = _by_sweep(schedule)
+    # an all-zero Z has no scale
+    anchor = np.where(top_sq > 0.0, top_sq, 1.0)[:, None, None]
+    z = np.stack(zs)
+    u = np.stack([svd.u for svd in svds])
+    two_sig2 = 2.0 * (np.stack([svd.sigma for svd in svds]) ** 2)[..., None]
+    # rho_t = min(rho_(t-1) alpha, cap): min(ANCHOR_RHO0 anchor alpha^t, cap)
+    # with the products taken in sequence
+    rho = ANCHOR_RHO0 * anchor
+    cap = ANCHOR_RHO_MAX * anchor
     # no step writes into its inputs, so the iterate shares its arrays
     p = q = u[..., :cfg.k]
     y_p = y_q = np.zeros(p.shape)
-    objectives = np.empty(p.shape[:-2] + (MAX_ITERS,))  # one per completed sweep
-    active = np.arange(len(zs)).reshape(p.shape[:-2])  # slice numbers
+    objectives = np.empty((len(zs), MAX_ITERS))  # one per completed sweep
+    active = np.arange(len(zs))  # slice numbers
     outcomes = [None] * len(zs)
     sweeps = 0
     while sweeps < MAX_ITERS:
-        rho = rhos[sweeps]
         coeff = 1.0 / (2.0 * rho - two_sig2) - 1.0 / (2.0 * rho)
         b = update_b(u, coeff, rho, rho * (p + q) - y_p - y_q)
         new_p = update_p(b, y_p, rho, cfg)
@@ -361,14 +354,12 @@ def _sweeps(zs, svds, cfg: SolverConfig):
             _record(outcomes, failed, active, p, q, objectives, sweeps, False)
             if failed.all():
                 break
-            (z, u, two_sig2, schedule, p, q, y_p, y_q, objectives, active,
+            (z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives, active,
              b, new_p, new_q, value) = _keep(~failed, (
-                z, u, two_sig2, schedule, p, q, y_p, y_q, objectives, active,
+                z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives, active,
                 b, new_p, new_q, value))
-            rhos = _by_sweep(schedule)
-            rho = rhos[sweeps]
         p, q = new_p, new_q
-        objectives[..., sweeps] = value
+        objectives[:, sweeps] = value
         sweeps += 1
         b_minus_p = b - p
         b_minus_q = b - q
@@ -376,18 +367,18 @@ def _sweeps(zs, svds, cfg: SolverConfig):
         done = np.abs(b_minus_p).max(axis=(-2, -1)) < TOL
         if np.count_nonzero(done) and sweeps >= OBJECTIVE_WINDOW:
             done &= np.abs(b_minus_q).max(axis=(-2, -1)) < TOL
-            tail = objectives[..., sweeps - OBJECTIVE_WINDOW:sweeps]
+            tail = objectives[:, sweeps - OBJECTIVE_WINDOW:sweeps]
             done &= tail.max(axis=-1) - tail.min(axis=-1) < TOL * (1.0 + np.abs(value))
             if np.count_nonzero(done):
                 _record(outcomes, done, active, p, q, objectives, sweeps, True)
                 if done.all():
                     break
-                (z, u, two_sig2, schedule, p, q, y_p, y_q, objectives,
-                 active) = _keep(~done, (z, u, two_sig2, schedule, p, q,
+                (z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives,
+                 active) = _keep(~done, (z, u, two_sig2, rho, cap, p, q,
                                          y_p, y_q, objectives, active))
-                rhos = _by_sweep(schedule)
+        rho = np.minimum(rho * cfg.alpha, cap)
     else:
-        _record(outcomes, np.ones(active.shape, bool), active, p, q, objectives,
+        _record(outcomes, np.ones(len(active), bool), active, p, q, objectives,
                 sweeps, False)
     return outcomes
 
@@ -397,42 +388,26 @@ def _failures(b, y_q, rho, q, value):
     objective `value` and its Q step `q`, None if that step raised. A slice
     fails on a non-finite objective, or when the Q step raises on the slice
     alone, which leaves its Q NaN."""
-    failed = np.array(~np.isfinite(value))
+    failed = ~np.isfinite(value)
     if q is None:
         q = np.full(b.shape, np.nan)
-        for at in np.ndindex(failed.shape):
+        for at in range(len(b)):
             try:
-                q[at] = update_q(b[at], y_q[at], np.asarray(rho)[at])
+                q[at] = update_q(b[at], y_q[at], rho[at])
             except (FloatingPointError, np.linalg.LinAlgError):
                 failed[at] = True
     return q, failed
 
 
-def _by_sweep(schedule):
-    """The penalty of each sweep, indexed by sweep, from a slice's schedule
-    or a stack's s x MAX_ITERS schedules: floats for one slice, s x 1 x 1
-    arrays for a stack."""
-    if schedule.ndim == 1:
-        return schedule.tolist()
-    return schedule.T[..., None, None]
-
-
 def _record(outcomes, mask, active, p, q, objectives, sweeps, converged):
     """Store the outcome of every active slice that `mask` marks."""
-    for at in np.ndindex(mask.shape):
-        if mask[at]:
-            outcomes[active[at]] = (p[at], q[at], sweeps, converged,
-                                    objectives[at][:sweeps].tolist())
+    for at in np.flatnonzero(mask):
+        outcomes[active[at]] = (p[at], q[at], sweeps, converged,
+                                objectives[at, :sweeps].tolist())
 
 
 def _keep(keep, arrays):
-    """`arrays` restricted to the active slices `keep` marks; the last slice
-    left drops the slice axis and runs the plain 2-D loop."""
-    if keep.all():
-        return arrays
-    if np.count_nonzero(keep) == 1:
-        at = int(np.flatnonzero(keep)[0])
-        return [a[at] for a in arrays]
+    """`arrays` restricted to the active slices `keep` marks."""
     return [a[keep] for a in arrays]
 
 

@@ -248,6 +248,35 @@ def test_mesh_cli_end_to_end(tmp_path, capsys):
     assert "kg_error=" in out and "bpfv=" in out
 
 
+def test_measure_mesh_frames_given_as_files(tmp_path, capsys):
+    # the kind follows the files' suffix, as it follows a directory's contents
+    src = tmp_path / "mesh"
+    assert run(["synth", "--kind", "mesh", "--out", str(src), "--m", "16", "--n", "4"]) == 0
+    frames = [str(path) for path in sorted(src.glob("*.off"))]
+    assert run(["measure", "--orig", *frames, "--recon", *frames]) == 0
+    assert "kg_error=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["OFF\n0 0 0\n", "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n"],
+                         ids=["no-vertices", "negative-face-count"])
+def test_off_with_no_vertices_or_a_negative_count_is_data_error(tmp_path, capsys, text):
+    frame = tmp_path / "bad.off"
+    frame.write_text(text)
+    assert run(["compress-mesh", str(frame), "--out", str(tmp_path / "c.slrm"),
+                "--k", "1", "--gamma", "1"]) == 2
+    assert run(["measure", "--orig", str(frame), "--recon", str(frame)]) == 2
+    assert capsys.readouterr().err.count("error: FormatError") == 2
+
+
+def test_empty_pgm_is_data_error(tmp_path, capsys):
+    image = tmp_path / "empty.pgm"
+    image.write_bytes(b"P5\n0 0\n255\n")
+    assert run(["compress-images", str(image), "--out", str(tmp_path / "c.slrm"),
+                "--k", "1", "--gamma", "1"]) == 2
+    assert run(["measure", "--orig", str(image), "--recon", str(image)]) == 2
+    assert capsys.readouterr().err.count("error: FormatError") == 2
+
+
 def test_decompress_bad_magic_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.slrm"
     bad.write_bytes(b"JUNKJUNKJUNK")

@@ -692,7 +692,7 @@ def stacked_ties(monkeypatch):
     update_p_, update_q_, eigh = solver_module.update_p, solver_module.update_q, np.linalg.eigh
 
     def p_spy(b, y_p, rho, cfg):
-        if b.ndim == 3 and cfg.target_pb is not None:
+        if len(b) > 1 and cfg.target_pb is not None:
             keep = kept_entries(cfg.target_pb, *b.shape[-2:])
             for i, mags in enumerate(np.abs(b + y_p / rho).reshape(len(b), -1)):
                 if np.count_nonzero(mags >= np.sort(mags)[-keep]) > keep:
@@ -700,7 +700,7 @@ def stacked_ties(monkeypatch):
         return update_p_(b, y_p, rho, cfg)
 
     def q_spy(b, y_q, rho):
-        if b.ndim == 3:
+        if len(b) > 1:
             a = b + y_q / rho
             for i, values in enumerate(eigh(a.swapaxes(-1, -2) @ a)[0]):
                 if np.count_nonzero(values[1:] == values[:-1]):
@@ -723,13 +723,18 @@ def stacked_ties(monkeypatch):
      [136, 91, 108], [True] * 3, {("cut", 1)}),
     (lambda: with_y_axis(5.0 * np.eye(64, 32)), dict(gamma=30.0, k=4),
      [92, 97, 89], [True] * 3, {("eig", 1)}),
+    # a stack of one: its slice is bit for bit the 2-D solve of its Z
+    (lambda: image_z()[None], dict(k=8, target_pb=0.6), [101], [True], set()),
+    (lambda: image_z()[None], dict(gamma=55.5, k=8), [92], [True], set()),
 ], ids=["mesh-k6", "mesh-k12", "mesh-gamma-30", "zero-slice", "tie-at-a-cut",
-        "tied-eigenvalues"])
+        "tied-eigenvalues", "one-image-target", "one-image-gamma"])
 def test_stack_solves_each_slice_as_alone(stacked_ties, z, cfg, iterations, converged, ties):
-    got, alone = checked_stack_solve(z(), SolverConfig(**{"gamma": 0.0, **cfg}))
+    z = z()
+    got, alone = checked_stack_solve(z, SolverConfig(**{"gamma": 0.0, **cfg}))
     assert [f.iterations for f in alone] == iterations
     assert [f.converged for f in alone] == converged
-    assert got.basis.shape == (3, 64, cfg["k"]) and got.coeffs.shape == (3, cfg["k"], 32)
+    s, m, n = z.shape
+    assert got.basis.shape == (s, m, cfg["k"]) and got.coeffs.shape == (s, cfg["k"], n)
     assert stacked_ties == ties
 
 
@@ -754,7 +759,7 @@ def test_stack_with_a_rank_lost_q_step_in_one_slice(monkeypatch):
     update_q_, eigh = solver_module.update_q, np.linalg.eigh
 
     def spy(b, y_q, rho):
-        if b.ndim == 3:
+        if len(b) > 1:
             a = b + y_q / rho
             values = eigh(a.swapaxes(-1, -2) @ a)[0]
             losses.update(np.flatnonzero(values[:, 0] <= 1e-12 * values[:, -1]).tolist())
