@@ -61,8 +61,9 @@ def _add_transform_args(sub, transform="dct", levels=3):
 
 def _add_codec_args(sub):
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--target-pb", dest="target_pb", type=float, default=None)
-    sub.add_argument("--gamma", type=float, default=None)
+    sparsity = sub.add_mutually_exclusive_group(required=True)
+    sparsity.add_argument("--target-pb", dest="target_pb", type=float, default=None)
+    sparsity.add_argument("--gamma", type=float, default=None)
     sub.add_argument("--step-b", dest="step_b", type=float, default=0.004)
     sub.add_argument("--step-c", dest="step_c", type=float, default=2.0)
     _add_solver_args(sub)
@@ -143,8 +144,6 @@ def _build_parser():
 
 def _codec_params(args, **transform):
     """CodecParams of the shared flags; images add `transform` and `levels`."""
-    if args.gamma is None and args.target_pb is None:
-        raise UsageError("need --gamma or --target-pb")
     return CodecParams(
         k=args.k, step_b=args.step_b, step_c=args.step_c, gamma=args.gamma,
         target_pb=args.target_pb, solver=_solver_flags(args), **transform,

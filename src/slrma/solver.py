@@ -15,9 +15,12 @@ loop's locals, and each step takes and returns plain arrays.
 The loop solves an s x m x n stack of same-shape Z as one s x m x k
 iterate, each slice on its own penalty schedule; every step acts slice by
 slice. A lone m x n Z runs as a stack of one and returns a 2-D result. A
-slice leaves the stack at the sweep where its own solve would stop, with
-that solve's outcome, so each slice gets bit for bit what solving it alone
-gives, which three roundings would break:
+slice leaves the stack at the sweep where its own solve converges or runs
+out of sweeps, with that solve's outcome. A sweep that fails on some slice
+(a blow-up or a LAPACK failure) while two or more are active ends the
+stacked loop, and every slice is solved again as a stack of one. So each
+slice gets bit for bit what solving it alone gives, which three roundings
+would break:
 - sigma_1^2 is each slice's numpy-scalar power `float(sigma[0] ** 2)`: an
   array square `sigma**2` differs from it in the last bit for a few values.
 - `update_q` raises the Gram eigenvalues to -1/2 as a contiguous array:
@@ -77,8 +80,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be nonnegative and finite")
         if self.k < 1:
             raise ValueError("k must be positive")
         if not self.alpha > 1.0:
@@ -180,8 +183,8 @@ def update_q(b, y_q, rho):
     A V D^(-1/2) V^T; once A has lost column rank (smallest eigenvalue at
     most 1e-12 of the largest) it is U V^T from A's thin SVD, which is
     defined for any input. Raises FloatingPointError when A^T A is not
-    finite and LinAlgError when `eigh` or the SVD fails; on a stack either
-    names no slice.
+    finite and LinAlgError when `eigh` or the SVD fails. On a stack either
+    names no slice, so the solver then solves each slice alone.
 
     The Gram matrix is symmetric by construction, so `eigh` runs on it
     directly, without `sym_eig`'s symmetry check and sign convention: the
@@ -272,8 +275,9 @@ def slrma_solve(z, cfg: SolverConfig):
     max norm and the objective has been flat over the trailing window. Runs
     that exhaust MAX_ITERS, whose iterate overflows, or whose Q step LAPACK
     fails to decompose, return converged=False with diagnostics intact. A
-    stack's slices each stop by this rule, and a stack returns one
-    Factorization (see there).
+    stack's slices each stop by this rule; a stack one of whose slices fails
+    is solved again slice by slice, so that each slice still gets its lone
+    solve's outcome. A stack returns one Factorization (see there).
 
     Every solve starts from the top-k left singular vectors of Z, on the
     penalty schedule anchored at sigma_1^2 of Z. That schedule keeps rho
@@ -298,6 +302,8 @@ def slrma_solve(z, cfg: SolverConfig):
     # sigma_1^2 that 1.05 does not move).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         outcomes = _sweeps(zs, svds, cfg)
+        if outcomes is None:  # some slice failed: solve each slice alone
+            outcomes = [out for a, svd in zip(zs, svds) for out in _sweeps([a], [svd], cfg)]
     facts = [_extract(p, q, a, cfg, *stop) for a, (p, q, *stop) in zip(zs, outcomes)]
     if z.ndim == 2:
         return facts[0]
@@ -314,10 +320,12 @@ def slrma_solve(z, cfg: SolverConfig):
 
 def _sweeps(zs, svds, cfg: SolverConfig):
     """The loop over the slices `zs`, given their thin SVDs: one (P, Q,
-    iterations, converged, objectives) per slice, as that slice stops.
+    iterations, converged, objectives) per slice, as that slice stops, or
+    None once a sweep fails while two or more slices are active.
 
     The iterate always has a leading slice axis, one slice for a lone Z,
-    and is indexed only when a slice stops.
+    and is indexed only when a slice stops. A lone slice that fails stops
+    with its last sane iterate, not converged.
     """
     # the numpy-scalar power, as a lone solve of each slice takes it
     top_sq = np.array([float(svd.sigma[0] ** 2) for svd in svds])
@@ -344,20 +352,16 @@ def _sweeps(zs, svds, cfg: SolverConfig):
         try:
             new_q = update_q(b, y_q, rho)
         except (FloatingPointError, np.linalg.LinAlgError):
-            new_q = None  # the step failed on some slice
+            new_q = None
         value = objective(z.swapaxes(-1, -2) @ b, b, cfg.gamma)
         if new_q is None or np.count_nonzero(value - value):  # 0 where finite
             # A blow-up (data whose scale puts sigma_1^2 or rho out of
-            # floating-point range) or a LAPACK failure in the Q step: the
-            # slice reports its last sane iterate, not converged.
-            new_q, failed = _failures(b, y_q, rho, new_q, value)
-            _record(outcomes, failed, active, p, q, objectives, sweeps, False)
-            if failed.all():
-                break
-            (z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives, active,
-             b, new_p, new_q, value) = _keep(~failed, (
-                z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives, active,
-                b, new_p, new_q, value))
+            # floating-point range) or a LAPACK failure in the Q step. A
+            # stack hands back, to be solved slice by slice; a lone slice
+            # reports its last sane iterate, not converged.
+            if len(active) > 1:
+                return None
+            break
         p, q = new_p, new_q
         objectives[:, sweeps] = value
         sweeps += 1
@@ -372,31 +376,13 @@ def _sweeps(zs, svds, cfg: SolverConfig):
             if np.count_nonzero(done):
                 _record(outcomes, done, active, p, q, objectives, sweeps, True)
                 if done.all():
-                    break
-                (z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives,
-                 active) = _keep(~done, (z, u, two_sig2, rho, cap, p, q,
-                                         y_p, y_q, objectives, active))
+                    return outcomes
+                (z, u, two_sig2, rho, cap, p, q, y_p, y_q, objectives, active) = [
+                    a[~done] for a in (z, u, two_sig2, rho, cap, p, q, y_p, y_q,
+                                       objectives, active)]
         rho = np.minimum(rho * cfg.alpha, cap)
-    else:
-        _record(outcomes, np.ones(len(active), bool), active, p, q, objectives,
-                sweeps, False)
+    _record(outcomes, np.ones(len(active), bool), active, p, q, objectives, sweeps, False)
     return outcomes
-
-
-def _failures(b, y_q, rho, q, value):
-    """(Q, the mask of the slices whose sweep failed), given the sweep's
-    objective `value` and its Q step `q`, None if that step raised. A slice
-    fails on a non-finite objective, or when the Q step raises on the slice
-    alone, which leaves its Q NaN."""
-    failed = ~np.isfinite(value)
-    if q is None:
-        q = np.full(b.shape, np.nan)
-        for at in range(len(b)):
-            try:
-                q[at] = update_q(b[at], y_q[at], rho[at])
-            except (FloatingPointError, np.linalg.LinAlgError):
-                failed[at] = True
-    return q, failed
 
 
 def _record(outcomes, mask, active, p, q, objectives, sweeps, converged):
@@ -404,11 +390,6 @@ def _record(outcomes, mask, active, p, q, objectives, sweeps, converged):
     for at in np.flatnonzero(mask):
         outcomes[active[at]] = (p[at], q[at], sweeps, converged,
                                 objectives[at, :sweeps].tolist())
-
-
-def _keep(keep, arrays):
-    """`arrays` restricted to the active slices `keep` marks."""
-    return [a[keep] for a in arrays]
 
 
 def gamma_for_sparsity(z, cfg: SolverConfig, target_pb):

@@ -124,21 +124,6 @@ class GraphSpec:
         return bool(seen.all())
 
 
-def graph_spec(vertex_count, edges):
-    """Canonicalize an edge list: 0-based, no self-loops, deduplicated."""
-    if vertex_count < 1:
-        raise ValueError("vertex_count must be positive")
-    canon = set()
-    for a, b in edges:
-        a, b = int(a), int(b)
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise IndexError(f"edge ({a}, {b}) outside [0, {vertex_count})")
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a}")
-        canon.add((min(a, b), max(a, b)))
-    return GraphSpec(vertex_count, tuple(sorted(canon)))
-
-
 @lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct1d(m):
     """Orthonormal DCT-II basis; column j is the frequency-j basis vector."""

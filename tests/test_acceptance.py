@@ -21,9 +21,9 @@ from slrma.solver import (
 )
 from slrma.sweep import SweepGrid, rd_sweep
 from slrma.transforms import (
+    GraphSpec,
     dct1d,
     dct2d,
-    graph_spec,
     graph_transform,
     haar1d,
     laplacian,
@@ -221,9 +221,9 @@ def test_criterion_7_transform_correctness(mesh_case):
         "haar(16,3)": haar1d(16, 3),
         "haar(16,4)": haar1d(16, 4),
         "gt(path6)": graph_transform(
-            graph_spec(6, [(i, i + 1) for i in range(5)])),
+            GraphSpec(6, tuple((i, i + 1) for i in range(5)))),
         "gt(cycle4)": graph_transform(
-            graph_spec(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+            GraphSpec(4, ((0, 1), (0, 3), (1, 2), (2, 3)))),
         "gt(mesh)": mesh_case["u_gt"],
     }
     worst = 0.0
@@ -235,12 +235,12 @@ def test_criterion_7_transform_correctness(mesh_case):
         worst = max(worst, dev)
         assert dev < 1e-10, name
     rt2 = np.sqrt(2.0)
-    two_path = graph_transform(graph_spec(2, [(0, 1)]))
+    two_path = graph_transform(GraphSpec(2, ((0, 1),)))
     assert np.allclose(two_path.matrix[:, 0], [1 / rt2, 1 / rt2], atol=1e-12)
     assert np.allclose(np.abs(two_path.matrix[:, 1]), [1 / rt2, 1 / rt2],
                        atol=1e-12)
     mesh_graph = mesh_adjacency(mesh_case["seq"].faces, mesh_case["seq"].m)
-    for g in (graph_spec(6, [(i, i + 1) for i in range(5)]), mesh_graph):
+    for g in (GraphSpec(6, tuple((i, i + 1) for i in range(5))), mesh_graph):
         assert np.abs(laplacian(g) @ np.ones(g.vertex_count)).max() < 1e-12
     report(7, "transforms", f"worst orthonormality deviation {worst:.2e}")
 

@@ -42,9 +42,19 @@ def test_nan_flag_values_are_usage_errors(tmp_path, capsys):
     assert run(["synth", "--kind", "images", "--out", str(src),
                 "--w", "8", "--h", "8", "--n", "6", "--rank", "2"]) == 0
     compress = ["compress-images", str(src), "--out", str(tmp_path / "c.slrm"), "--k", "2"]
-    for flags in (["--gamma", "nan"], ["--gamma", "1", "--alpha", "nan"]):
+    for flags in (["--gamma", "nan"], ["--gamma", "inf"], ["--gamma", "1", "--alpha", "nan"]):
         assert run(compress + flags) == 1
         assert "usage error" in capsys.readouterr().err
+
+
+def test_gamma_and_target_pb_are_one_required_choice(capsys):
+    # the sparsity rule is one flag: neither and both are usage errors
+    for command in (["compress-images", "x.pgm", "--out", "x", "--k", "2"],
+                    ["compress-mesh", "x.off", "--out", "x", "--k", "2"]):
+        for flags in ([], ["--gamma", "1", "--target-pb", "0.5"]):
+            assert run(command + flags) == 1
+            err = capsys.readouterr().err
+            assert "usage error" in err and "--target-pb" in err and "--gamma" in err
 
 
 def test_synth_mesh_too_few_vertices_is_usage_error(tmp_path, capsys):

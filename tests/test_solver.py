@@ -436,9 +436,10 @@ def test_extract_keeps_the_support_and_is_orthonormal_or_unconverged(
 
 
 @pytest.mark.parametrize("fields", [
-    dict(gamma=-0.5), dict(gamma=float("nan")), dict(k=0), dict(alpha=1.0),
-    dict(alpha=float("nan")), dict(target_pb=1.0), dict(target_pb=float("nan")),
-], ids=["gamma-negative", "gamma-nan", "k-zero", "alpha-one", "alpha-nan",
+    dict(gamma=-0.5), dict(gamma=float("nan")), dict(gamma=float("inf")), dict(k=0),
+    dict(alpha=1.0), dict(alpha=float("nan")), dict(target_pb=1.0),
+    dict(target_pb=float("nan")),
+], ids=["gamma-negative", "gamma-nan", "gamma-inf", "k-zero", "alpha-one", "alpha-nan",
         "target-one", "target-nan"])
 def test_solver_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):
@@ -751,6 +752,28 @@ def test_stack_blow_up_leaves_the_other_slices_to_converge(scale):
     assert [f.iterations for f in alone] == [110, 0, 89]
     assert [f.converged for f in alone] == [True, False, True]
     assert not got.converged and got.iterations == 110
+
+
+# a slice that blows up, next to slices that do not, sends the stack back to
+# be solved slice by slice: each slice still gets its lone solve
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(2, 8), st.booleans(),
+       st.lists(st.sampled_from(["huge", "tiny", "zero", "as-is"]), min_size=2, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_stack_with_failing_slices_solves_each_slice_as_alone(seed, m, n, target, kinds):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(m, n) + 1))
+    z = rng.normal(size=(len(kinds), m, n))
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            z[i] = 0.0
+        elif kind != "as-is":
+            z[i] *= 10.0 ** ((1 if kind == "huge" else -1) * rng.uniform(153, 200))
+    if target:
+        cfg = SolverConfig(gamma=0.0, k=k, target_pb=rng.uniform(0.0, 0.6))
+    else:
+        cfg = SolverConfig(gamma=10.0 ** rng.uniform(-2, 2), k=k)
+    checked_stack_solve(z, cfg, oracle=False)
 
 
 def test_stack_with_a_rank_lost_q_step_in_one_slice(monkeypatch):
