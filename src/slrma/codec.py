@@ -11,12 +11,14 @@ as one stack; `encode` quantizes, entropy-codes and packs the stacked
 factorization at given quantizer steps, so one factorization can serve
 many steps (the RD sweep does this). `image_transforms` and
 `mesh_transforms` build every basis and are each pipeline's only size
-gate; `slrma.transforms` caches the bases and `_connectivity` a mesh's
-graph and digest. A header sizes nothing before it
-is bounded by `MAX_CELLS` cells: an image's two 1D factors (w^2 + h^2) and
-its decoded stack (w*h*n), a mesh's frame DCT (n^2) and each payload. A
-mesh's vertex count is bounded by the vertices its faces touch. The encoder,
-`rd_sweep` and the decoder refuse alike.
+gate. Only per-mesh state is cached: `_connectivity` keeps a mesh's graph
+and digest and `graph_transform` its eigenbasis, both sized by the
+caller's own faces. The image bases and the frame DCT are built on every
+call, so nothing a header sizes outlives a refused decode. A header sizes
+nothing before it is bounded by `MAX_CELLS` cells: an image's two 1D
+factors (w^2 + h^2) and its decoded stack (w*h*n), a mesh's frame DCT
+(n^2) and each payload. A mesh's vertex count is bounded by the vertices
+its faces touch. The encoder, `rd_sweep` and the decoder refuse alike.
 """
 
 from __future__ import annotations

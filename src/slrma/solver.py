@@ -166,12 +166,10 @@ def update_p(b, y_p, rho, cfg: SolverConfig):
     cut = part[..., -keep, None]  # the keep-th largest |A| of each slice
     kept = mags >= cut  # `keep` entries of each slice, more where |A| ties at the cut
     if np.count_nonzero(kept) > keep * (kept.size // mags.shape[-1]):
-        rows, row_mags, row_cuts = (a.reshape(-1, a.shape[-1]) for a in (kept, mags, cut))
-        for r in np.flatnonzero(np.count_nonzero(rows, axis=-1) > keep):  # keep the earliest
-            row = row_mags[r] > row_cuts[r]
-            ties = np.flatnonzero(row_mags[r] == row_cuts[r])
-            row[ties[: keep - np.count_nonzero(row)]] = True
-            rows[r] = row
+        above = mags > cut  # then the earliest ties fill each slice up to `keep`
+        ties = kept & ~above
+        room = keep - np.count_nonzero(above, axis=-1, keepdims=True)
+        kept = above | (ties & (np.cumsum(ties, axis=-1) <= room))
     return np.where(kept.reshape(shifted.shape), shifted, 0.0)
 
 

@@ -11,11 +11,13 @@ Conventions pinned here and relied on by the codec:
 - Graph transform columns are Laplacian eigenvectors by ascending
   eigenvalue, signs fixed as in ``numerics``.
 
-The builders the codec calls (`dct1d`, `dct2d`, `dwt2d`, `graph_transform`)
-each keep their last `BASES_KEPT` bases in a `functools.lru_cache`, so
-repeated compress and decompress calls on one shape build each basis once.
-A cached basis is shared by every caller, so its arrays are read-only; the
-uncached build stays reachable as the builder's `__wrapped__`.
+Only per-mesh state is cached, and a mesh's graph is sized by the caller's
+own faces: `graph_transform` keeps the eigenbases of its last `BASES_KEPT`
+graphs in a `functools.lru_cache`, so a mesh's O(m^3) eigenbasis is built
+once across compress, decompress and sweep calls; a cached basis is shared,
+so its array is read-only. The DCT and Haar builders cache nothing (their
+bases cost microseconds at the codec's sizes), so nothing a container
+header sizes outlives the call that built it.
 
 Sizes can come from a container header, so each is bounded before it is
 allocated for: an image's w and h and a mesh's frame count by the codec
@@ -41,16 +43,10 @@ KIND_DCT2D = "dct2d"
 KIND_DWT2D = "dwt2d"
 KIND_GRAPH = "graph"
 
-# Bases each cached builder keeps. A basis holds 8*m**2 bytes (a 2D one
-# 8*(w**2 + h**2)) until it is evicted or `cache_clear()` is called. The
-# caches are typed: a basis's params go into container headers, so one
-# built from 16.0 must not answer a call with 16.
+# Meshes whose state each per-mesh cache (`graph_transform` here and
+# `codec._connectivity`) keeps. An m-vertex graph basis holds 8*m**2 bytes
+# until four newer graphs evict it or `cache_clear()` is called.
 BASES_KEPT = 4
-
-
-def _read_only(mat):
-    mat.flags.writeable = False
-    return mat
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ class GraphSpec:
         return bool(seen.all())
 
 
-@lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct1d(m):
     """Orthonormal DCT-II basis; column j is the frequency-j basis vector."""
     if m < 1:
@@ -135,7 +130,7 @@ def dct1d(m):
     np.cos(mat, out=mat)
     mat *= np.sqrt(2.0 / m)
     mat[:, 0] = np.sqrt(1.0 / m)
-    return OrthogonalTransform(_read_only(mat), KIND_DCT1D, (m,))
+    return OrthogonalTransform(mat, KIND_DCT1D, (m,))
 
 
 def _check_haar(m, levels):
@@ -167,16 +162,14 @@ def haar1d(m, levels):
         analysis[:size] *= r
         size = half
         del even, odd  # before the next level's copies, so the build peaks at 2 m^2
-    return OrthogonalTransform(_read_only(analysis.T), KIND_DWT1D, (m, levels))
+    return OrthogonalTransform(analysis.T, KIND_DWT1D, (m, levels))
 
 
-@lru_cache(maxsize=BASES_KEPT, typed=True)
 def dct2d(w, h):
     """2D DCT for h x w images under column-major vectorization."""
     return OrthogonalTransform(dct1d(w).matrix, KIND_DCT2D, (w, h), dct1d(h).matrix)
 
 
-@lru_cache(maxsize=BASES_KEPT, typed=True)
 def dwt2d(w, h, levels):
     """Separable 2D Haar wavelet; both sides must support `levels`, and both
     are checked before either factor is built."""
@@ -206,7 +199,8 @@ def graph_transform(g: GraphSpec):
     # The BFS check is exact: a connected graph has one zero eigenvalue, and
     # its next one stays far above rounding at any size dense `eigh` takes.
     vectors = np.ascontiguousarray(sym_eig(laplacian(g)).vectors[:, ::-1])
-    return OrthogonalTransform(_read_only(vectors), KIND_GRAPH, (g.vertex_count,))
+    vectors.flags.writeable = False  # cached, so shared by every caller
+    return OrthogonalTransform(vectors, KIND_GRAPH, (g.vertex_count,))
 
 
 def mesh_adjacency(faces, vertex_count):

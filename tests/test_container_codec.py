@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import tracemalloc
 
@@ -216,12 +217,7 @@ def test_image_basis_of_a_long_row_holds_one_factor(image_container):
         with pytest.raises(CorruptStreamError):
             decompress_image_set(crafted)
 
-    try:
-        peak = traced_peak(decode)
-    finally:  # drop the cached 128 MiB factor
-        slrma.transforms.dct1d.cache_clear()
-        slrma.transforms.dct2d.cache_clear()
-    assert peak < 1.25 * 8 * 4096**2
+    assert traced_peak(decode) < 1.25 * 8 * 4096**2
 
 
 def test_large_image_set_roundtrip():
@@ -250,6 +246,30 @@ def test_decoder_rejects_crafted_dwt_levels(dwt_container, levels):
             decompress_image_set(crafted)
 
     assert traced_peak(decode) < 2**20  # 1 << 2**30 alone would take 128 MiB
+
+
+def test_refused_headers_retain_nothing(image_container, dwt_container):
+    # each header sizes a ~32 MiB basis and is refused at its payloads; the
+    # sizes all differ, so no decode can be handed a basis another one built
+    seq, mesh_blob = tiny_mesh_container()
+    decodes = [
+        lambda: decompress_image_set(
+            with_header(image_container, transform_params=(2048, 1), m=2048)),
+        lambda: decompress_image_set(
+            with_header(dwt_container, transform_params=(2048, 8, 2), m=8 * 2048)),
+        lambda: decompress_mesh_seq(with_header(mesh_blob, n=2040), seq.faces),
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for decode in decodes:
+            with pytest.raises(CorruptStreamError):
+                decode()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 def test_image_roundtrip_deterministic():
