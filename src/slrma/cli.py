@@ -162,7 +162,7 @@ def _cmd_compress_images(args):
 
 def _cmd_decompress_images(args):
     x_hat, w, h = decompress_image_set(Path(args.container).read_bytes())
-    out = datasets.ImageSet(w=w, h=h, n=x_hat.shape[1], x=x_hat)
+    out = datasets.ImageSet(w=w, h=h, x=x_hat)
     paths = datasets.save_image_set(out, args.out)
     print(f"wrote {len(paths)} frames to {args.out}")
     return 0
@@ -181,8 +181,7 @@ def _cmd_compress_mesh(args):
 def _cmd_decompress_mesh(args):
     _, faces = datasets.read_off(args.faces)
     hx, hy, hz = decompress_mesh_seq(Path(args.container).read_bytes(), faces)
-    seq = datasets.MeshSequence(m=hx.shape[0], n=hx.shape[1], faces=faces,
-                                xx=hx, xy=hy, xz=hz)
+    seq = datasets.MeshSequence(faces=faces, xx=hx, xy=hy, xz=hz)
     paths = datasets.save_mesh_sequence(seq, args.out)
     print(f"wrote {len(paths)} frames to {args.out}")
     return 0

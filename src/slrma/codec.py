@@ -9,8 +9,9 @@ before quantization to squeeze temporal coherence.
 Compression runs in two stages. `factor` solves a call's streams once,
 as one stack; `encode` quantizes, entropy-codes and packs the stacked
 factorization at given quantizer steps, so one factorization can serve
-many steps (the RD sweep does this). `image_transforms` and
-`mesh_transforms` build every basis and are each pipeline's only size
+many steps (the RD sweep does this). `image_input` and `mesh_input`
+check the data of `compress_*` and `rd_sweep` alike. `image_transforms`
+and `mesh_transforms` build every basis and are each pipeline's only size
 gate. Only per-mesh state is cached: `_connectivity` keeps a mesh's graph
 and digest and `graph_transform` its eigenbasis, both sized by the
 caller's own faces. The image bases and the frame DCT are built on every
@@ -90,15 +91,6 @@ class Transforms:
     digest: bytes = b""                 # meshes: connectivity hash for the header
 
 
-def image_kind(transform, levels, w, h):
-    """(kind, params) of a CodecParams.transform name, "dct" or "dwt"."""
-    if transform == "dct":
-        return KIND_DCT2D, (w, h)
-    if transform == "dwt":
-        return KIND_DWT2D, (w, h, levels)
-    raise ValueError(f"unsupported image transform {transform!r}")
-
-
 def image_transforms(kind, params, n):
     """Image bases for a stack of n images, given a container transform kind
     and its params: (w, h) for the 2D DCT and (w, h, levels) for the 2D Haar.
@@ -116,6 +108,22 @@ def image_transforms(kind, params, n):
     if kind == KIND_DWT2D:
         return Transforms(PIPELINE_IMAGE, dwt2d(*params))
     raise ValueError(f"unsupported image transform kind {kind!r}")
+
+
+def image_input(x, w, h, transform, levels):
+    """(transforms, streams) of a wh x n stack X of vectorized images: the
+    bases that a CodecParams.transform name, "dct" or "dwt", gives, and [X].
+    Raises ValueError for another name or a row count other than w*h."""
+    x = as_matrix(x, "X")
+    if x.shape[0] != w * h:
+        raise ValueError(f"X has {x.shape[0]} rows, expected w*h={w * h}")
+    if transform == "dct":
+        kind, params = KIND_DCT2D, (w, h)
+    elif transform == "dwt":
+        kind, params = KIND_DWT2D, (w, h, levels)
+    else:
+        raise ValueError(f"unsupported image transform {transform!r}")
+    return image_transforms(kind, params, x.shape[1]), [x]
 
 
 @lru_cache(maxsize=BASES_KEPT, typed=True)
@@ -144,6 +152,15 @@ def mesh_transforms(faces, m, n, digest=None):
     if digest is not None and digest != found:
         raise DigestMismatchError("connectivity does not match the container")
     return Transforms(PIPELINE_MESH, graph_transform(graph), dct1d(n), found)
+
+
+def mesh_input(xx, xy, xz, faces):
+    """(transforms, streams) of three m x n coordinate matrices: the mesh's
+    bases and [Xx, Xy, Xz]. Raises ValueError unless they share one shape."""
+    streams = [as_matrix(a, name) for a, name in ((xx, "Xx"), (xy, "Xy"), (xz, "Xz"))]
+    if not streams[0].shape == streams[1].shape == streams[2].shape:
+        raise ValueError("coordinate matrices must share one shape")
+    return mesh_transforms(faces, *streams[0].shape), streams
 
 
 def factor(transforms: Transforms, data, params: CodecParams):
@@ -236,12 +253,7 @@ def _compress(transforms, data, params: CodecParams):
 
 def compress_image_set(x, w, h, params: CodecParams):
     """Compress a wh x n stack of vectorized images to container bytes."""
-    x = as_matrix(x, "X")
-    if x.shape[0] != w * h:
-        raise ValueError(f"X has {x.shape[0]} rows, expected w*h={w * h}")
-    transforms = image_transforms(*image_kind(params.transform, params.levels, w, h),
-                                  x.shape[1])
-    return _compress(transforms, [x], params)
+    return _compress(*image_input(x, w, h, params.transform, params.levels), params)
 
 
 def decompress_image_set(blob):
@@ -269,12 +281,7 @@ def decompress_image_set(blob):
 
 def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
     """Compress three m x n coordinate matrices against the mesh graph."""
-    xx, xy, xz = (as_matrix(a, name) for a, name in
-                  ((xx, "Xx"), (xy, "Xy"), (xz, "Xz")))
-    if not xx.shape == xy.shape == xz.shape:
-        raise ValueError("coordinate matrices must share one shape")
-    transforms = mesh_transforms(faces, *xx.shape)
-    return _compress(transforms, [xx, xy, xz], params)
+    return _compress(*mesh_input(xx, xy, xz, faces), params)
 
 
 def decompress_mesh_seq(blob, faces):

@@ -21,18 +21,27 @@ from .errors import ConnectivityMismatchError, DimensionMismatchError, FormatErr
 class ImageSet:
     w: int
     h: int
-    n: int
     x: np.ndarray  # wh x n, grayscale values in [0, 255]
+
+    @property
+    def n(self):
+        return self.x.shape[1]
 
 
 @dataclass
 class MeshSequence:
-    m: int
-    n: int
     faces: tuple            # triangles, constant across frames
     xx: np.ndarray          # m x n
     xy: np.ndarray
     xz: np.ndarray
+
+    @property
+    def m(self):
+        return self.xx.shape[0]
+
+    @property
+    def n(self):
+        return self.xx.shape[1]
 
     def stacked(self):
         return np.vstack([self.xx, self.xy, self.xz])
@@ -101,7 +110,7 @@ def load_image_set(paths):
             )
         columns.append(img.astype(np.float64).flatten(order="F"))
     h, w = shape
-    return ImageSet(w=w, h=h, n=len(columns), x=np.stack(columns, axis=1))
+    return ImageSet(w=w, h=h, x=np.stack(columns, axis=1))
 
 
 def save_image_set(image_set: ImageSet, directory, prefix="img"):
@@ -180,8 +189,7 @@ def load_mesh_sequence(paths):
             )
         frames.append(verts)
     coords = np.stack(frames, axis=2)  # m x 3 x n
-    return MeshSequence(m=m, n=len(frames), faces=faces,
-                        xx=coords[:, 0, :].copy(),
+    return MeshSequence(faces=faces, xx=coords[:, 0, :].copy(),
                         xy=coords[:, 1, :].copy(),
                         xz=coords[:, 2, :].copy())
 
@@ -255,7 +263,7 @@ def synth_image_set(w, h, n, rank=4, noise_sigma=0.0, seed=0):
             swing *= (249.0 - base.max()) / max(hi - base.max(), 1e-12)
             clean = base + swing
     x = clean + rng.normal(0.0, noise_sigma, clean.shape)
-    return ImageSet(w=w, h=h, n=n, x=np.clip(x, 0.0, 255.0))
+    return ImageSet(w=w, h=h, x=np.clip(x, 0.0, 255.0))
 
 
 def grid_strip_faces(m):
@@ -343,5 +351,4 @@ def synth_mesh_seq(m, n, amplitude=100.0, seed=0):
                 f = 2 + (w + d) % 3
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 coords[d] += np.outer(spatial, np.sin(2.0 * np.pi * f * t + phase))
-    return MeshSequence(m=m, n=n, faces=faces,
-                        xx=coords[0], xy=coords[1], xz=coords[2])
+    return MeshSequence(faces=faces, xx=coords[0], xy=coords[1], xz=coords[2])

@@ -155,107 +155,101 @@ def entropy_decode(data, rows, cols, step):
     sig0 = sig1 = sgn0 = sgn1 = pre0 = pre1 = suf0 = suf1 = 1
     sig = bytearray(cells)
     levels = []
-    for cell in range(cells):
-        # significance
-        bound = rng * sig0 // (sig0 + sig1)
-        if code < bound:
-            rng = bound
-            sig0 += 1
+    # The loop indexes only data[pos], at each renormalization, and sig[cell]
+    # with cell < cells, so it raises IndexError exactly when pos reaches
+    # len(data): the payload ended mid-symbol. One handler checks that end.
+    try:
+        for cell in range(cells):
+            # significance
+            bound = rng * sig0 // (sig0 + sig1)
+            if code < bound:
+                rng = bound
+                sig0 += 1
+                if sig0 + sig1 >= _COUNT_CAP:
+                    sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
+                while rng < _TOP:
+                    rng <<= 8
+                    code = ((code << 8) | data[pos]) & _MASK32
+                    pos += 1
+                continue
+            code -= bound
+            rng -= bound
+            sig1 += 1
             if sig0 + sig1 >= _COUNT_CAP:
                 sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
             while rng < _TOP:
-                if pos >= end:
-                    raise CorruptStreamError("payload ended mid-symbol")
                 rng <<= 8
                 code = ((code << 8) | data[pos]) & _MASK32
                 pos += 1
-            continue
-        code -= bound
-        rng -= bound
-        sig1 += 1
-        if sig0 + sig1 >= _COUNT_CAP:
-            sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
-        while rng < _TOP:
-            if pos >= end:
-                raise CorruptStreamError("payload ended mid-symbol")
-            rng <<= 8
-            code = ((code << 8) | data[pos]) & _MASK32
-            pos += 1
-        sig[cell] = 1
-        # sign
-        bound = rng * sgn0 // (sgn0 + sgn1)
-        negative = code >= bound
-        if negative:
-            code -= bound
-            rng -= bound
-            sgn1 += 1
-        else:
-            rng = bound
-            sgn0 += 1
-        if sgn0 + sgn1 >= _COUNT_CAP:
-            sgn0, sgn1 = (sgn0 + 1) >> 1, (sgn1 + 1) >> 1
-        while rng < _TOP:
-            if pos >= end:
-                raise CorruptStreamError("payload ended mid-symbol")
-            rng <<= 8
-            code = ((code << 8) | data[pos]) & _MASK32
-            pos += 1
-        # Exp-Golomb prefix: z zero bits, then a one
-        z = 0
-        while True:
-            bound = rng * pre0 // (pre0 + pre1)
-            one = code >= bound
-            if one:
+            sig[cell] = 1
+            # sign
+            bound = rng * sgn0 // (sgn0 + sgn1)
+            negative = code >= bound
+            if negative:
                 code -= bound
                 rng -= bound
-                pre1 += 1
+                sgn1 += 1
             else:
                 rng = bound
-                pre0 += 1
-            if pre0 + pre1 >= _COUNT_CAP:
-                pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
+                sgn0 += 1
+            if sgn0 + sgn1 >= _COUNT_CAP:
+                sgn0, sgn1 = (sgn0 + 1) >> 1, (sgn1 + 1) >> 1
             while rng < _TOP:
-                if pos >= end:
-                    raise CorruptStreamError("payload ended mid-symbol")
                 rng <<= 8
                 code = ((code << 8) | data[pos]) & _MASK32
                 pos += 1
-            if one:
-                break
-            z += 1
-            if z > 64:
-                raise CorruptStreamError("runaway Exp-Golomb prefix")
-        # suffix: the z bits of plus = |level| below its leading one
-        plus = 1
-        for _ in range(z):
-            bound = rng * suf0 // (suf0 + suf1)
-            if code >= bound:
-                code -= bound
-                rng -= bound
-                suf1 += 1
-                plus = (plus << 1) | 1
-            else:
-                rng = bound
-                suf0 += 1
-                plus <<= 1
-            if suf0 + suf1 >= _COUNT_CAP:
-                suf0, suf1 = (suf0 + 1) >> 1, (suf1 + 1) >> 1
-            while rng < _TOP:
-                if pos >= end:
-                    raise CorruptStreamError("payload ended mid-symbol")
-                rng <<= 8
-                code = ((code << 8) | data[pos]) & _MASK32
-                pos += 1
-        if plus >= _INT64_SPAN + negative:
-            raise CorruptStreamError("level does not fit in int64")
-        levels.append(-plus if negative else plus)
+            # Exp-Golomb prefix: z zero bits, then a one
+            z = 0
+            while True:
+                bound = rng * pre0 // (pre0 + pre1)
+                one = code >= bound
+                if one:
+                    code -= bound
+                    rng -= bound
+                    pre1 += 1
+                else:
+                    rng = bound
+                    pre0 += 1
+                if pre0 + pre1 >= _COUNT_CAP:
+                    pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
+                while rng < _TOP:
+                    rng <<= 8
+                    code = ((code << 8) | data[pos]) & _MASK32
+                    pos += 1
+                if one:
+                    break
+                z += 1
+                if z > 64:
+                    raise CorruptStreamError("runaway Exp-Golomb prefix")
+            # suffix: the z bits of plus = |level| below its leading one
+            plus = 1
+            for _ in range(z):
+                bound = rng * suf0 // (suf0 + suf1)
+                if code >= bound:
+                    code -= bound
+                    rng -= bound
+                    suf1 += 1
+                    plus = (plus << 1) | 1
+                else:
+                    rng = bound
+                    suf0 += 1
+                    plus <<= 1
+                if suf0 + suf1 >= _COUNT_CAP:
+                    suf0, suf1 = (suf0 + 1) >> 1, (suf1 + 1) >> 1
+                while rng < _TOP:
+                    rng <<= 8
+                    code = ((code << 8) | data[pos]) & _MASK32
+                    pos += 1
+            if plus >= _INT64_SPAN + negative:
+                raise CorruptStreamError("level does not fit in int64")
+            levels.append(-plus if negative else plus)
+    except IndexError:
+        raise CorruptStreamError("payload ended mid-symbol") from None
     if pos != end:
         # the encoder's flush ends every payload exactly where its last
         # symbol is read; a wrong header shape usually stops elsewhere
         raise CorruptStreamError(f"payload holds {end} bytes, decoded {pos}")
     return QuantizedSparseMatrix(
-        rows=rows,
-        cols=cols,
         step=float(step),
         significance=np.frombuffer(sig, dtype=bool).reshape(rows, cols),
         levels=np.array(levels, dtype=np.int64),

@@ -12,11 +12,17 @@ from .numerics import as_matrix
 
 @dataclass
 class QuantizedSparseMatrix:
-    rows: int
-    cols: int
     step: float
     significance: np.ndarray  # bool, rows x cols
     levels: np.ndarray        # int64, one entry per set bit, row-major order
+
+    @property
+    def rows(self):
+        return self.significance.shape[0]
+
+    @property
+    def cols(self):
+        return self.significance.shape[1]
 
     def __post_init__(self):
         if self.levels.size != int(self.significance.sum()):
@@ -38,8 +44,6 @@ def quantize(values, step):
     levels = (np.sign(values) * mags).astype(np.int64)
     significance = levels != 0
     return QuantizedSparseMatrix(
-        rows=values.shape[0],
-        cols=values.shape[1],
         step=float(step),
         significance=significance,
         levels=levels[significance],  # row-major boolean indexing order

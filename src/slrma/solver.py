@@ -101,10 +101,14 @@ class Factorization:
 
     basis: np.ndarray            # m x k (s x m x k), sparse, column-orthonormal
     coeffs: np.ndarray           # k x n (s x k x n)
-    p_b_achieved: float          # exact-zero fraction of basis
     iterations: int
     converged: bool
     objective_trace: tuple = ()
+
+    @property
+    def p_b_achieved(self):
+        """The exact-zero fraction of the basis."""
+        return float(1.0 - np.count_nonzero(self.basis) / self.basis.size)
 
 
 def objective(ztb, b, gamma):
@@ -253,12 +257,9 @@ def _extract(p, q, z, cfg: SolverConfig, iterations, converged, objectives):
             basis[rows, j] = v / norm
     if np.abs(basis.T @ basis - np.eye(cfg.k)).max() > 1e-10:
         converged = False
-    coeffs = basis.T @ z
-    p_b = 1.0 - np.count_nonzero(basis) / basis.size
     return Factorization(
         basis=basis,
-        coeffs=coeffs,
-        p_b_achieved=float(p_b),
+        coeffs=basis.T @ z,
         iterations=iterations,
         converged=converged,
         objective_trace=tuple(objectives),
@@ -305,11 +306,9 @@ def slrma_solve(z, cfg: SolverConfig):
     facts = [_extract(p, q, a, cfg, *stop) for a, (p, q, *stop) in zip(zs, outcomes)]
     if z.ndim == 2:
         return facts[0]
-    basis = np.stack([f.basis for f in facts])
     return Factorization(
-        basis=basis,
+        basis=np.stack([f.basis for f in facts]),
         coeffs=np.stack([f.coeffs for f in facts]),
-        p_b_achieved=float(1.0 - np.count_nonzero(basis) / basis.size),
         iterations=max(f.iterations for f in facts),
         converged=all(f.converged for f in facts),
         objective_trace=tuple(f.objective_trace for f in facts),

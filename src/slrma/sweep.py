@@ -22,9 +22,8 @@ from .codec import (
     decompress_mesh_seq,
     encode,
     factor,
-    image_kind,
-    image_transforms,
-    mesh_transforms,
+    image_input,
+    mesh_input,
 )
 from .datasets import ImageSet
 from .errors import InfinitePsnrError, SlrmaError
@@ -84,23 +83,9 @@ class SweepRow:
                 return repr(float(v))
             return str(v)
 
-        return {
-            "k": self.k,
-            "p_B_target": fmt(self.p_b_target),
-            "p_B_achieved": fmt(self.p_b_achieved),
-            "gamma": "",  # a target row is re-run from p_B_target, not from a gamma
-            "step_b": fmt(self.step_b),
-            "step_c": fmt(self.step_c),
-            "transform": self.transform,
-            "bits": fmt(self.bits),
-            "rate": fmt(self.rate),
-            "rmse": fmt(self.rmse),
-            "psnr": fmt(self.psnr),
-            "kg_error": fmt(self.kg_error),
-            "iters": fmt(self.iters),
-            "converged": fmt(self.converged),
-            "error": self.error,
-        }
+        # each column holds the field of its lowercased name; no field holds
+        # gamma, as a target row is re-run from p_B_target, not from a gamma
+        return {col: fmt(getattr(self, col.lower(), None)) for col in CSV_COLUMNS}
 
 
 def pareto_front(points):
@@ -140,7 +125,7 @@ def _measure(row, dataset, blob):
 def rd_sweep(dataset, grid: SweepGrid):
     """Evaluate the full grid; returns (rows, pareto front rows). Every
     target, step and (k, target) pair is checked, by ValueError, and the
-    data's size by the codec's transform builder, before the first solve."""
+    data by the codec's own input checks, before the first solve."""
     if not all(0.0 <= pb < 1.0 for pb in grid.pb_targets):
         raise ValueError(f"p_B targets {grid.pb_targets} must lie in [0, 1)")
     if not all(len(pair) == 2 and all(0.0 < step < np.inf for step in pair)
@@ -148,14 +133,12 @@ def rd_sweep(dataset, grid: SweepGrid):
         raise ValueError(f"steps {grid.steps} must be positive, finite pairs")
     if isinstance(dataset, ImageSet):
         transform = grid.transform
-        transforms = image_transforms(*image_kind(transform, grid.levels,
-                                                  dataset.w, dataset.h), dataset.n)
-        data = [dataset.x]
+        transforms, data = image_input(dataset.x, dataset.w, dataset.h,
+                                       transform, grid.levels)
     else:
         # meshes always use the graph transform, whatever the grid names
         transform = "gt"
-        transforms = mesh_transforms(dataset.faces, dataset.m, dataset.n)
-        data = [dataset.xx, dataset.xy, dataset.xz]
+        transforms, data = mesh_input(dataset.xx, dataset.xy, dataset.xz, dataset.faces)
     m, n = data[0].shape  # every stream's Z has the shape of its data
     for k in grid.ks:
         for pb in grid.pb_targets:

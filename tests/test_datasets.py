@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slrma.datasets import (
     ImageSet,
+    MeshSequence,
     grid_strip_faces,
     load_image_set,
     load_mesh_sequence,
@@ -65,11 +68,28 @@ def test_image_set_dimension_mismatch(tmp_path):
 def test_image_set_write_read_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.integers(0, 256, size=(12, 5)).astype(np.float64)
-    original = ImageSet(w=3, h=4, n=5, x=x)
+    original = ImageSet(w=3, h=4, x=x)
     paths = save_image_set(original, tmp_path / "set")
     loaded = load_image_set(paths)
     assert np.array_equal(loaded.x, x)
     assert (loaded.w, loaded.h) == (3, 4)
+
+
+def test_dataset_sizes_are_read_from_their_arrays():
+    x = np.zeros((12, 7))
+    image_set = ImageSet(3, 4, x)
+    assert image_set.n == 7
+    # how a benchmark op takes its input from a corpus
+    assert dataclasses.replace(image_set, x=x[:, :5]).n == 5
+    seq = synth_mesh_seq(16, 6, seed=1)
+    assert (seq.m, seq.n) == (16, 6)
+    assert MeshSequence(seq.faces, seq.xx, seq.xy, seq.xz).n == 6
+    short = dataclasses.replace(seq, xx=seq.xx[:, :4], xy=seq.xy[:, :4], xz=seq.xz[:, :4])
+    assert (short.m, short.n) == (16, 4)
+    with pytest.raises(TypeError):
+        ImageSet(w=3, h=4, n=40, x=x)
+    with pytest.raises(TypeError):
+        MeshSequence(m=16, n=6, faces=seq.faces, xx=seq.xx, xy=seq.xy, xz=seq.xz)
 
 
 def test_off_roundtrip_exact(tmp_path):

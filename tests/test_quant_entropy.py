@@ -71,11 +71,22 @@ def test_quantize_levels_row_major():
 
 def test_quantized_matrix_validation():
     with pytest.raises(ValueError):
-        QuantizedSparseMatrix(2, 2, 1.0, np.ones((2, 2), dtype=bool),
+        QuantizedSparseMatrix(1.0, np.ones((2, 2), dtype=bool),
                               np.array([1, 2, 3], dtype=np.int64))
     with pytest.raises(ValueError):
-        QuantizedSparseMatrix(1, 2, 1.0, np.array([[True, False]]),
+        QuantizedSparseMatrix(1.0, np.array([[True, False]]),
                               np.array([0], dtype=np.int64))
+
+
+def test_quantized_matrix_takes_its_shape_from_the_significance_map():
+    significance = np.eye(3, dtype=bool)
+    levels = np.array([1, -2, 3], dtype=np.int64)
+    q = QuantizedSparseMatrix(1.0, significance, levels)
+    assert (q.rows, q.cols) == (3, 3)
+    assert dequantize(q).shape == (3, 3)
+    assert_same(q, roundtrip(q))
+    with pytest.raises(TypeError):
+        QuantizedSparseMatrix(2, 2, 1.0, significance, levels)
 
 
 def roundtrip(q):
@@ -135,6 +146,25 @@ def test_entropy_truncation_detected():
         entropy_decode(payload[: max(1, len(payload) // 3)], 16, 16, 0.05)
 
 
+def test_entropy_every_proper_prefix_ends_mid_symbol():
+    # the shapes and steps the codec writes for the benchmark's corpora (an
+    # image basis and coefficients, a mesh axis's basis and frame-DCT
+    # coefficients), a 1x1, and a 3x3 of long Exp-Golomb levels
+    rng = np.random.default_rng(7)
+    cases = [((256, 8), 0.06, 0.6, 0.004), ((8, 32), 200.0, 0.0, 1.0),
+             ((64, 6), 0.12, 0.8, 0.004), ((32, 6), 100.0, 0.0, 1.0),
+             ((1, 1), 5.0, 0.0, 1.0), ((3, 3), 1.0, 0.0, 1e-9)]
+    for shape, scale, zeros, step in cases:
+        values = rng.normal(size=shape) * scale
+        values[rng.random(size=shape) < zeros] = 0.0
+        q = quantize(values, step)
+        assert q.levels.size
+        payload = entropy_encode(q)
+        for end in range(len(payload)):
+            with pytest.raises(CorruptStreamError, match="payload ended mid-symbol"):
+                entropy_decode(payload[:end], *shape, step)
+
+
 def test_entropy_truncated_preamble_detected():
     with pytest.raises(CorruptStreamError):
         entropy_decode(b"\x00\x01\x02\x03", 1, 1, 1.0)
@@ -151,7 +181,7 @@ def test_entropy_decode_rejects_oversized_shape_before_allocating():
 
 def test_entropy_encode_rejects_what_the_decoder_refuses():
     shape = (1, MAX_CELLS + 1)
-    q = QuantizedSparseMatrix(*shape, 1.0, np.broadcast_to(False, shape),
+    q = QuantizedSparseMatrix(1.0, np.broadcast_to(False, shape),
                               np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
         entropy_encode(q)
@@ -319,8 +349,6 @@ def reference_decode(data, rows, cols, step):
     if dec.pos != len(data):
         raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {dec.pos}")
     return QuantizedSparseMatrix(
-        rows=rows,
-        cols=cols,
         step=float(step),
         significance=sig.reshape(rows, cols),
         levels=np.array(levels, dtype=np.int64),
@@ -428,7 +456,7 @@ def test_entropy_coder_matches_reference_past_every_count_halving():
     # skipping any one halving changes the bytes.
     levels = np.random.default_rng(13).choice([-7, -5, -3, -2, -1, 1, 2, 3, 4, 6],
                                               size=(260, 260))
-    q = QuantizedSparseMatrix(260, 260, 1.0, levels != 0, levels.reshape(-1))
+    q = QuantizedSparseMatrix(1.0, levels != 0, levels.reshape(-1))
     payload = entropy_encode(q)
     assert payload == reference_encode(q)
     assert_same(q, entropy_decode(payload, 260, 260, q.step))
@@ -436,7 +464,7 @@ def test_entropy_coder_matches_reference_past_every_count_halving():
 
 def test_entropy_coder_matches_reference_on_large_levels():
     levels = np.array([[2**62, -(2**62) - 5, 1], [-1, 0, 2**40 + 3]], dtype=np.int64)
-    q = QuantizedSparseMatrix(2, 3, 1.0, levels != 0, levels[levels != 0])
+    q = QuantizedSparseMatrix(1.0, levels != 0, levels[levels != 0])
     payload = entropy_encode(q)
     assert payload == reference_encode(q)
     assert_same(q, entropy_decode(payload, 2, 3, 1.0))
@@ -457,6 +485,6 @@ def test_entropy_decode_rejects_level_beyond_int64(level):
 
 def test_entropy_roundtrips_the_int64_extremes():
     levels = np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max]])
-    q = QuantizedSparseMatrix(1, 2, 1.0, levels != 0, levels.reshape(-1))
+    q = QuantizedSparseMatrix(1.0, levels != 0, levels.reshape(-1))
     assert entropy_encode(q) == reference_encode(q)
     assert_same(q, roundtrip(q))

@@ -289,9 +289,16 @@ def test_reconstruct_zero_basis():
     z = np.eye(4)
     fact = slrma_solve(z, SolverConfig(gamma=0.0, k=2))
     zeroed = fact.__class__(basis=np.zeros_like(fact.basis),
-                            coeffs=fact.coeffs,
-                            p_b_achieved=1.0, iterations=0, converged=True)
+                            coeffs=fact.coeffs, iterations=0, converged=True)
     assert np.abs(reconstruct(identity(4), zeroed)).max() == 0.0
+
+
+def test_p_b_achieved_is_read_from_the_basis():
+    fact = slrma_solve(np.eye(4), SolverConfig(gamma=0.0, k=2))
+    assert type(fact.p_b_achieved) is float
+    assert replace(fact, basis=np.zeros_like(fact.basis)).p_b_achieved == 1.0
+    with pytest.raises(TypeError):
+        replace(fact, p_b_achieved=0.5)
 
 
 def test_reconstruct_isometry_oracle():

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 
+import numpy as np
 import pytest
 
 from slrma import codec, solver, sweep
@@ -105,6 +107,31 @@ def test_rd_sweep_rejects_unsupported_transform_before_any_solve(
     grid = SweepGrid(ks=(2,), pb_targets=(0.3,), steps=((0.004, 1.0),),
                      transform=transform)
     with pytest.raises(ValueError, match="unsupported image transform"):
+        rd_sweep(data, grid)
+
+
+def inconsistent_dataset(kind):
+    """The dataset and the codec's message refusing it."""
+    if kind == "image-rows":  # 100 rows for 8x8 images
+        data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+        return (dataclasses.replace(data, x=np.vstack([data.x, data.x[:36]])),
+                r"X has 100 rows, expected w\*h=64")
+    seq = synth_mesh_seq(16, 8, seed=1)  # y holds 7 frames, x and z 8
+    return (dataclasses.replace(seq, xy=seq.xy[:, :7]),
+            "coordinate matrices must share one shape")
+
+
+@pytest.mark.parametrize("kind", ["image-rows", "mesh-shapes"])
+def test_rd_sweep_refuses_an_inconsistent_dataset_before_any_solve(monkeypatch, kind):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the dataset")
+
+    for module in (codec, sweep):
+        monkeypatch.setattr(module, "gamma_for_sparsity", no_solve)
+    monkeypatch.setattr(codec, "slrma_solve", no_solve)
+    data, message = inconsistent_dataset(kind)
+    grid = SweepGrid(ks=(2,), pb_targets=(0.3,), steps=((0.004, 1.0),))
+    with pytest.raises(ValueError, match=message):
         rd_sweep(data, grid)
 
 
