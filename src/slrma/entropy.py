@@ -1,22 +1,30 @@
-"""Adaptive binary arithmetic coding of quantized sparse matrices.
+"""Binary arithmetic coding of quantized sparse matrices.
 
 Carry-propagating range coder with 32-bit range registers, renormalizing
-whenever the range drops below 2**24. Each bit is coded against an adaptive
-two-count context (initialized uniform, halved at 2**16 total). A matrix is
-coded cell by cell in row-major order: a significance bit per cell and, for
-significant cells, a sign bit plus an order-0 Exp-Golomb binarization of
-|level| - 1. Prefix and suffix bits carry their own contexts.
+whenever the range drops below 2**24. A matrix is coded cell by cell in
+row-major order: a significance bit per cell and, for significant cells, an
+order-0 Exp-Golomb binarization of |level| - 1 (z prefix zeros, a one, z
+suffix bits) and the level's sign. The significance and prefix bits are
+coded against adaptive two-count contexts (initialized uniform, halved at
+2**16 total). The sign and the z suffix bits are coded in bypass, as one
+word of z + 1 equiprobable bits taken 16 at a time from the top: a chunk of
+t bits splits the range into 2**t equal parts of rng >> t, so it costs one
+shift and one multiply (or divide) where an adaptive bit costs a split, a
+compare and a count update. Suffix and sign bits are near-uniform, so the
+rate moves by a fraction of a percent either way.
 
-Each direction is nested loops over the cells, and each of the four contexts
+Each direction is nested loops over the cells, and each of the two contexts
 keeps its zero and one counts in two local ints. The encoder walks the
 nonzero positions and codes the run of insignificant cells before each; the
-decoder reads a cell's significance bit, then its sign, its Exp-Golomb prefix
-and its suffix, each inline.
+decoder reads a cell's significance bit, then its Exp-Golomb prefix and its
+bypass word, each inline.
 
-Neither direction clamps the split `rng * c0 // (c0 + c1)` of the range. Before
-every bit rng >= 2**24 (renormalization restores that after each bit) and
-c0, c1 >= 1 with c0 + c1 <= 2**16 - 1 (the counts halve on reaching 2**16), so
-the split lies in [256, rng - 256] and both sub-ranges are nonempty.
+Neither direction clamps a split of the range. Before every bin rng >= 2**24
+(renormalization restores that after each bin). An adaptive split
+`rng * c0 // (c0 + c1)` has c0, c1 >= 1 with c0 + c1 <= 2**16 - 1 (the counts
+halve on reaching 2**16), so it lies in [256, rng - 256] and both sub-ranges
+are nonempty; a bypass chunk has t <= 16, so each of its parts
+rng >> t >= 2**8 is nonempty too.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ def entropy_encode(q: QuantizedSparseMatrix):
         raise ValueError(f"{q.rows}x{q.cols} matrix exceeds {MAX_CELLS} cells")
     low, rng, cache, cache_size = 0, _MASK32, 0, 1
     out = bytearray()
-    # zero and one counts of the significance, sign, prefix and suffix contexts
-    sig0 = sig1 = sgn0 = sgn1 = pre0 = pre1 = suf0 = suf1 = 1
+    # zero and one counts of the significance and prefix contexts
+    sig0 = sig1 = pre0 = pre1 = 1
     start = 0
     # a sentinel level 0 past the last cell codes the trailing insignificant run
     for pos, level in zip(np.flatnonzero(q.significance).tolist() + [cells],
@@ -84,22 +92,8 @@ def entropy_encode(q: QuantizedSparseMatrix):
         while rng < _TOP:
             rng <<= 8
             low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-        # sign, 1 for negative
-        bound = rng * sgn0 // (sgn0 + sgn1)
-        if level < 0:
-            low += bound
-            rng -= bound
-            sgn1 += 1
-        else:
-            rng = bound
-            sgn0 += 1
-        if sgn0 + sgn1 >= _COUNT_CAP:
-            sgn0, sgn1 = (sgn0 + 1) >> 1, (sgn1 + 1) >> 1
-        while rng < _TOP:
-            rng <<= 8
-            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
         # Exp-Golomb codes |level| - 1 as plus = |level|: z zero bits and the
-        # one that ends the prefix, then the z low bits of plus
+        # one that ends the prefix
         plus = abs(level)
         z = plus.bit_length() - 1
         for _ in range(z):
@@ -119,17 +113,15 @@ def entropy_encode(q: QuantizedSparseMatrix):
         while rng < _TOP:
             rng <<= 8
             low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-        for shift in range(z - 1, -1, -1):
-            bound = rng * suf0 // (suf0 + suf1)
-            if (plus >> shift) & 1:
-                low += bound
-                rng -= bound
-                suf1 += 1
-            else:
-                rng = bound
-                suf0 += 1
-            if suf0 + suf1 >= _COUNT_CAP:
-                suf0, suf1 = (suf0 + 1) >> 1, (suf1 + 1) >> 1
+        # bypass word: plus with its leading one replaced by the sign (1 for
+        # negative), so the sign and then the z low bits of plus
+        word = plus if level < 0 else plus ^ (1 << z)
+        n = z + 1
+        while n:
+            t = n if n <= 16 else 16
+            n -= t
+            rng >>= t
+            low += ((word >> n) & ((1 << t) - 1)) * rng
             while rng < _TOP:
                 rng <<= 8
                 low, cache, cache_size = _shift_low(low, cache, cache_size, out)
@@ -151,10 +143,18 @@ def entropy_decode(data, rows, cols, step):
     code = int.from_bytes(data[1:5], "big")
     pos = 5
     rng = _MASK32
-    # zero and one counts of the significance, sign, prefix and suffix contexts
-    sig0 = sig1 = sgn0 = sgn1 = pre0 = pre1 = suf0 = suf1 = 1
+    # zero and one counts of the significance and prefix contexts
+    sig0 = sig1 = pre0 = pre1 = 1
     sig = bytearray(cells)
     levels = []
+    # code <= rng after every bin, for every input, corrupt ones included:
+    # the start code is at most 2**32 - 1 = rng, and each bin leaves code at
+    # most its new rng. Equality survives only from the start, through the
+    # first cell's significance and prefix ones, none of which renormalizes,
+    # into its bypass word, which refuses it (rng >= 2**t * (rng >> t)). So
+    # code < rng < 2**24 whenever it shifts, and the shifted code stays below
+    # 2**32 without a mask.
+    #
     # The loop indexes only data[pos], at each renormalization, and sig[cell]
     # with cell < cells, so it raises IndexError exactly when pos reaches
     # len(data): the payload ended mid-symbol. One handler checks that end.
@@ -169,7 +169,7 @@ def entropy_decode(data, rows, cols, step):
                     sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
                 while rng < _TOP:
                     rng <<= 8
-                    code = ((code << 8) | data[pos]) & _MASK32
+                    code = (code << 8) | data[pos]
                     pos += 1
                 continue
             code -= bound
@@ -179,25 +179,9 @@ def entropy_decode(data, rows, cols, step):
                 sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
             while rng < _TOP:
                 rng <<= 8
-                code = ((code << 8) | data[pos]) & _MASK32
+                code = (code << 8) | data[pos]
                 pos += 1
             sig[cell] = 1
-            # sign
-            bound = rng * sgn0 // (sgn0 + sgn1)
-            negative = code >= bound
-            if negative:
-                code -= bound
-                rng -= bound
-                sgn1 += 1
-            else:
-                rng = bound
-                sgn0 += 1
-            if sgn0 + sgn1 >= _COUNT_CAP:
-                sgn0, sgn1 = (sgn0 + 1) >> 1, (sgn1 + 1) >> 1
-            while rng < _TOP:
-                rng <<= 8
-                code = ((code << 8) | data[pos]) & _MASK32
-                pos += 1
             # Exp-Golomb prefix: z zero bits, then a one
             z = 0
             while True:
@@ -214,32 +198,32 @@ def entropy_decode(data, rows, cols, step):
                     pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
                 while rng < _TOP:
                     rng <<= 8
-                    code = ((code << 8) | data[pos]) & _MASK32
+                    code = (code << 8) | data[pos]
                     pos += 1
                 if one:
                     break
                 z += 1
                 if z > 64:
                     raise CorruptStreamError("runaway Exp-Golomb prefix")
-            # suffix: the z bits of plus = |level| below its leading one
-            plus = 1
-            for _ in range(z):
-                bound = rng * suf0 // (suf0 + suf1)
-                if code >= bound:
-                    code -= bound
-                    rng -= bound
-                    suf1 += 1
-                    plus = (plus << 1) | 1
-                else:
-                    rng = bound
-                    suf0 += 1
-                    plus <<= 1
-                if suf0 + suf1 >= _COUNT_CAP:
-                    suf0, suf1 = (suf0 + 1) >> 1, (suf1 + 1) >> 1
+            # bypass word: the sign, then the z bits of plus = |level| below
+            # its leading one
+            word = 0
+            n = z + 1
+            while n:
+                t = n if n <= 16 else 16
+                n -= t
+                rng >>= t
+                bits = code // rng
+                if bits >> t:
+                    raise CorruptStreamError("bypass bits out of range")
+                code -= bits * rng
+                word = (word << t) | bits
                 while rng < _TOP:
                     rng <<= 8
-                    code = ((code << 8) | data[pos]) & _MASK32
+                    code = (code << 8) | data[pos]
                     pos += 1
+            negative = word >> z
+            plus = word | (1 << z)
             if plus >= _INT64_SPAN + negative:
                 raise CorruptStreamError("level does not fit in int64")
             levels.append(-plus if negative else plus)

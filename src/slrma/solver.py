@@ -212,8 +212,6 @@ def update_q(b, y_q, rho):
     if not np.count_nonzero(rank_lost):
         return _closed_polar(shifted, values, vectors)
     u, _, vt = np.linalg.svd(shifted, full_matrices=False)
-    if rank_lost.all():
-        return u @ vt
     # a rank-lost slice's D^(-1/2) divides by zero; its closed form is dropped
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         closed = _closed_polar(shifted, values, vectors)

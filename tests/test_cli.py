@@ -295,6 +295,17 @@ def test_decompress_bad_magic_is_data_error(tmp_path, capsys):
     assert "BadMagic" in capsys.readouterr().err
 
 
+def test_decompress_version_1_container_is_data_error(tmp_path, capsys):
+    data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+    params = codec.CodecParams(k=4, step_b=0.002, step_c=0.5, gamma=50.0)
+    blob = bytearray(codec.compress_image_set(data.x, data.w, data.h, params))
+    blob[4] = 1
+    old = tmp_path / "v1.slrm"
+    old.write_bytes(bytes(blob))
+    assert run(["decompress-images", str(old), "--out", str(tmp_path / "o")]) == 2
+    assert "VersionUnsupported" in capsys.readouterr().err
+
+
 def test_decompress_crafted_header_is_data_error(tmp_path, capsys):
     data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
     params = codec.CodecParams(k=4, step_b=0.002, step_c=0.5, gamma=50.0)

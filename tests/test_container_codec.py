@@ -92,14 +92,14 @@ def test_container_golden_layout():
     # frozen byte layout: magic, version, pipeline, kind, nparams, params
     blob = hand_container()
     assert blob[:4] == b"SLRM"
-    assert blob[4] == 1 and blob[5] == 0
+    assert blob[4] == 2 and blob[5] == 0
     assert blob[6] == 3 and blob[7] == 2  # dct2d, two params
     assert int.from_bytes(blob[8:12], "little") == 3
     assert int.from_bytes(blob[12:16], "little") == 2
     assert int.from_bytes(blob[16:20], "little") == 6
     # whole-container hash guards the full field order and entropy coding
     assert hashlib.sha256(blob).hexdigest() == (
-        "a4f06f55c85ef43ec70b41a4aea42ae6bf4254bd3a1c83a5459bea7895723561"
+        "7bf0434b1d52b7a35c1531dfa28d9dcc69bb06d22ad7200d94854bb714d70b1d"
     )
 
 
@@ -111,10 +111,12 @@ def test_container_rejects_bad_magic():
 
 
 def test_container_rejects_bad_version():
-    blob = bytearray(hand_container())
-    blob[4] = 9
-    with pytest.raises(VersionUnsupportedError):
-        unpack_container(bytes(blob))
+    # version 1 coded the sign and Exp-Golomb suffix bits adaptively
+    for version in (1, 9):
+        blob = bytearray(hand_container())
+        blob[4] = version
+        with pytest.raises(VersionUnsupportedError):
+            unpack_container(bytes(blob))
 
 
 def test_container_rejects_truncation():

@@ -189,17 +189,16 @@ def test_entropy_encode_rejects_what_the_decoder_refuses():
 
 # ---------------------------------------------------------------------------
 # Reference coder: the class-based range coder the flat loops replaced, kept
-# unchanged as the oracle for their bytes and their errors.
+# as the oracle for their bytes and their errors. It gained the bypass bins of
+# container version 2 and nothing else.
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 _COUNT_CAP = 1 << 16
 
 CTX_SIGNIFICANCE = 0
-CTX_SIGN = 1
-CTX_EG_PREFIX = 2
-CTX_EG_SUFFIX = 3
-_NUM_CONTEXTS = 4
+CTX_EG_PREFIX = 1
+_NUM_CONTEXTS = 2
 
 
 class _Contexts:
@@ -240,6 +239,18 @@ class RangeEncoder:
         else:
             self.range = bound
         self.ctx.update(ctx, bit)
+        self._normalize()
+
+    def encode_bypass(self, value, nbits):
+        # equiprobable bits, 16 at a time from the top of value
+        while nbits:
+            t = min(nbits, 16)
+            nbits -= t
+            self.range >>= t
+            self.low += ((value >> nbits) & ((1 << t) - 1)) * self.range
+            self._normalize()
+
+    def _normalize(self):
         while self.range < _TOP:
             self.range = (self.range << 8) & _MASK32
             self._shift_low()
@@ -290,33 +301,50 @@ class RangeDecoder:
             self.code -= bound
             self.range -= bound
         self.ctx.update(ctx, bit)
+        self._normalize()
+        return bit
+
+    def decode_bypass(self, nbits):
+        value = 0
+        while nbits:
+            t = min(nbits, 16)
+            nbits -= t
+            self.range >>= t
+            bits = self.code // self.range
+            if bits >= 1 << t:
+                raise CorruptStreamError("bypass bits out of range")
+            self.code -= bits * self.range
+            value = (value << t) | bits
+            self._normalize()
+        return value
+
+    def _normalize(self):
         while self.range < _TOP:
             self.range = (self.range << 8) & _MASK32
             self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-        return bit
 
 
-def _encode_exp_golomb(enc, value):
-    # order-0: z zero bits, a one bit, then the z low bits of value + 1
-    plus = value + 1
+def _encode_level(enc, level):
+    # order-0 Exp-Golomb of |level| - 1: z zero bits and a one bit, adaptive;
+    # then in bypass the sign (1 for negative) and the z low bits of |level|
+    plus = abs(level)
     z = plus.bit_length() - 1
     for _ in range(z):
         enc.encode_bit(CTX_EG_PREFIX, 0)
     enc.encode_bit(CTX_EG_PREFIX, 1)
-    for shift in range(z - 1, -1, -1):
-        enc.encode_bit(CTX_EG_SUFFIX, (plus >> shift) & 1)
+    sign = 1 if level < 0 else 0
+    enc.encode_bypass((sign << z) | (plus - (1 << z)), z + 1)
 
 
-def _decode_exp_golomb(dec):
+def _decode_level(dec):
     z = 0
     while dec.decode_bit(CTX_EG_PREFIX) == 0:
         z += 1
         if z > 64:
             raise CorruptStreamError("runaway Exp-Golomb prefix")
-    plus = 1
-    for _ in range(z):
-        plus = (plus << 1) | dec.decode_bit(CTX_EG_SUFFIX)
-    return plus - 1
+    word = dec.decode_bypass(z + 1)
+    magnitude = (1 << z) + (word & ((1 << z) - 1))
+    return -magnitude if word >> z else magnitude
 
 
 def reference_encode(q: QuantizedSparseMatrix):
@@ -327,10 +355,8 @@ def reference_encode(q: QuantizedSparseMatrix):
     for bit in sig:
         if bit:
             enc.encode_bit(CTX_SIGNIFICANCE, 1)
-            level = int(levels[idx])
+            _encode_level(enc, int(levels[idx]))
             idx += 1
-            enc.encode_bit(CTX_SIGN, 1 if level < 0 else 0)
-            _encode_exp_golomb(enc, abs(level) - 1)
         else:
             enc.encode_bit(CTX_SIGNIFICANCE, 0)
     return enc.finish()
@@ -343,9 +369,7 @@ def reference_decode(data, rows, cols, step):
     for i in range(rows * cols):
         if dec.decode_bit(CTX_SIGNIFICANCE):
             sig[i] = True
-            negative = dec.decode_bit(CTX_SIGN)
-            magnitude = _decode_exp_golomb(dec) + 1
-            levels.append(-magnitude if negative else magnitude)
+            levels.append(_decode_level(dec))
     if dec.pos != len(data):
         raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {dec.pos}")
     return QuantizedSparseMatrix(
@@ -449,11 +473,12 @@ def test_entropy_coder_matches_reference_past_count_halving():
 
 
 def test_entropy_coder_matches_reference_past_every_count_halving():
-    # every cell significant with a level of +-1 to +-7: the significance,
-    # sign, prefix and suffix contexts each code over 2**16 bits and halve.
+    # every cell significant with a level of +-1 to +-7: the significance and
+    # prefix contexts each code over 2**16 bits and halve.
     # The coders halve in a separate place after each kind of bit; at this
-    # seed a count reaches 2**16 at odd counts in each of those places, so
-    # skipping any one halving changes the bytes.
+    # seed a count reaches 2**16 at odd counts in each of those places but
+    # the one after a significance zero, which the test above reaches. So
+    # skipping any one halving changes the bytes of one of the two tests.
     levels = np.random.default_rng(13).choice([-7, -5, -3, -2, -1, 1, 2, 3, 4, 6],
                                               size=(260, 260))
     q = QuantizedSparseMatrix(1.0, levels != 0, levels.reshape(-1))
@@ -474,12 +499,11 @@ def test_entropy_coder_matches_reference_on_large_levels():
 def test_entropy_decode_rejects_level_beyond_int64(level):
     enc = RangeEncoder()
     enc.encode_bit(CTX_SIGNIFICANCE, 1)
-    enc.encode_bit(CTX_SIGN, 1 if level < 0 else 0)
-    _encode_exp_golomb(enc, abs(level) - 1)
+    _encode_level(enc, level)
     payload = enc.finish()
     with pytest.raises(OverflowError):
         reference_decode(payload, 1, 1, 1.0)
-    with pytest.raises(CorruptStreamError):
+    with pytest.raises(CorruptStreamError, match="level does not fit in int64"):
         entropy_decode(payload, 1, 1, 1.0)
 
 
@@ -488,3 +512,37 @@ def test_entropy_roundtrips_the_int64_extremes():
     q = QuantizedSparseMatrix(1.0, levels != 0, levels.reshape(-1))
     assert entropy_encode(q) == reference_encode(q)
     assert_same(q, roundtrip(q))
+
+
+def sliver_payload(z):
+    """A 1x1 payload whose bypass word is out of range.
+
+    It codes significance 1 and a prefix of z < 16 zeros and a one. Then,
+    where the z + 1 bit word belongs, it codes a value in the sliver
+    [2**t * (rng >> t), rng) of the range that none of the word's 2**t parts
+    covers (t = z + 1). A later 16-bit chunk has no sliver: the chunk before
+    it leaves rng a multiple of 2**16.
+    """
+    enc = RangeEncoder()
+    enc.encode_bit(CTX_SIGNIFICANCE, 1)
+    for _ in range(z):
+        enc.encode_bit(CTX_EG_PREFIX, 0)
+    enc.encode_bit(CTX_EG_PREFIX, 1)
+    t = z + 1
+    covered = (enc.range >> t) << t
+    assert covered < enc.range  # the sliver is not empty
+    enc.low += covered
+    enc.range -= covered
+    enc._normalize()
+    return enc.finish()
+
+
+# The start code 2**32 - 1 equals the range: it decodes the first cell's
+# significance and prefix as ones, without renormalizing, into its bypass word.
+@pytest.mark.parametrize("payload",
+                         [*map(sliver_payload, (1, 7, 11, 15)), b"\x00\xff\xff\xff\xff"],
+                         ids=["z1", "z7", "z11", "z15", "start-code-equals-range"])
+def test_entropy_decode_rejects_a_bypass_word_out_of_range(payload):
+    for decode in (entropy_decode, reference_decode):
+        with pytest.raises(CorruptStreamError, match="bypass bits out of range"):
+            decode(payload, 1, 1, 1.0)
