@@ -3,7 +3,7 @@
 Little-endian layout, field order frozen by golden tests:
 
     offset 0   magic       4s   "SLRM"
-           4   version     u8   2
+           4   version     u8   3
            5   pipeline    u8   0 = image set, 1 = mesh sequence
            6   kind        u8   transform kind code
            7   nparams     u8
@@ -36,7 +36,7 @@ from .transforms import (
 )
 
 MAGIC = b"SLRM"
-VERSION = 2
+VERSION = 3
 PIPELINE_IMAGE = 0
 PIPELINE_MESH = 1
 

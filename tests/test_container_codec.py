@@ -92,14 +92,14 @@ def test_container_golden_layout():
     # frozen byte layout: magic, version, pipeline, kind, nparams, params
     blob = hand_container()
     assert blob[:4] == b"SLRM"
-    assert blob[4] == 2 and blob[5] == 0
+    assert blob[4] == 3 and blob[5] == 0
     assert blob[6] == 3 and blob[7] == 2  # dct2d, two params
     assert int.from_bytes(blob[8:12], "little") == 3
     assert int.from_bytes(blob[12:16], "little") == 2
     assert int.from_bytes(blob[16:20], "little") == 6
     # whole-container hash guards the full field order and entropy coding
     assert hashlib.sha256(blob).hexdigest() == (
-        "7bf0434b1d52b7a35c1531dfa28d9dcc69bb06d22ad7200d94854bb714d70b1d"
+        "f091ee070507df067f8eb5e39801af04c7cffd21e3f5644215caec16f8422ab3"
     )
 
 
@@ -111,8 +111,9 @@ def test_container_rejects_bad_magic():
 
 
 def test_container_rejects_bad_version():
-    # version 1 coded the sign and Exp-Golomb suffix bits adaptively
-    for version in (1, 9):
+    # version 1 coded the sign and Exp-Golomb suffix bits adaptively, and
+    # version 2 coded every payload at Exp-Golomb order 0
+    for version in (1, 2, 9):
         blob = bytearray(hand_container())
         blob[4] = version
         with pytest.raises(VersionUnsupportedError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slrma import entropy
 from slrma.codec import CodecParams, compress_image_set
 from slrma.entropy import MAX_CELLS, entropy_decode, entropy_encode
 from slrma.errors import CorruptStreamError, SizeOverflowError
@@ -190,7 +191,8 @@ def test_entropy_encode_rejects_what_the_decoder_refuses():
 # ---------------------------------------------------------------------------
 # Reference coder: the class-based range coder the flat loops replaced, kept
 # as the oracle for their bytes and their errors. It gained the bypass bins of
-# container version 2 and nothing else.
+# container version 2 and the per-payload Exp-Golomb order of version 3, and
+# nothing else.
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
@@ -199,6 +201,7 @@ _COUNT_CAP = 1 << 16
 CTX_SIGNIFICANCE = 0
 CTX_EG_PREFIX = 1
 _NUM_CONTEXTS = 2
+_MAX_ORDER = 16
 
 
 class _Contexts:
@@ -223,10 +226,10 @@ class _Contexts:
 
 
 class RangeEncoder:
-    def __init__(self):
+    def __init__(self, order=0):
         self.low = 0
         self.range = _MASK32
-        self.cache = 0
+        self.cache = order  # the initial cache is byte 0, which no carry reaches
         self.cache_size = 1
         self.out = bytearray()
         self.ctx = _Contexts()
@@ -280,7 +283,9 @@ class RangeDecoder:
         self.range = _MASK32
         self.code = 0
         self.ctx = _Contexts()
-        self._next_byte()  # the encoder's initial zero cache byte
+        self.order = self._next_byte()  # the encoder's initial cache byte
+        if self.order > _MAX_ORDER:
+            raise CorruptStreamError(f"Exp-Golomb order {self.order} exceeds {_MAX_ORDER}")
         for _ in range(4):
             self.code = (self.code << 8) | self._next_byte()
 
@@ -324,38 +329,57 @@ class RangeDecoder:
             self.code = ((self.code << 8) | self._next_byte()) & _MASK32
 
 
-def _encode_level(enc, level):
-    # order-0 Exp-Golomb of |level| - 1: z zero bits and a one bit, adaptive;
-    # then in bypass the sign (1 for negative) and the z low bits of |level|
-    plus = abs(level)
-    z = plus.bit_length() - 1
+def _prefix_zeros(magnitude, order):
+    return (magnitude - 1 + (1 << order)).bit_length() - 1 - order
+
+
+def _encode_level(enc, level, order):
+    # order-k Exp-Golomb of w = |level| - 1 + 2**k: z zero bits and a one bit,
+    # adaptive; then in bypass the sign (1 for negative) and the z + k bits
+    # of w below its leading one
+    z = _prefix_zeros(abs(level), order)
     for _ in range(z):
         enc.encode_bit(CTX_EG_PREFIX, 0)
     enc.encode_bit(CTX_EG_PREFIX, 1)
     sign = 1 if level < 0 else 0
-    enc.encode_bypass((sign << z) | (plus - (1 << z)), z + 1)
+    low = abs(level) - 1 + (1 << order) - (1 << (z + order))
+    enc.encode_bypass((sign << (z + order)) | low, z + order + 1)
 
 
 def _decode_level(dec):
     z = 0
     while dec.decode_bit(CTX_EG_PREFIX) == 0:
         z += 1
-        if z > 64:
+        if z + dec.order > 64:
             raise CorruptStreamError("runaway Exp-Golomb prefix")
-    word = dec.decode_bypass(z + 1)
-    magnitude = (1 << z) + (word & ((1 << z) - 1))
-    return -magnitude if word >> z else magnitude
+    n = z + dec.order
+    word = dec.decode_bypass(n + 1)
+    magnitude = (1 << n) + (word & ((1 << n) - 1)) + 1 - (1 << dec.order)
+    return -magnitude if word >> n else magnitude
 
 
-def reference_encode(q: QuantizedSparseMatrix):
-    enc = RangeEncoder()
+def reference_order(levels):
+    """The order k with the fewest bits in sum(2z + k + 1), the first of ties.
+
+    z is taken from each |level| as float64, which is exact below 2**53.
+    """
+    magnitudes = [int(abs(float(level))) for level in levels]
+    lengths = [sum(2 * _prefix_zeros(m, k) + k + 1 for m in magnitudes)
+               for k in range(_MAX_ORDER + 1)]
+    return lengths.index(min(lengths))
+
+
+def reference_encode(q: QuantizedSparseMatrix, order=None):
+    if order is None:
+        order = reference_order(q.levels.tolist())
+    enc = RangeEncoder(order)
     sig = q.significance.reshape(-1)
     levels = q.levels
     idx = 0
     for bit in sig:
         if bit:
             enc.encode_bit(CTX_SIGNIFICANCE, 1)
-            _encode_level(enc, int(levels[idx]))
+            _encode_level(enc, int(levels[idx]), order)
             idx += 1
         else:
             enc.encode_bit(CTX_SIGNIFICANCE, 0)
@@ -415,6 +439,7 @@ def test_entropy_coder_matches_reference(seed, density, rows, cols, damage):
     q = sparse_levels(seed, density, rows, cols)
     payload = entropy_encode(q)
     assert payload == reference_encode(q)
+    assert payload[0] == reference_order(q.levels.tolist())
     assert_same(q, entropy_decode(payload, rows, cols, q.step))
     # a truncated payload and a payload with one bit flipped each meet the
     # same outcome in both decoders
@@ -497,14 +522,15 @@ def test_entropy_coder_matches_reference_on_large_levels():
 
 @pytest.mark.parametrize("level", [2**63, -(2**63) - 1, 2**64 - 1])
 def test_entropy_decode_rejects_level_beyond_int64(level):
-    enc = RangeEncoder()
-    enc.encode_bit(CTX_SIGNIFICANCE, 1)
-    _encode_level(enc, level)
-    payload = enc.finish()
-    with pytest.raises(OverflowError):
-        reference_decode(payload, 1, 1, 1.0)
-    with pytest.raises(CorruptStreamError, match="level does not fit in int64"):
-        entropy_decode(payload, 1, 1, 1.0)
+    for order in (0, 1, _MAX_ORDER):
+        enc = RangeEncoder(order)
+        enc.encode_bit(CTX_SIGNIFICANCE, 1)
+        _encode_level(enc, level, order)
+        payload = enc.finish()
+        with pytest.raises(OverflowError):
+            reference_decode(payload, 1, 1, 1.0)
+        with pytest.raises(CorruptStreamError, match="level does not fit in int64"):
+            entropy_decode(payload, 1, 1, 1.0)
 
 
 def test_entropy_roundtrips_the_int64_extremes():
@@ -512,6 +538,39 @@ def test_entropy_roundtrips_the_int64_extremes():
     q = QuantizedSparseMatrix(1.0, levels != 0, levels.reshape(-1))
     assert entropy_encode(q) == reference_encode(q)
     assert_same(q, roundtrip(q))
+
+
+@pytest.mark.parametrize("order", range(_MAX_ORDER + 1))
+def test_entropy_roundtrips_the_int64_extremes_at_every_order(order, monkeypatch):
+    levels = np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 1]])
+    q = QuantizedSparseMatrix(1.0, levels != 0, levels.reshape(-1))
+    monkeypatch.setattr(entropy, "_exp_golomb_order", lambda _: order)
+    payload = entropy_encode(q)
+    assert payload[0] == order
+    assert payload == reference_encode(q, order)
+    assert_same(q, entropy_decode(payload, 1, 4, 1.0))
+    assert_same(q, reference_decode(payload, 1, 4, 1.0))
+
+
+@given(st.lists(st.one_of(st.integers(-(2**63), -1), st.integers(1, 2**63 - 1),
+                          st.integers(-300, 300).filter(bool)), max_size=40))
+@example([3])  # orders 0 and 2 both code it in 3 bits
+@example([1, 2, 3, 4, 6, 7, -1, -2, -3, -5])  # orders 0 and 1 tie at 34 bits
+@example([2**16 + 1] * 3)
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_exp_golomb_order_is_the_shortest_code(levels):
+    assert entropy._exp_golomb_order(np.array(levels, dtype=np.int64)) == reference_order(levels)
+
+
+@pytest.mark.parametrize("order", [_MAX_ORDER + 1, 255])
+def test_entropy_decode_rejects_an_order_above_16(order):
+    q = sparse_levels(5, 0.5, 4, 4)
+    payload = bytearray(entropy_encode(q))
+    payload[0] = order
+    for decode in (entropy_decode, reference_decode):
+        with pytest.raises(CorruptStreamError, match=f"order {order} exceeds 16"):
+            decode(bytes(payload), 4, 4, q.step)
 
 
 def sliver_payload(z):
