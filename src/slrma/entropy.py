@@ -1,48 +1,53 @@
 """Binary arithmetic coding of quantized sparse matrices.
 
-Carry-propagating range coder with 32-bit range registers, renormalizing
-whenever the range drops below 2**24. A matrix is coded cell by cell in
-row-major order: a significance bit per cell and, for significant cells, an
-order-k Exp-Golomb binarization of |level| - 1 and the level's sign. With
-w = |level| - 1 + 2**k, the prefix is z = bit_length(w) - 1 - k zero bits and
-a one; the sign and the z + k bits of w below its leading one follow. Order 0
-is the plain Exp-Golomb code of |level| - 1. The significance and prefix bits
-are coded against adaptive two-count contexts (initialized uniform, halved at
-2**16 total). The sign and the z + k suffix bits are coded in bypass, as one
-word of z + k + 1 equiprobable bits taken 16 at a time from the top: a chunk
-of t bits splits the range into 2**t equal parts of rng >> t, so it costs one
-shift and one multiply (or divide) where an adaptive bit costs a split, a
-compare and a count update. Suffix and sign bits are near-uniform, so the
-rate moves by a fraction of a percent either way.
+A payload has three parts:
 
-Each payload has its own order k in [0, 16], the one whose plain Exp-Golomb
-code of its levels is shortest: the k that minimizes the sum over levels of
-2z + k + 1, ties going to the smallest k (`_exp_golomb_order`). A higher
-order moves the low bits of large levels from adaptive prefix bins to bypass
-bits. The rule takes z from |level| as float64 with `frexp` and integer
-counts, and no `log`, so every platform picks the same k. The float is exact
-for every level `quantize` writes, each being a float64 value; past 2**53 a
-hand-built level may round, which can move the choice, never the decoded
-value.
+    byte 0      the Exp-Golomb order k, in [0, 16]
+    range part  the trailing run T, then the significance and prefix bins
+                of cells [0, cells - T) in row-major order (4-byte flush)
+    raw tail    per nonzero level in row-major order: its sign (1 for
+                negative), then the z + k bits of w below its leading one,
+                MSB first, zero-padded to a byte
 
-The order is payload byte 0, which costs no byte: byte 0 is the encoder's
-initial cache, and no carry reaches it, because every interval the coder
-narrows to lies inside the first one, [0, 2**32 - 1) on bytes 1-4. So the
-encoder starts with cache = k, and the decoder reads k from byte 0 and
-refuses one above 16 before its first bin.
+A level is an order-k Exp-Golomb binarization of |level| - 1: with
+w = |level| - 1 + 2**k, its prefix is z = bit_length(w) - 1 - k zero bins and
+a one. Order 0 is the plain Exp-Golomb code of |level| - 1. Sign and suffix
+bits are near-uniform, so they stay out of the range coder: the decoding loop
+records each level's z + k, and one vectorized pass reads the tail after it.
 
-Each direction is nested loops over the cells, and each of the two contexts
-keeps its zero and one counts in two local ints. The encoder walks the
-nonzero positions and codes the run of insignificant cells before each; the
-decoder reads a cell's significance bit, then its Exp-Golomb prefix and its
-bypass word, each inline.
+The range coder propagates carries, has 32-bit registers and renormalizes
+whenever the range drops below 2**24. Significance and prefix bins use
+adaptive two-count contexts (initialized uniform, halved at 2**16 total). T
+counts the insignificant cells after the last significant one (cells for an
+all-zero matrix); those cells cost no bins. T is coded as the order-0 Exp-Golomb
+code of T + 1 in half splits, bound = rng >> 1 with no counts. The decoder
+refuses an insignificant last coded cell, so every matrix has exactly one
+payload.
 
-Neither direction clamps a split of the range. Before every bin rng >= 2**24
-(renormalization restores that after each bin). An adaptive split
-`rng * c0 // (c0 + c1)` has c0, c1 >= 1 with c0 + c1 <= 2**16 - 1 (the counts
-halve on reaching 2**16), so it lies in [256, rng - 256] and both sub-ranges
-are nonempty; a bypass chunk has t <= 16, so each of its parts
-rng >> t >= 2**8 is nonempty too.
+Each payload has its own order k, the one whose plain Exp-Golomb code of its
+levels is shortest: the argmin of the sum over levels of 2z + k + 1, ties to
+the smallest k (`_exp_golomb_order`). It reads z from |level| as float64 with
+`frexp` and integer counts, and no `log`, so every platform picks the same k.
+The float is exact for every level `quantize` writes; past 2**53 a hand-built
+level may round, which can move the choice, never the decoded value.
+
+The order costs no byte. The encoder appends bits 24-32 of `low` as a digit
+at each renormalization and adds up digits and carries once, below byte 0 =
+k. No carry reaches byte 0, because every interval the coder narrows to lies
+inside the first one, [0, 2**32 - 1) on bytes 1-4. So no encoder writes the
+start code 2**32 - 1, which equals the initial range: the decoder refuses it,
+and an order above 16, before its first bin.
+
+Neither direction clamps a split. Before every bin rng >= 2**24. An adaptive
+split `rng * c0 // (c0 + c1)` has c0, c1 >= 1 and c0 + c1 <= 2**16 - 1, so
+it lies in [256, rng - 256]. A half split leaves two halves of at least
+2**23 that cover the whole range: unlike 2**t equal parts of rng >> t, it
+leaves no sliver of code values that decode to no bit, so it needs no check.
+
+The decoder also refuses z + k > 63 (every int64 level has z + k <= 63, and
+a tail word of 1 + 63 bits fits uint64), a run prefix of over 26 zeros and
+T > cells (T <= MAX_CELLS = 2**26), nonzero padding and a tail of the wrong
+length.
 """
 
 from __future__ import annotations
@@ -65,18 +70,12 @@ MAX_ORDER = 16
 # 1D basis factors together and its decoded image stack.
 MAX_CELLS = 1 << 26
 
+# The most zeros a trailing run's prefix holds: T + 1 <= MAX_CELLS + 1
+_MAX_RUN_ZEROS = MAX_CELLS.bit_length() - 1
+# The most bits of w below its leading one: |level| <= 2**63 needs 63
+_MAX_TOP = 63
 # Decoded levels are int64: magnitudes up to 2**63 - 1, or 2**63 if negative.
-_INT64_SPAN = 1 << 63
-
-
-def _shift_low(low, cache, cache_size, out):
-    """Move the top byte of `low` out, through the one-byte carry cache."""
-    if low < 0xFF000000 or low > _MASK32:
-        carry = low >> 32
-        out.append((cache + carry) & 0xFF)
-        out += bytes([(0xFF + carry) & 0xFF]) * (cache_size - 1)
-        return (low & 0x00FFFFFF) << 8, (low >> 24) & 0xFF, 1
-    return (low & 0x00FFFFFF) << 8, cache, cache_size + 1
+_INT64_MAX = np.uint64((1 << 63) - 1)
 
 
 def _exp_golomb_order(levels):
@@ -101,22 +100,50 @@ def _exp_golomb_order(levels):
     return int(excess.argmin())  # the first of equal minima
 
 
+def _tail_layout(tops):
+    """Word widths, word starts and per-bit shifts of a raw tail.
+
+    `tops` holds each level's z + k, a byte each. Tail bit i is bit shifts[i]
+    of its word, counted from the word's LSB.
+    """
+    # a word is the sign and the z + k bits
+    widths = np.frombuffer(tops, dtype=np.uint8).astype(np.int64) + 1
+    ends = np.cumsum(widths)
+    shifts = np.repeat(ends - 1, widths) - np.arange(widths.sum())
+    return widths, ends - widths, shifts.astype(np.uint64)
+
+
 def entropy_encode(q: QuantizedSparseMatrix):
     """Losslessly code significance map and nonzero levels to bytes."""
     cells = q.rows * q.cols
     if cells > MAX_CELLS:
         raise ValueError(f"{q.rows}x{q.cols} matrix exceeds {MAX_CELLS} cells")
-    order = _exp_golomb_order(q.levels)
+    levels = q.levels.astype(np.int64, copy=False)
+    order = _exp_golomb_order(levels)
     bias = (1 << order) - 1
-    # the initial cache becomes byte 0, and it holds the order
-    low, rng, cache, cache_size = 0, _MASK32, order, 1
-    out = bytearray()
+    positions = np.flatnonzero(q.significance).tolist()
+    # z + k of each level (at most 63): the bits of w = |level| - 1 + 2**k
+    # below its leading one
+    tops = bytes([(abs(level) + bias).bit_length() - 1 for level in levels.tolist()])
+    low, rng = 0, _MASK32
+    digits = []  # bits 24-32 of low at each renormalization
+    # T + 1 in 2z + 1 bits is its Exp-Golomb code: z zeros, then its z + 1 bits
+    run = cells - positions[-1] if positions else cells + 1
+    for i in range(2 * run.bit_length() - 2, -1, -1):
+        half = rng >> 1
+        if run >> i & 1:
+            low += half
+            rng -= half
+        else:
+            rng = half
+        while rng < _TOP:
+            rng <<= 8
+            digits.append(low >> 24)
+            low = (low & 0x00FFFFFF) << 8
     # zero and one counts of the significance and prefix contexts
     sig0 = sig1 = pre0 = pre1 = 1
     start = 0
-    # a sentinel level 0 past the last cell codes the trailing insignificant run
-    for pos, level in zip(np.flatnonzero(q.significance).tolist() + [cells],
-                          q.levels.tolist() + [0]):
+    for pos, top in zip(positions, tops):
         for _ in range(pos - start):  # the insignificant cells before `pos`
             rng = rng * sig0 // (sig0 + sig1)
             sig0 += 1
@@ -124,9 +151,8 @@ def entropy_encode(q: QuantizedSparseMatrix):
                 sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
             while rng < _TOP:
                 rng <<= 8
-                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-        if not level:
-            break
+                digits.append(low >> 24)
+                low = (low & 0x00FFFFFF) << 8
         # significance 1
         bound = rng * sig0 // (sig0 + sig1)
         low += bound
@@ -136,20 +162,18 @@ def entropy_encode(q: QuantizedSparseMatrix):
             sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
         while rng < _TOP:
             rng <<= 8
-            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-        # Exp-Golomb of order k codes w = |level| - 1 + 2**k: z zero bits and
-        # the one that ends the prefix, where n = z + k bits of w follow its
-        # leading one
-        w = abs(level) + bias
-        n = w.bit_length() - 1
-        for _ in range(n - order):
+            digits.append(low >> 24)
+            low = (low & 0x00FFFFFF) << 8
+        # Exp-Golomb prefix: z = top - k zero bins and the one that ends it
+        for _ in range(top - order):
             rng = rng * pre0 // (pre0 + pre1)
             pre0 += 1
             if pre0 + pre1 >= _COUNT_CAP:
                 pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
             while rng < _TOP:
                 rng <<= 8
-                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+                digits.append(low >> 24)
+                low = (low & 0x00FFFFFF) << 8
         bound = rng * pre0 // (pre0 + pre1)
         low += bound
         rng -= bound
@@ -158,23 +182,21 @@ def entropy_encode(q: QuantizedSparseMatrix):
             pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
         while rng < _TOP:
             rng <<= 8
-            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-        # bypass word: w with its leading one replaced by the sign (1 for
-        # negative), so the sign and then the n low bits of w
-        word = w if level < 0 else w ^ (1 << n)
-        n += 1
-        while n:
-            t = n if n <= 16 else 16
-            n -= t
-            rng >>= t
-            low += ((word >> n) & ((1 << t) - 1)) * rng
-            while rng < _TOP:
-                rng <<= 8
-                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+            digits.append(low >> 24)
+            low = (low & 0x00FFFFFF) << 8
         start = pos + 1
-    for _ in range(5):  # flush the four bytes of low and the cache
-        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-    return bytes(out)
+    # byte 0, the digits' low bytes and the four bytes of low, plus each
+    # digit's carry (its bit 8) one byte up
+    digits = np.array(digits, dtype=np.uint16)
+    head = int.from_bytes(bytes([order]) + digits.astype(np.uint8).tobytes(), "big")
+    head += int.from_bytes((digits >> 8).astype(np.uint8).tobytes() + b"\0", "big")
+    payload = ((head << 32) + low).to_bytes(digits.size + 5, "big")
+    # raw tail: each word is w with its leading one replaced by the sign
+    widths, _, shifts = _tail_layout(tops)
+    w = np.abs(levels).view(np.uint64) + np.uint64(bias)  # |int64 min| wraps to 2**63
+    words = w ^ ((levels > 0).astype(np.uint64) << (widths - 1).astype(np.uint64))
+    bits = (np.repeat(words, widths) >> shifts) & np.uint64(1)
+    return payload + np.packbits(bits.astype(np.uint8)).tobytes()
 
 
 def entropy_decode(data, rows, cols, step):
@@ -185,31 +207,55 @@ def entropy_decode(data, rows, cols, step):
     end = len(data)
     if end < 5:
         raise CorruptStreamError("payload ended mid-symbol")
-    # byte 0 is the encoder's initial cache byte, the Exp-Golomb order
     order = data[0]
     if order > MAX_ORDER:
         raise CorruptStreamError(f"Exp-Golomb order {order} exceeds {MAX_ORDER}")
     bias = (1 << order) - 1
     code = int.from_bytes(data[1:5], "big")
-    pos = 5
     rng = _MASK32
+    # code < rng from here on: each bin leaves code below its new rng. So
+    # code < rng < 2**24 whenever it shifts, and the shifted code stays below
+    # 2**32 without a mask.
+    if code == rng:
+        raise CorruptStreamError("start code equals the range")
+    pos = 5
     # zero and one counts of the significance and prefix contexts
     sig0 = sig1 = pre0 = pre1 = 1
     sig = bytearray(cells)
-    levels = []
-    # code <= rng after every bin, for every input, corrupt ones included:
-    # the start code is at most 2**32 - 1 = rng, and each bin leaves code at
-    # most its new rng. Equality survives only from the start, through the
-    # first cell's significance and prefix ones, none of which renormalizes,
-    # into its bypass word, which refuses it (rng >= 2**t * (rng >> t)). So
-    # code < rng < 2**24 whenever it shifts, and the shifted code stays below
-    # 2**32 without a mask.
-    #
-    # The loop indexes only data[pos], at each renormalization, and sig[cell]
-    # with cell < cells, so it raises IndexError exactly when pos reaches
+    tops = bytearray()  # z + k of each level
+    # The loops index only data[pos], at each renormalization, and sig[cell]
+    # with cell < cells, so they raise IndexError exactly when pos reaches
     # len(data): the payload ended mid-symbol. One handler checks that end.
     try:
-        for cell in range(cells):
+        # trailing run: z zeros, then the z + 1 bits of T + 1, in half splits
+        zeros = run = 0  # run holds T + 1 from its leading one on
+        left = 1  # bins left to read
+        while left:
+            half = rng >> 1
+            one = code >= half
+            if one:
+                code -= half
+                rng -= half
+            else:
+                rng = half
+            while rng < _TOP:
+                rng <<= 8
+                code = (code << 8) | data[pos]
+                pos += 1
+            if run:
+                run = run << 1 | one
+                left -= 1
+            elif one:
+                run, left = 1, zeros
+            else:
+                zeros += 1
+                if zeros > _MAX_RUN_ZEROS:
+                    raise CorruptStreamError("runaway trailing-run prefix")
+        run -= 1
+        if run > cells:
+            raise CorruptStreamError(f"trailing run {run} exceeds {cells} cells")
+        coded = cells - run
+        for cell in range(coded):
             # significance
             bound = rng * sig0 // (sig0 + sig1)
             if code < bound:
@@ -232,8 +278,7 @@ def entropy_decode(data, rows, cols, step):
                 code = (code << 8) | data[pos]
                 pos += 1
             sig[cell] = 1
-            # Exp-Golomb prefix: z zero bits, then a one; top counts z + k,
-            # the bits of w = |level| - 1 + 2**k below its leading one
+            # Exp-Golomb prefix: z zero bits, then a one; top counts z + k
             top = order
             while True:
                 bound = rng * pre0 // (pre0 + pre1)
@@ -254,37 +299,33 @@ def entropy_decode(data, rows, cols, step):
                 if one:
                     break
                 top += 1
-                if top > 64:
+                if top > _MAX_TOP:
                     raise CorruptStreamError("runaway Exp-Golomb prefix")
-            # bypass word: the sign, then the low top bits of w
-            word = 0
-            n = top + 1
-            while n:
-                t = n if n <= 16 else 16
-                n -= t
-                rng >>= t
-                bits = code // rng
-                if bits >> t:
-                    raise CorruptStreamError("bypass bits out of range")
-                code -= bits * rng
-                word = (word << t) | bits
-                while rng < _TOP:
-                    rng <<= 8
-                    code = (code << 8) | data[pos]
-                    pos += 1
-            negative = word >> top
-            plus = (word | (1 << top)) - bias
-            if plus >= _INT64_SPAN + negative:
-                raise CorruptStreamError("level does not fit in int64")
-            levels.append(-plus if negative else plus)
+            tops.append(top)
     except IndexError:
         raise CorruptStreamError("payload ended mid-symbol") from None
-    if pos != end:
-        # the encoder's flush ends every payload exactly where its last
-        # symbol is read; a wrong header shape usually stops elsewhere
-        raise CorruptStreamError(f"payload holds {end} bytes, decoded {pos}")
+    if coded and not sig[coded - 1]:
+        raise CorruptStreamError("last coded cell is insignificant")
+    # the range part ends at pos; the tail holds one word per level
+    widths, starts, shifts = _tail_layout(tops)
+    size = pos + (shifts.size + 7) // 8
+    if end < size:
+        raise CorruptStreamError("payload ended mid-symbol")
+    if end > size:
+        # a wrong header shape usually stops elsewhere
+        raise CorruptStreamError(f"payload holds {end} bytes, decoded {size}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=pos))
+    if bits[shifts.size:].any():
+        raise CorruptStreamError("nonzero tail padding")
+    words = np.add.reduceat(bits[:shifts.size].astype(np.uint64) << shifts, starts)
+    tops = (widths - 1).astype(np.uint64)
+    negative = words >> tops
+    magnitude = (words | np.uint64(1) << tops) - np.uint64(bias)
+    if (magnitude - negative > _INT64_MAX).any():
+        raise CorruptStreamError("level does not fit in int64")
+    value = magnitude.view(np.int64)  # 2**63 wraps to int64 min, its own negation
     return QuantizedSparseMatrix(
         step=float(step),
         significance=np.frombuffer(sig, dtype=bool).reshape(rows, cols),
-        levels=np.array(levels, dtype=np.int64),
+        levels=np.where(negative == 1, -value, value),
     )

@@ -314,6 +314,10 @@ def test_decompress_version_2_container_is_data_error(tmp_path, capsys):
     assert_old_version_is_data_error(2, tmp_path, capsys)
 
 
+def test_decompress_version_3_container_is_data_error(tmp_path, capsys):
+    assert_old_version_is_data_error(3, tmp_path, capsys)
+
+
 def test_decompress_crafted_header_is_data_error(tmp_path, capsys):
     data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
     params = codec.CodecParams(k=4, step_b=0.002, step_c=0.5, gamma=50.0)

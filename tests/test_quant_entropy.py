@@ -191,8 +191,9 @@ def test_entropy_encode_rejects_what_the_decoder_refuses():
 # ---------------------------------------------------------------------------
 # Reference coder: the class-based range coder the flat loops replaced, kept
 # as the oracle for their bytes and their errors. It gained the bypass bins of
-# container version 2 and the per-payload Exp-Golomb order of version 3, and
-# nothing else.
+# container version 2 and the per-payload Exp-Golomb order of version 3; for
+# version 4 it traded its bypass bins for the trailing run and the raw tail,
+# and nothing else.
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
@@ -236,24 +237,27 @@ class RangeEncoder:
 
     def encode_bit(self, ctx, bit):
         bound = self.ctx.split(ctx, self.range)
+        self._encode(bound, bit)
+        self.ctx.update(ctx, bit)
+
+    def encode_half(self, bit):
+        self._encode(self.range >> 1, bit)
+
+    def encode_run(self, run):
+        # order-0 Exp-Golomb of run + 1: z zeros, then its z + 1 bits
+        value = run + 1
+        z = value.bit_length() - 1
+        for _ in range(z):
+            self.encode_half(0)
+        for i in range(z, -1, -1):
+            self.encode_half((value >> i) & 1)
+
+    def _encode(self, bound, bit):
         if bit:
             self.low += bound
             self.range -= bound
         else:
             self.range = bound
-        self.ctx.update(ctx, bit)
-        self._normalize()
-
-    def encode_bypass(self, value, nbits):
-        # equiprobable bits, 16 at a time from the top of value
-        while nbits:
-            t = min(nbits, 16)
-            nbits -= t
-            self.range >>= t
-            self.low += ((value >> nbits) & ((1 << t) - 1)) * self.range
-            self._normalize()
-
-    def _normalize(self):
         while self.range < _TOP:
             self.range = (self.range << 8) & _MASK32
             self._shift_low()
@@ -288,6 +292,8 @@ class RangeDecoder:
             raise CorruptStreamError(f"Exp-Golomb order {self.order} exceeds {_MAX_ORDER}")
         for _ in range(4):
             self.code = (self.code << 8) | self._next_byte()
+        if self.code == self.range:
+            raise CorruptStreamError("start code equals the range")
 
     def _next_byte(self):
         if self.pos >= len(self.data):
@@ -297,7 +303,25 @@ class RangeDecoder:
         return byte
 
     def decode_bit(self, ctx):
-        bound = self.ctx.split(ctx, self.range)
+        bit = self._decode(self.ctx.split(ctx, self.range))
+        self.ctx.update(ctx, bit)
+        return bit
+
+    def decode_half(self):
+        return self._decode(self.range >> 1)
+
+    def decode_run(self):
+        z = 0
+        while not self.decode_half():
+            z += 1
+            if z > 26:
+                raise CorruptStreamError("runaway trailing-run prefix")
+        value = 1
+        for _ in range(z):
+            value = (value << 1) | self.decode_half()
+        return value - 1
+
+    def _decode(self, bound):
         if self.code < bound:
             bit = 0
             self.range = bound
@@ -305,57 +329,36 @@ class RangeDecoder:
             bit = 1
             self.code -= bound
             self.range -= bound
-        self.ctx.update(ctx, bit)
-        self._normalize()
-        return bit
-
-    def decode_bypass(self, nbits):
-        value = 0
-        while nbits:
-            t = min(nbits, 16)
-            nbits -= t
-            self.range >>= t
-            bits = self.code // self.range
-            if bits >= 1 << t:
-                raise CorruptStreamError("bypass bits out of range")
-            self.code -= bits * self.range
-            value = (value << t) | bits
-            self._normalize()
-        return value
-
-    def _normalize(self):
         while self.range < _TOP:
             self.range = (self.range << 8) & _MASK32
             self.code = ((self.code << 8) | self._next_byte()) & _MASK32
+        return bit
 
 
 def _prefix_zeros(magnitude, order):
     return (magnitude - 1 + (1 << order)).bit_length() - 1 - order
 
 
-def _encode_level(enc, level, order):
+def _encode_level(enc, tail, level, order):
     # order-k Exp-Golomb of w = |level| - 1 + 2**k: z zero bits and a one bit,
-    # adaptive; then in bypass the sign (1 for negative) and the z + k bits
-    # of w below its leading one
+    # adaptive; then, in the raw tail, the sign (1 for negative) and the
+    # z + k bits of w below its leading one, MSB first
     z = _prefix_zeros(abs(level), order)
     for _ in range(z):
         enc.encode_bit(CTX_EG_PREFIX, 0)
     enc.encode_bit(CTX_EG_PREFIX, 1)
-    sign = 1 if level < 0 else 0
     low = abs(level) - 1 + (1 << order) - (1 << (z + order))
-    enc.encode_bypass((sign << (z + order)) | low, z + order + 1)
+    tail.append(1 if level < 0 else 0)
+    tail.extend((low >> i) & 1 for i in range(z + order - 1, -1, -1))
 
 
-def _decode_level(dec):
+def _decode_top(dec):
     z = 0
     while dec.decode_bit(CTX_EG_PREFIX) == 0:
         z += 1
-        if z + dec.order > 64:
+        if z + dec.order > 63:
             raise CorruptStreamError("runaway Exp-Golomb prefix")
-    n = z + dec.order
-    word = dec.decode_bypass(n + 1)
-    magnitude = (1 << n) + (word & ((1 << n) - 1)) + 1 - (1 << dec.order)
-    return -magnitude if word >> n else magnitude
+    return z + dec.order
 
 
 def reference_order(levels):
@@ -369,33 +372,66 @@ def reference_order(levels):
     return lengths.index(min(lengths))
 
 
-def reference_encode(q: QuantizedSparseMatrix, order=None):
-    if order is None:
-        order = reference_order(q.levels.tolist())
+def reference_payload(significance, levels, order, run=None):
+    """Code a flat significance map and its levels (Python ints of any size).
+
+    `run` overrides the trailing run the encoder codes: it then codes the
+    significance bins of the first len(significance) - run cells as given.
+    """
+    if run is None:
+        significant = np.flatnonzero(significance)
+        run = len(significance) - 1 - significant[-1] if significant.size else len(significance)
     enc = RangeEncoder(order)
-    sig = q.significance.reshape(-1)
-    levels = q.levels
-    idx = 0
-    for bit in sig:
+    enc.encode_run(int(run))
+    tail = []
+    levels = iter(levels)
+    for bit in significance[: len(significance) - run]:
+        enc.encode_bit(CTX_SIGNIFICANCE, int(bit))
         if bit:
-            enc.encode_bit(CTX_SIGNIFICANCE, 1)
-            _encode_level(enc, int(levels[idx]), order)
-            idx += 1
-        else:
-            enc.encode_bit(CTX_SIGNIFICANCE, 0)
-    return enc.finish()
+            _encode_level(enc, tail, next(levels), order)
+    tail += [0] * (-len(tail) % 8)
+    return enc.finish() + bytes(sum(bit << (7 - i) for i, bit in enumerate(tail[j:j + 8]))
+                                for j in range(0, len(tail), 8))
+
+
+def reference_encode(q: QuantizedSparseMatrix, order=None):
+    levels = q.levels.tolist()
+    if order is None:
+        order = reference_order(levels)
+    return reference_payload(q.significance.reshape(-1), levels, order)
 
 
 def reference_decode(data, rows, cols, step):
     dec = RangeDecoder(data)
-    sig = np.zeros(rows * cols, dtype=bool)
-    levels = []
-    for i in range(rows * cols):
+    cells = rows * cols
+    run = dec.decode_run()
+    if run > cells:
+        raise CorruptStreamError(f"trailing run {run} exceeds {cells} cells")
+    sig = np.zeros(cells, dtype=bool)
+    tops = []
+    for i in range(cells - run):
         if dec.decode_bit(CTX_SIGNIFICANCE):
             sig[i] = True
-            levels.append(_decode_level(dec))
-    if dec.pos != len(data):
-        raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {dec.pos}")
+            tops.append(_decode_top(dec))
+    if run < cells and not sig[cells - run - 1]:
+        raise CorruptStreamError("last coded cell is insignificant")
+    tail = [(byte >> (7 - i)) & 1 for byte in data[dec.pos:] for i in range(8)]
+    size = dec.pos + (sum(top + 1 for top in tops) + 7) // 8
+    if len(data) < size:
+        raise CorruptStreamError("payload ended mid-symbol")
+    if len(data) > size:
+        raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {size}")
+    bits = iter(tail)
+    levels = []
+    for top in tops:
+        negative = next(bits)
+        low = 0
+        for _ in range(top):
+            low = (low << 1) | next(bits)
+        magnitude = (1 << top) + low + 1 - (1 << dec.order)
+        levels.append(-magnitude if negative else magnitude)
+    if any(bits):
+        raise CorruptStreamError("nonzero tail padding")
     return QuantizedSparseMatrix(
         step=float(step),
         significance=sig.reshape(rows, cols),
@@ -455,7 +491,7 @@ def test_entropy_coder_matches_reference(seed, density, rows, cols, damage):
 
 @contextmanager
 def recorded_splits():
-    """(unclamped split, rng) of every bit the reference coder codes in the block."""
+    """(unclamped split, rng) of every adaptive bin the reference coder codes in the block."""
     seen = []
     split = _Contexts.split
 
@@ -482,7 +518,9 @@ def assert_split_needs_no_clamp(q):
 
 @coder_cases
 def test_reference_split_needs_no_clamp(seed, density, rows, cols, _damage):
-    assert_split_needs_no_clamp(sparse_levels(seed, density, rows, cols))
+    q = sparse_levels(seed, density, rows, cols)
+    if q.levels.size:  # an all-zero matrix codes no adaptive bin
+        assert_split_needs_no_clamp(q)
 
 
 def test_reference_split_needs_no_clamp_past_count_halving():
@@ -520,13 +558,33 @@ def test_entropy_coder_matches_reference_on_large_levels():
     assert_same(q, entropy_decode(payload, 2, 3, 1.0))
 
 
+@pytest.mark.parametrize("significance, run", [
+    ([[0, 1], [1, 1]], 0),  # the last cell is significant
+    ([[0, 0], [0, 0]], 4),  # all zero: every cell is in the run
+    ([[1, 0], [0, 0]], 3),  # only the first cell is significant
+    ([[0] * 7 + [1]] + [[0] * 8] * 7, 56),
+], ids=["T=0", "T=cells", "T=cells-1", "T=56"])
+def test_entropy_codes_the_trailing_run(significance, run):
+    significance = np.array(significance, dtype=bool)
+    rows, cols = significance.shape
+    q = QuantizedSparseMatrix(1.0, significance, np.arange(1, significance.sum() + 1))
+    payload = entropy_encode(q)
+    assert payload == reference_encode(q)
+    assert RangeDecoder(payload).decode_run() == run
+    for decode in (entropy_decode, reference_decode):
+        assert_same(q, decode(payload, rows, cols, 1.0))
+
+
 @pytest.mark.parametrize("level", [2**63, -(2**63) - 1, 2**64 - 1])
 def test_entropy_decode_rejects_level_beyond_int64(level):
     for order in (0, 1, _MAX_ORDER):
-        enc = RangeEncoder(order)
-        enc.encode_bit(CTX_SIGNIFICANCE, 1)
-        _encode_level(enc, level, order)
-        payload = enc.finish()
+        payload = reference_payload([1], [level], order)
+        if _prefix_zeros(abs(level), order) + order > 63:
+            # z + k of 2**64 - 1 is 64 at every order above 0
+            for decode in (entropy_decode, reference_decode):
+                with pytest.raises(CorruptStreamError, match="runaway Exp-Golomb prefix"):
+                    decode(payload, 1, 1, 1.0)
+            continue
         with pytest.raises(OverflowError):
             reference_decode(payload, 1, 1, 1.0)
         with pytest.raises(CorruptStreamError, match="level does not fit in int64"):
@@ -563,45 +621,93 @@ def test_exp_golomb_order_is_the_shortest_code(levels):
     assert entropy._exp_golomb_order(np.array(levels, dtype=np.int64)) == reference_order(levels)
 
 
+def assert_both_decoders_refuse(payload, rows, cols, match):
+    for decode in (entropy_decode, reference_decode):
+        with pytest.raises(CorruptStreamError, match=match):
+            decode(bytes(payload), rows, cols, 1.0)
+
+
 @pytest.mark.parametrize("order", [_MAX_ORDER + 1, 255])
 def test_entropy_decode_rejects_an_order_above_16(order):
-    q = sparse_levels(5, 0.5, 4, 4)
-    payload = bytearray(entropy_encode(q))
+    payload = bytearray(entropy_encode(sparse_levels(5, 0.5, 4, 4)))
     payload[0] = order
-    for decode in (entropy_decode, reference_decode):
-        with pytest.raises(CorruptStreamError, match=f"order {order} exceeds 16"):
-            decode(bytes(payload), 4, 4, q.step)
+    assert_both_decoders_refuse(payload, 4, 4, f"order {order} exceeds 16")
 
 
-def sliver_payload(z):
-    """A 1x1 payload whose bypass word is out of range.
+def short_tail_payload(z):
+    """A 1x1 payload whose sign-and-suffix word runs past its end.
 
-    It codes significance 1 and a prefix of z < 16 zeros and a one. Then,
-    where the z + 1 bit word belongs, it codes a value in the sliver
-    [2**t * (rng >> t), rng) of the range that none of the word's 2**t parts
-    covers (t = z + 1). A later 16-bit chunk has no sliver: the chunk before
-    it leaves rng a multiple of 2**16.
+    It codes significance 1 and an order-0 prefix of z zeros and a one. The
+    word that versions 2 and 3 coded as a z + 1 bit bypass word is z + 1 bits
+    of the raw tail; the payload drops the tail's last byte, so the word lies
+    partly or wholly beyond the payload.
     """
-    enc = RangeEncoder()
+    payload = reference_payload([1], [-(2**z)], 0)
+    tail = RangeDecoder(payload)
+    tail.decode_run()
+    tail.decode_bit(CTX_SIGNIFICANCE)
+    assert _decode_top(tail) == z
+    assert len(payload) - tail.pos == (z + 1 + 7) // 8
+    return payload[:-1]
+
+
+# The start code 2**32 - 1 equals the initial range, and no encoder writes it;
+# it is refused before the first bin.
+@pytest.mark.parametrize("payload, match", [
+    *((short_tail_payload(z), "payload ended mid-symbol") for z in (1, 7, 11, 15)),
+    (b"\x00\xff\xff\xff\xff", "start code equals the range"),
+], ids=["z1", "z7", "z11", "z15", "start-code-equals-range"])
+def test_entropy_decode_rejects_a_bypass_word_out_of_range(payload, match):
+    assert_both_decoders_refuse(payload, 1, 1, match)
+
+
+@pytest.mark.parametrize("order", [0, 7, _MAX_ORDER])
+def test_entropy_decode_rejects_a_runaway_prefix(order):
+    enc = RangeEncoder(order)
+    enc.encode_run(0)
     enc.encode_bit(CTX_SIGNIFICANCE, 1)
-    for _ in range(z):
+    for _ in range(64 - order):  # z + k = 64, one more than any int64 level
         enc.encode_bit(CTX_EG_PREFIX, 0)
     enc.encode_bit(CTX_EG_PREFIX, 1)
-    t = z + 1
-    covered = (enc.range >> t) << t
-    assert covered < enc.range  # the sliver is not empty
-    enc.low += covered
-    enc.range -= covered
-    enc._normalize()
-    return enc.finish()
+    assert_both_decoders_refuse(enc.finish(), 1, 1, "runaway Exp-Golomb prefix")
 
 
-# The start code 2**32 - 1 equals the range: it decodes the first cell's
-# significance and prefix as ones, without renormalizing, into its bypass word.
-@pytest.mark.parametrize("payload",
-                         [*map(sliver_payload, (1, 7, 11, 15)), b"\x00\xff\xff\xff\xff"],
-                         ids=["z1", "z7", "z11", "z15", "start-code-equals-range"])
-def test_entropy_decode_rejects_a_bypass_word_out_of_range(payload):
-    for decode in (entropy_decode, reference_decode):
-        with pytest.raises(CorruptStreamError, match="bypass bits out of range"):
-            decode(payload, 1, 1, 1.0)
+def test_entropy_decode_rejects_a_runaway_trailing_run_prefix():
+    enc = RangeEncoder()
+    for bit in [0] * 27 + [1] * 28:  # T + 1 = 2**28 - 1, past any matrix
+        enc.encode_half(bit)
+    assert_both_decoders_refuse(enc.finish(), 1, 1, "runaway trailing-run prefix")
+
+
+def test_entropy_decode_rejects_a_trailing_run_past_the_cells():
+    enc = RangeEncoder()
+    enc.encode_run(5)
+    assert_both_decoders_refuse(enc.finish(), 2, 2, "trailing run 5 exceeds 4 cells")
+
+
+def test_entropy_decode_rejects_an_insignificant_last_coded_cell():
+    # the run of 0 claims that the last cell is significant, then codes it 0:
+    # the same matrix as the canonical payload with run 1
+    canonical = reference_payload([1, 0], [3], 1)
+    padded = reference_payload([1, 0], [3], 1, run=0)
+    assert canonical != padded
+    assert_same(entropy_decode(canonical, 1, 2, 1.0), reference_decode(canonical, 1, 2, 1.0))
+    assert_both_decoders_refuse(padded, 1, 2, "last coded cell is insignificant")
+
+
+def test_entropy_decode_rejects_nonzero_tail_padding():
+    q = QuantizedSparseMatrix(1.0, np.ones((1, 1), dtype=bool), np.array([1]))
+    payload = bytearray(entropy_encode(q))
+    assert payload[-1] == 0  # the tail is one zero sign bit and seven zero pads
+    for bit in range(7):
+        payload[-1] = 1 << bit
+        assert_both_decoders_refuse(payload, 1, 1, "nonzero tail padding")
+
+
+def test_entropy_decode_rejects_bytes_past_the_tail():
+    q = sparse_levels(5, 0.5, 4, 4)
+    payload = entropy_encode(q)
+    for extra in (b"\x00", b"\x80\x00"):
+        assert_both_decoders_refuse(
+            payload + extra, 4, 4,
+            f"payload holds {len(payload) + len(extra)} bytes, decoded {len(payload)}")
