@@ -1,7 +1,7 @@
 """End-to-end compression pipelines for image sets and mesh sequences.
 
 Image sets: Z = Phi^T X is factored into a sparse orthonormal basis and
-coefficients, both uniformly quantized and arithmetic-coded. Mesh
+coefficients, both uniformly quantized and Exp-Golomb or Rice coded. Mesh
 sequences run the same factorization per coordinate axis against the mesh
 graph transform, with an extra 1D DCT applied along the coefficient rows
 before quantization to squeeze temporal coherence.

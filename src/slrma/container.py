@@ -3,7 +3,7 @@
 Little-endian layout, field order frozen by golden tests:
 
     offset 0   magic       4s   "SLRM"
-           4   version     u8   4
+           4   version     u8   5
            5   pipeline    u8   0 = image set, 1 = mesh sequence
            6   kind        u8   transform kind code
            7   nparams     u8
@@ -26,28 +26,15 @@ import struct
 from dataclasses import dataclass
 
 from .errors import BadMagicError, CorruptStreamError, VersionUnsupportedError
-from .transforms import (
-    KIND_DCT1D,
-    KIND_DCT2D,
-    KIND_DWT1D,
-    KIND_DWT2D,
-    KIND_GRAPH,
-    KIND_IDENTITY,
-)
+from .transforms import KIND_DCT2D, KIND_DWT2D, KIND_GRAPH
 
 MAGIC = b"SLRM"
-VERSION = 4
+VERSION = 5
 PIPELINE_IMAGE = 0
 PIPELINE_MESH = 1
 
-_KIND_CODES = {
-    KIND_IDENTITY: 0,
-    KIND_DCT1D: 1,
-    KIND_DWT1D: 2,
-    KIND_DCT2D: 3,
-    KIND_DWT2D: 4,
-    KIND_GRAPH: 5,
-}
+# the kinds a pipeline writes; codes 0-2 named kinds no container holds
+_KIND_CODES = {KIND_DCT2D: 3, KIND_DWT2D: 4, KIND_GRAPH: 5}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 

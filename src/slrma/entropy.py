@@ -1,53 +1,43 @@
-"""Binary arithmetic coding of quantized sparse matrices.
+"""Split-layout Exp-Golomb and Rice coding of quantized sparse matrices.
 
-A payload has three parts:
+A payload codes a matrix's N nonzeros in row-major order, each as its gap
+(the zero cells before it) and its level, and the run of T zero cells after
+the last. It holds the gap and the level selector bytes, then bits, MSB
+first: the order-0 Exp-Golomb codes of N + 1 and T + 1; N unary prefixes of
+the gaps, then N of the values |level| - 1; the gap suffixes, then per level
+a word of its sign (1 for negative) and suffix; zero padding to a byte.
+Selector k names Exp-Golomb order k in [0, 16] and 128 + r Rice parameter
+r, in [0, 26] for gaps and [0, 63] for levels. A value v is a prefix of z
+zeros and a one, then a suffix:
 
-    byte 0      the Exp-Golomb order k, in [0, 16]
-    range part  the trailing run T, then the significance and prefix bins
-                of cells [0, cells - T) in row-major order (4-byte flush)
-    raw tail    per nonzero level in row-major order: its sign (1 for
-                negative), then the z + k bits of w below its leading one,
-                MSB first, zero-padded to a byte
+    Exp-Golomb k  w = v + 2**k, z = bit_length(w) - 1 - k, suffix w's z + k low bits
+    Rice r        z = v >> r, suffix the r low bits of v
 
-A level is an order-k Exp-Golomb binarization of |level| - 1: with
-w = |level| - 1 + 2**k, its prefix is z = bit_length(w) - 1 - k zero bins and
-a one. Order 0 is the plain Exp-Golomb code of |level| - 1. Sign and suffix
-bits are near-uniform, so they stay out of the range coder: the decoding loop
-records each level's z + k, and one vectorized pass reads the tail after it.
+So v = (f(z) << p) + suffix for parameter p, f(z) = 2**z - 1 (Exp-Golomb)
+or z (Rice). Once the ones of the unary sections give every z, `cumsum`
+places every suffix and one pass reads them all: the split layout of
+vectorized integer codecs (Lemire and Boytsov, SPE 2015) with Golomb-Rice
+codes (Rice 1979). No step loops over cells: a payload costs work in
+proportion to its bytes, plus one zeroed significance map.
 
-The range coder propagates carries, has 32-bit registers and renormalizes
-whenever the range drops below 2**24. Significance and prefix bins use
-adaptive two-count contexts (initialized uniform, halved at 2**16 total). T
-counts the insignificant cells after the last significant one (cells for an
-all-zero matrix); those cells cost no bins. T is coded as the order-0 Exp-Golomb
-code of T + 1 in half splits, bound = rng >> 1 with no counts. The decoder
-refuses an insignificant last coded cell, so every matrix has exactly one
-payload.
+Each selector names the code that writes its section in the fewest bits
+(sign bits aside), ties to Exp-Golomb and then to the smaller parameter.
+The decoder refuses any other selector, so a matrix has one payload. It
+refuses as well a count prefix of over 26 zeros, N + T above the cells, a
+gap needing over 26 bits or a level value over 63 (z + k above the bound,
+or z >= 2**(bound - r)), a level outside int64, nonzeros and a run that do
+not end at the last cell, nonzero padding and a payload of other length.
 
-Each payload has its own order k, the one whose plain Exp-Golomb code of its
-levels is shortest: the argmin of the sum over levels of 2z + k + 1, ties to
-the smallest k (`_exp_golomb_order`). It reads z from |level| as float64 with
-`frexp` and integer counts, and no `log`, so every platform picks the same k.
-The float is exact for every level `quantize` writes; past 2**53 a hand-built
-level may round, which can move the choice, never the decoded value.
+The 6 x 2 basis [[5, 0], [0, 9], [0, 0], [-2, 0], [0, 0], [0, 0]] (gaps 0,
+2, 2, values 4, 8, 1 and T = 5) is the payload 00 01 21 aa 9e 8b:
 
-The order costs no byte. The encoder appends bits 24-32 of `low` as a digit
-at each renormalization and adds up digits and carries once, below byte 0 =
-k. No carry reaches byte 0, because every interval the coder narrows to lies
-inside the first one, [0, 2**32 - 1) on bytes 1-4. So no encoder writes the
-start code 2**32 - 1, which equals the initial range: the decoder refuses it,
-and an order above 16, before its first bin.
-
-Neither direction clamps a split. Before every bin rng >= 2**24. An adaptive
-split `rng * c0 // (c0 + c1)` has c0, c1 >= 1 and c0 + c1 <= 2**16 - 1, so
-it lies in [256, rng - 256]. A half split leaves two halves of at least
-2**23 that cover the whole range: unlike 2**t equal parts of rng >> t, it
-leaves no sliver of code values that decode to no bit, so it needs no check.
-
-The decoder also refuses z + k > 63 (every int64 level has z + k <= 63, and
-a tail word of 1 + 63 bits fits uint64), a run prefix of over 26 zeros and
-T > cells (T <= MAX_CELLS = 2**26), nonzero padding and a tail of the wrong
-length.
+    00 01         gaps: Exp-Golomb 0, 7 bits (Rice 0 ties); levels:
+                  Exp-Golomb 1, 12 bits (Rice 1 and 2 tie)
+    00100 00110   N + 1 = 4, T + 1 = 6
+    1 01 01       gap prefixes, z = 0, 1, 1
+    01 001 1      level prefixes, z = 1, 2, 0
+    1 1           gap suffixes: w = 1, 3, 3
+    0 10 0 010 11 +5 (w = 6), +9 (w = 10), -2 (w = 3)
 """
 
 from __future__ import annotations
@@ -57,60 +47,88 @@ import numpy as np
 from .errors import CorruptStreamError
 from .quant import QuantizedSparseMatrix
 
-_TOP = 1 << 24
-_MASK32 = 0xFFFFFFFF
-_COUNT_CAP = 1 << 16
-# the highest Exp-Golomb order, which payload byte 0 holds
-MAX_ORDER = 16
+MAX_ORDER = 16  # the highest Exp-Golomb order
+_RICE = 128  # the selector byte of Rice parameter 0
 
-# Largest matrix, in cells, either direction codes. The decoder sizes its
-# significance map from header fields before it reads a bit, so this is the
-# bound on what a crafted header can make it allocate. The codec bounds the
-# other arrays a header sizes by it too: a mesh's frame DCT, an image's two
-# 1D basis factors together and its decoded image stack.
+# Largest matrix, in cells, either direction codes: the bound on the
+# significance map a crafted header can make the decoder allocate. The codec
+# bounds by it the other arrays a header sizes: a mesh's frame DCT, an
+# image's two 1D basis factors together and its decoded image stack.
 MAX_CELLS = 1 << 26
+# The most bits a gap (below MAX_CELLS) and a level value (|level| - 1 <
+# 2**63) need. A count prefix holds at most _GAP_BITS zeros: N, T <= MAX_CELLS.
+_GAP_BITS = MAX_CELLS.bit_length() - 1
+_LEVEL_BITS = 63
+_HEAD = 14  # bytes that hold both count codes, 53 bits each
+_INT64_MAX = np.uint64((1 << 63) - 1)  # a level's magnitude, or 2**63 if negative
+_ONE = np.uint64(1)
+_POW2 = np.left_shift(_ONE, np.arange(64, dtype=np.uint64))
 
-# The most zeros a trailing run's prefix holds: T + 1 <= MAX_CELLS + 1
-_MAX_RUN_ZEROS = MAX_CELLS.bit_length() - 1
-# The most bits of w below its leading one: |level| <= 2**63 needs 63
-_MAX_TOP = 63
-# Decoded levels are int64: magnitudes up to 2**63 - 1, or 2**63 if negative.
-_INT64_MAX = np.uint64((1 << 63) - 1)
+
+def _bit_length(x):
+    """bit_length of each element of uint64 `x`, exactly."""
+    return np.searchsorted(_POW2, x, side="right")
 
 
-def _exp_golomb_order(levels):
-    """The order k in [0, MAX_ORDER] of the shortest Exp-Golomb code of `levels`.
-
-    A level's code is 2z + k + 1 bits long. With |level| = m * 2**e (m in
-    [0.5, 1)) and d the bit length of 2**e - |level|, its z at order k is
-    max(e - 1 - k, 0), plus one when d <= k < e. So raising the order from
-    j - 1 to j shortens by a bit the code of each level whose z drops and
-    lengthens by a bit the code of the others: those with e <= j - 1, whose
-    z is 0 already, and those with d = j. Counts of e and d give every
-    order's length at once.
+def _candidates():
+    """Weights W and selector bytes of the candidates: Exp-Golomb orders 0-16,
+    then Rice parameters 0-63. A section of magnitudes m (gaps + 1 or |levels|)
+    counts its bit lengths e of m (columns 0-64), the bit lengths d of
+    2**e - m (65-129) and its values v = m - 1 with bit j set (130 + j); then
+    counts @ W is each candidate's length (the e counts add up to N).
+    Exp-Golomb k codes v in 2z + k + 1 bits, z = max(e - 1 - k, 0) + [d <= k < e]
+    (w = v + 2**k reaches 2**e just when 2**e - m < 2**k), and as d <= e,
+    [d <= k < e] = [d <= k] - [e <= k]. Rice r codes v in (v >> r) + 1 + r
+    bits; the v >> r add up to the sum of counts[130 + j] * 2**(j - r), j >= r.
     """
-    m, e = np.frexp(np.abs(levels.astype(np.float64)))
-    d = e + np.frexp(1.0 - m)[1]  # 1 - m is exact
-    # stay[j - 1]: the levels whose z does not drop from order j - 1 to j
-    stay = np.bincount(e, minlength=MAX_ORDER)[:MAX_ORDER].cumsum()
-    stay += np.bincount(d, minlength=MAX_ORDER + 1)[1:MAX_ORDER + 1]
-    # the length at each order k less that at order 0
-    excess = np.zeros(MAX_ORDER + 1, dtype=np.int64)
-    np.cumsum(2 * stay - levels.size, out=excess[1:])
-    return int(excess.argmin())  # the first of equal minima
+    x = np.arange(65)[:, None]
+    k = np.arange(MAX_ORDER + 1)
+    j = np.arange(64)
+    weights = np.zeros((194, k.size + j.size))
+    weights[:65] = np.concatenate((k, j)) + 1
+    weights[:65, :k.size] += 2 * (np.maximum(x - 1 - k, 0) - (x <= k))
+    weights[65:130, :k.size] = 2 * (x <= k)
+    weights[130:, k.size:] = np.tril(np.exp2(np.subtract.outer(j, j)))
+    return weights, np.concatenate((k, _RICE + j))
 
 
-def _tail_layout(tops):
-    """Word widths, word starts and per-bit shifts of a raw tail.
+_WEIGHTS, _SELECTOR_BYTES = _candidates()
+_SECTION = np.array([[0], [194]])  # bincount offsets of the two sections' counts
 
-    `tops` holds each level's z + k, a byte each. Tail bit i is bit shifts[i]
-    of its word, counted from the word's LSB.
+
+def _selectors(magnitudes):
+    """The selector bytes of a 2 x N uint64 stack of gaps + 1 and |levels|:
+    per section the shortest code, the first of ties in candidate order.
+    Lengths below 2**53 are exact in float64; a Rice length above it exceeds
+    every Exp-Golomb length, so rounding moves no choice. A gap below 2**26
+    is shorter at Rice 26 than past it: no pick is one the decoder refuses.
     """
-    # a word is the sign and the z + k bits
-    widths = np.frombuffer(tops, dtype=np.uint8).astype(np.int64) + 1
-    ends = np.cumsum(widths)
-    shifts = np.repeat(ends - 1, widths) - np.arange(widths.sum())
-    return widths, ends - widths, shifts.astype(np.uint64)
+    e = _bit_length(magnitudes)
+    half = _POW2[e - 1]
+    d = _bit_length(half - (magnitudes - half))
+    counts = np.bincount((np.concatenate((e, d + 65), axis=1) + _SECTION).ravel(),
+                         minlength=388).reshape(2, 194)
+    values = (magnitudes - _ONE).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(values, bitorder="little").reshape(2, magnitudes.shape[1], 64)
+    counts[:, 130:] = bits.sum(axis=1, dtype=np.int32)
+    return bytes(_SELECTOR_BYTES[(counts @ _WEIGHTS).argmin(axis=1)].tolist())
+
+
+def _shifts(widths, ends):
+    """Per bit of fields of `widths` ending at `ends`, its place in its field."""
+    shifts = np.repeat(ends - 1, widths)
+    return (shifts - np.arange(shifts.size)).astype(np.uint64)
+
+
+def _split(values, selector):
+    """Prefix zeros, suffixes and suffix widths of uint64 `values`."""
+    rice, param = divmod(selector, _RICE)
+    if rice:
+        zeros = (values >> np.uint64(param)).astype(np.int64)
+        return zeros, values & (_POW2[param] - _ONE), np.full(values.size, param)
+    w = values + _POW2[param]
+    widths = _bit_length(w) - 1
+    return widths - param, w - _POW2[widths], widths
 
 
 def entropy_encode(q: QuantizedSparseMatrix):
@@ -119,84 +137,58 @@ def entropy_encode(q: QuantizedSparseMatrix):
     if cells > MAX_CELLS:
         raise ValueError(f"{q.rows}x{q.cols} matrix exceeds {MAX_CELLS} cells")
     levels = q.levels.astype(np.int64, copy=False)
-    order = _exp_golomb_order(levels)
-    bias = (1 << order) - 1
-    positions = np.flatnonzero(q.significance).tolist()
-    # z + k of each level (at most 63): the bits of w = |level| - 1 + 2**k
-    # below its leading one
-    tops = bytes([(abs(level) + bias).bit_length() - 1 for level in levels.tolist()])
-    low, rng = 0, _MASK32
-    digits = []  # bits 24-32 of low at each renormalization
-    # T + 1 in 2z + 1 bits is its Exp-Golomb code: z zeros, then its z + 1 bits
-    run = cells - positions[-1] if positions else cells + 1
-    for i in range(2 * run.bit_length() - 2, -1, -1):
-        half = rng >> 1
-        if run >> i & 1:
-            low += half
-            rng -= half
-        else:
-            rng = half
-        while rng < _TOP:
-            rng <<= 8
-            digits.append(low >> 24)
-            low = (low & 0x00FFFFFF) << 8
-    # zero and one counts of the significance and prefix contexts
-    sig0 = sig1 = pre0 = pre1 = 1
-    start = 0
-    for pos, top in zip(positions, tops):
-        for _ in range(pos - start):  # the insignificant cells before `pos`
-            rng = rng * sig0 // (sig0 + sig1)
-            sig0 += 1
-            if sig0 + sig1 >= _COUNT_CAP:
-                sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
-            while rng < _TOP:
-                rng <<= 8
-                digits.append(low >> 24)
-                low = (low & 0x00FFFFFF) << 8
-        # significance 1
-        bound = rng * sig0 // (sig0 + sig1)
-        low += bound
-        rng -= bound
-        sig1 += 1
-        if sig0 + sig1 >= _COUNT_CAP:
-            sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
-        while rng < _TOP:
-            rng <<= 8
-            digits.append(low >> 24)
-            low = (low & 0x00FFFFFF) << 8
-        # Exp-Golomb prefix: z = top - k zero bins and the one that ends it
-        for _ in range(top - order):
-            rng = rng * pre0 // (pre0 + pre1)
-            pre0 += 1
-            if pre0 + pre1 >= _COUNT_CAP:
-                pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
-            while rng < _TOP:
-                rng <<= 8
-                digits.append(low >> 24)
-                low = (low & 0x00FFFFFF) << 8
-        bound = rng * pre0 // (pre0 + pre1)
-        low += bound
-        rng -= bound
-        pre1 += 1
-        if pre0 + pre1 >= _COUNT_CAP:
-            pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
-        while rng < _TOP:
-            rng <<= 8
-            digits.append(low >> 24)
-            low = (low & 0x00FFFFFF) << 8
-        start = pos + 1
-    # byte 0, the digits' low bytes and the four bytes of low, plus each
-    # digit's carry (its bit 8) one byte up
-    digits = np.array(digits, dtype=np.uint16)
-    head = int.from_bytes(bytes([order]) + digits.astype(np.uint8).tobytes(), "big")
-    head += int.from_bytes((digits >> 8).astype(np.uint8).tobytes() + b"\0", "big")
-    payload = ((head << 32) + low).to_bytes(digits.size + 5, "big")
-    # raw tail: each word is w with its leading one replaced by the sign
-    widths, _, shifts = _tail_layout(tops)
-    w = np.abs(levels).view(np.uint64) + np.uint64(bias)  # |int64 min| wraps to 2**63
-    words = w ^ ((levels > 0).astype(np.uint64) << (widths - 1).astype(np.uint64))
-    bits = (np.repeat(words, widths) >> shifts) & np.uint64(1)
-    return payload + np.packbits(bits.astype(np.uint8)).tobytes()
+    n = levels.size
+    positions = np.flatnonzero(q.significance)
+    # gap + 1 and |level| of each nonzero; |int64 min| wraps to 2**63
+    magnitudes = np.stack((np.diff(positions, prepend=-1), np.abs(levels))).view(np.uint64)
+    selectors = _selectors(magnitudes)
+    gap_zeros, gap_suffixes, gap_widths = _split(magnitudes[0] - _ONE, selectors[0])
+    zeros, suffixes, widths = _split(magnitudes[1] - _ONE, selectors[1])
+    signs = (levels < 0).astype(np.uint64) << widths.astype(np.uint64)
+    words = np.concatenate((gap_suffixes, suffixes | signs))
+    widths = np.concatenate((gap_widths, widths + 1))
+    # the codes of N + 1 and T + 1 are 2z + 1 bits each; each prefix ends at a one
+    run = cells - int(positions[-1]) if n else cells + 1  # T + 1
+    head = 2 * (n + 1).bit_length() + 2 * run.bit_length() - 2
+    code = (n + 1) << 2 * run.bit_length() - 1 | run
+    ones = head - 1 + np.cumsum(np.concatenate((gap_zeros, zeros)) + 1)
+    first = ones[-1] + 1 if n else head
+    bits = np.zeros(first + int(widths.sum()), dtype=np.uint8)
+    bits[:head] = np.unpackbits(np.frombuffer(code.to_bytes(_HEAD, "big"), np.uint8))[-head:]
+    bits[ones] = 1
+    bits[first:] = np.repeat(words, widths) >> _shifts(widths, widths.cumsum()) & _ONE
+    return selectors + np.packbits(bits).tobytes()
+
+
+def _code(selector, top):
+    """(Rice or not, parameter, the most zeros a prefix may hold) of a
+    selector byte whose values need at most `top` bits."""
+    rice, param = divmod(selector, _RICE)
+    if param > (top if rice else MAX_ORDER):
+        name = "Rice parameter" if rice else "Exp-Golomb order"
+        raise CorruptStreamError(f"{name} {param} exceeds {top if rice else MAX_ORDER}")
+    return rice, param, (1 << (top - param)) - 1 if rice else top - param
+
+
+def _count(data, start):
+    """The order-0 Exp-Golomb code at bit `start` after a payload's selectors:
+    its value less one, and its end. Both counts lie in the first _HEAD bytes."""
+    rest = int.from_bytes(bytes(data[2:2 + _HEAD]).ljust(_HEAD, b"\0"), "big")
+    rest &= (1 << (8 * _HEAD - start)) - 1
+    z = 8 * _HEAD - start - rest.bit_length()
+    available = 8 * (len(data) - 2)
+    if z > _GAP_BITS and available - start > _GAP_BITS:
+        raise CorruptStreamError("runaway count prefix")
+    end = start + 2 * z + 1
+    if end > available:
+        raise CorruptStreamError("payload ended mid-symbol")
+    return (rest >> (8 * _HEAD - end)) - 1, end
+
+
+def _values(zeros, suffixes, rice, param):
+    """The uint64 values of prefixes holding `zeros` and their `suffixes`."""
+    high = zeros.astype(np.uint64) if rice else _POW2[zeros] - _ONE
+    return (high << np.uint64(param)) + suffixes
 
 
 def entropy_decode(data, rows, cols, step):
@@ -204,128 +196,55 @@ def entropy_decode(data, rows, cols, step):
     cells = rows * cols
     if cells > MAX_CELLS:
         raise CorruptStreamError(f"{rows}x{cols} matrix exceeds {MAX_CELLS} cells")
-    end = len(data)
-    if end < 5:
+    if len(data) < 2:
         raise CorruptStreamError("payload ended mid-symbol")
-    order = data[0]
-    if order > MAX_ORDER:
-        raise CorruptStreamError(f"Exp-Golomb order {order} exceeds {MAX_ORDER}")
-    bias = (1 << order) - 1
-    code = int.from_bytes(data[1:5], "big")
-    rng = _MASK32
-    # code < rng from here on: each bin leaves code below its new rng. So
-    # code < rng < 2**24 whenever it shifts, and the shifted code stays below
-    # 2**32 without a mask.
-    if code == rng:
-        raise CorruptStreamError("start code equals the range")
-    pos = 5
-    # zero and one counts of the significance and prefix contexts
-    sig0 = sig1 = pre0 = pre1 = 1
-    sig = bytearray(cells)
-    tops = bytearray()  # z + k of each level
-    # The loops index only data[pos], at each renormalization, and sig[cell]
-    # with cell < cells, so they raise IndexError exactly when pos reaches
-    # len(data): the payload ended mid-symbol. One handler checks that end.
-    try:
-        # trailing run: z zeros, then the z + 1 bits of T + 1, in half splits
-        zeros = run = 0  # run holds T + 1 from its leading one on
-        left = 1  # bins left to read
-        while left:
-            half = rng >> 1
-            one = code >= half
-            if one:
-                code -= half
-                rng -= half
-            else:
-                rng = half
-            while rng < _TOP:
-                rng <<= 8
-                code = (code << 8) | data[pos]
-                pos += 1
-            if run:
-                run = run << 1 | one
-                left -= 1
-            elif one:
-                run, left = 1, zeros
-            else:
-                zeros += 1
-                if zeros > _MAX_RUN_ZEROS:
-                    raise CorruptStreamError("runaway trailing-run prefix")
-        run -= 1
-        if run > cells:
-            raise CorruptStreamError(f"trailing run {run} exceeds {cells} cells")
-        coded = cells - run
-        for cell in range(coded):
-            # significance
-            bound = rng * sig0 // (sig0 + sig1)
-            if code < bound:
-                rng = bound
-                sig0 += 1
-                if sig0 + sig1 >= _COUNT_CAP:
-                    sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
-                while rng < _TOP:
-                    rng <<= 8
-                    code = (code << 8) | data[pos]
-                    pos += 1
-                continue
-            code -= bound
-            rng -= bound
-            sig1 += 1
-            if sig0 + sig1 >= _COUNT_CAP:
-                sig0, sig1 = (sig0 + 1) >> 1, (sig1 + 1) >> 1
-            while rng < _TOP:
-                rng <<= 8
-                code = (code << 8) | data[pos]
-                pos += 1
-            sig[cell] = 1
-            # Exp-Golomb prefix: z zero bits, then a one; top counts z + k
-            top = order
-            while True:
-                bound = rng * pre0 // (pre0 + pre1)
-                one = code >= bound
-                if one:
-                    code -= bound
-                    rng -= bound
-                    pre1 += 1
-                else:
-                    rng = bound
-                    pre0 += 1
-                if pre0 + pre1 >= _COUNT_CAP:
-                    pre0, pre1 = (pre0 + 1) >> 1, (pre1 + 1) >> 1
-                while rng < _TOP:
-                    rng <<= 8
-                    code = (code << 8) | data[pos]
-                    pos += 1
-                if one:
-                    break
-                top += 1
-                if top > _MAX_TOP:
-                    raise CorruptStreamError("runaway Exp-Golomb prefix")
-            tops.append(top)
-    except IndexError:
-        raise CorruptStreamError("payload ended mid-symbol") from None
-    if coded and not sig[coded - 1]:
-        raise CorruptStreamError("last coded cell is insignificant")
-    # the range part ends at pos; the tail holds one word per level
-    widths, starts, shifts = _tail_layout(tops)
-    size = pos + (shifts.size + 7) // 8
-    if end < size:
+    gap_rice, gap_param, gap_most = _code(data[0], _GAP_BITS)
+    level_rice, level_param, level_most = _code(data[1], _LEVEL_BITS)
+    n, start = _count(data, 0)
+    run, start = _count(data, start)
+    if n + run > cells:
+        raise CorruptStreamError(f"{n} nonzeros and a run of {run} exceed {cells} cells")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=2))
+    ones = np.flatnonzero(bits[start:])[:2 * n]  # the one ending each prefix
+    if ones.size < 2 * n:
         raise CorruptStreamError("payload ended mid-symbol")
-    if end > size:
-        # a wrong header shape usually stops elsewhere
-        raise CorruptStreamError(f"payload holds {end} bytes, decoded {size}")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=pos))
-    if bits[shifts.size:].any():
-        raise CorruptStreamError("nonzero tail padding")
-    words = np.add.reduceat(bits[:shifts.size].astype(np.uint64) << shifts, starts)
-    tops = (widths - 1).astype(np.uint64)
-    negative = words >> tops
-    magnitude = (words | np.uint64(1) << tops) - np.uint64(bias)
-    if (magnitude - negative > _INT64_MAX).any():
+    zeros = (ones - np.concatenate(([-1], ones[:-1])) - 1).reshape(2, n)
+    most = zeros.max(axis=1, initial=0)
+    if most[0] > gap_most or most[1] > level_most:
+        raise CorruptStreamError("runaway prefix")
+    # suffix widths: z + k at Exp-Golomb order k, r at Rice r; a level adds its sign
+    widths = np.empty((2, n), dtype=np.int64)
+    widths[0] = gap_param if gap_rice else zeros[0] + gap_param
+    widths[1] = level_param if level_rice else zeros[1] + level_param
+    tops, widths = widths[1].astype(np.uint64), (widths + [[0], [1]]).ravel()
+    ends = widths.cumsum()
+    first = start + 1 + int(ones[-1]) if n else start  # the first suffix bit
+    end = first + int(ends[-1]) if n else first
+    size = 2 + (end + 7) // 8
+    if len(data) < size:
+        raise CorruptStreamError("payload ended mid-symbol")
+    if len(data) > size:  # a wrong header shape usually stops elsewhere
+        raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {size}")
+    if bits[end:].any():
+        raise CorruptStreamError("nonzero padding")
+    # each word is the difference of two running sums; a zero-width word is 0
+    sums = np.zeros(end - first + 1, dtype=np.uint64)
+    np.cumsum(bits[first:end].astype(np.uint64) << _shifts(widths, ends), out=sums[1:])
+    words = sums[ends] - sums[ends - widths]
+    magnitudes = np.empty((2, n), dtype=np.uint64)  # gap + 1 and |level|
+    magnitudes[0] = _values(zeros[0], words[:n], gap_rice, gap_param) + _ONE
+    negative = words[n:] >> tops
+    suffixes = words[n:] ^ negative << tops
+    magnitudes[1] = _values(zeros[1], suffixes, level_rice, level_param) + _ONE
+    if (magnitudes[1] - negative > _INT64_MAX).any():
         raise CorruptStreamError("level does not fit in int64")
-    value = magnitude.view(np.int64)  # 2**63 wraps to int64 min, its own negation
-    return QuantizedSparseMatrix(
-        step=float(step),
-        significance=np.frombuffer(sig, dtype=bool).reshape(rows, cols),
-        levels=np.where(negative == 1, -value, value),
-    )
+    positions = magnitudes[0].cumsum().view(np.int64) - 1
+    if (int(positions[-1]) + 1 if n else 0) + run != cells:
+        raise CorruptStreamError(f"nonzeros and a run of {run} do not end at cell {cells}")
+    if _selectors(magnitudes) != bytes(data[:2]):
+        raise CorruptStreamError("a selector is not the shortest code of its section")
+    value = magnitudes[1].view(np.int64)  # 2**63 wraps to int64 min, its own negation
+    significance = np.zeros(cells, dtype=bool)
+    significance[positions] = True
+    return QuantizedSparseMatrix(float(step), significance.reshape(rows, cols),
+                                 np.where(negative == 1, -value, value))

@@ -306,16 +306,9 @@ def assert_old_version_is_data_error(version, tmp_path, capsys):
     assert "VersionUnsupported" in capsys.readouterr().err
 
 
-def test_decompress_version_1_container_is_data_error(tmp_path, capsys):
-    assert_old_version_is_data_error(1, tmp_path, capsys)
-
-
-def test_decompress_version_2_container_is_data_error(tmp_path, capsys):
-    assert_old_version_is_data_error(2, tmp_path, capsys)
-
-
-def test_decompress_version_3_container_is_data_error(tmp_path, capsys):
-    assert_old_version_is_data_error(3, tmp_path, capsys)
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_decompress_old_version_container_is_data_error(version, tmp_path, capsys):
+    assert_old_version_is_data_error(version, tmp_path, capsys)
 
 
 def test_decompress_crafted_header_is_data_error(tmp_path, capsys):

@@ -92,15 +92,21 @@ def test_container_golden_layout():
     # frozen byte layout: magic, version, pipeline, kind, nparams, params
     blob = hand_container()
     assert blob[:4] == b"SLRM"
-    assert blob[4] == 4 and blob[5] == 0
+    assert blob[4] == 5 and blob[5] == 0
     assert blob[6] == 3 and blob[7] == 2  # dct2d, two params
     assert int.from_bytes(blob[8:12], "little") == 3
     assert int.from_bytes(blob[12:16], "little") == 2
     assert int.from_bytes(blob[16:20], "little") == 6
     # whole-container hash guards the full field order and entropy coding
     assert hashlib.sha256(blob).hexdigest() == (
-        "b55da71627bc78737bfae9b5d7ca428bde31d4bf536fcf6e5306a315123efd58"
+        "4b02d78f8f95a02e6bbb7dc24a108ab0bd49fe85bccf350661ef38a98e2bae99"
     )
+
+
+def test_hand_container_basis_payload_is_the_documented_example():
+    # the worked example of the slrma.entropy docstring, field by field there
+    _, payloads = unpack_container(hand_container())
+    assert payloads[0] == bytes.fromhex("00 01 21 aa 9e 8b")
 
 
 def test_container_rejects_bad_magic():
@@ -111,14 +117,25 @@ def test_container_rejects_bad_magic():
 
 
 def test_container_rejects_bad_version():
-    # version 1 coded the sign and Exp-Golomb suffix bits adaptively,
-    # version 2 coded every payload at Exp-Golomb order 0, and version 3
-    # coded every cell and kept sign and suffix bits in the range coder
-    for version in (1, 2, 3, 9):
+    # versions 1-4 range-coded their payloads: version 1 coded the sign and
+    # Exp-Golomb suffix bits adaptively, version 2 coded every payload at
+    # Exp-Golomb order 0, version 3 coded every cell and kept sign and suffix
+    # bits in the range coder, and version 4 range-coded significance
+    for version in (1, 2, 3, 4, 9):
         blob = bytearray(hand_container())
         blob[4] = version
         with pytest.raises(VersionUnsupportedError):
             unpack_container(bytes(blob))
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_container_refuses_a_kind_no_pipeline_writes(image_container, code):
+    # codes 0-2 once named identity, dct1d and dwt1d
+    for blob in (image_container, tiny_mesh_container()[1]):
+        crafted = bytearray(blob)
+        crafted[6] = code
+        with pytest.raises(CorruptStreamError, match="unknown transform kind"):
+            unpack_container(bytes(crafted))
 
 
 def test_container_rejects_truncation():
