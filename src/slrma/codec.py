@@ -37,7 +37,12 @@ from .container import (
     pack_container,
     unpack_container,
 )
-from .entropy import MAX_CELLS, entropy_decode, entropy_encode
+from .entropy import (
+    MAX_CELLS,
+    entropy_decode,  # noqa: F401 -- no longer called here; perfbench traces it by this name
+    entropy_decode_all,
+    entropy_encode,
+)
 from .errors import (
     BadLevelsError,
     CorruptStreamError,
@@ -222,19 +227,20 @@ def encode(transforms: Transforms, fact, step_b, step_c):
 def _decode(transforms: Transforms, header, payloads):
     """Inverse of `encode` after unpacking: one reconstruction per stream.
 
-    Every payload is decoded before any stream is reconstructed. A
-    reconstruction that is not finite (a crafted but finite step can overflow
-    it) raises CorruptStreamError.
+    The container's payloads, a basis and a coefficient payload per stream,
+    are decoded together by one `entropy_decode_all` call before any stream
+    is reconstructed. A reconstruction that is not finite (a crafted but
+    finite step can overflow it) raises CorruptStreamError.
     """
     mesh = transforms.pipeline == PIPELINE_MESH
     shape_c = (header.n, header.k) if mesh else (header.k, header.n)
-    quantized = [(entropy_decode(payload_b, header.m, header.k, header.step_b),
-                  entropy_decode(payload_c, *shape_c, header.step_c))
-                 for payload_b, payload_c in zip(payloads[::2], payloads[1::2])]
+    shapes = [(header.m, header.k, header.step_b), (*shape_c, header.step_c)]
+    quantized = entropy_decode_all([(payload, *shapes[i % 2])
+                                    for i, payload in enumerate(payloads)])
     out = []
     # an overflow is caught by the finiteness check, so its warnings say nothing new
     with np.errstate(over="ignore", invalid="ignore"):
-        for q_b, q_c in quantized:
+        for q_b, q_c in zip(quantized[::2], quantized[1::2]):
             coeffs = dequantize(q_c)
             if mesh:
                 coeffs = transforms.frames.inverse(coeffs).T  # k x n

@@ -17,8 +17,11 @@ So v = (f(z) << p) + suffix for parameter p, f(z) = 2**z - 1 (Exp-Golomb)
 or z (Rice). Once the ones of the unary sections give every z, `cumsum`
 places every suffix and one pass reads them all: the split layout of
 vectorized integer codecs (Lemire and Boytsov, SPE 2015) with Golomb-Rice
-codes (Rice 1979). No step loops over cells: a payload costs work in
-proportion to its bytes, plus one zeroed significance map.
+codes (Rice 1979). No step loops over cells, and `entropy_decode_all` reads
+a container's payloads together, each step one numpy call over all their
+bits or sections: a decode costs one set of numpy calls per container (a
+lone payload is a list of one), plus work in proportion to its bytes and
+one zeroed significance map.
 
 Each selector names the code that writes its section in the fewest bits
 (sign bits aside), ties to Exp-Golomb and then to the smaller parameter.
@@ -41,6 +44,8 @@ The 6 x 2 basis [[5, 0], [0, 9], [0, 0], [-2, 0], [0, 0], [0, 0]] (gaps 0,
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,7 +72,7 @@ _POW2 = np.left_shift(_ONE, np.arange(64, dtype=np.uint64))
 
 def _bit_length(x):
     """bit_length of each element of uint64 `x`, exactly."""
-    return np.searchsorted(_POW2, x, side="right")
+    return _POW2.searchsorted(x, side="right")
 
 
 def _candidates():
@@ -93,24 +98,33 @@ def _candidates():
 
 
 _WEIGHTS, _SELECTOR_BYTES = _candidates()
-_SECTION = np.array([[0], [194]])  # bincount offsets of the two sections' counts
 
 
-def _selectors(magnitudes):
-    """The selector bytes of a 2 x N uint64 stack of gaps + 1 and |levels|:
-    per section the shortest code, the first of ties in candidate order.
-    Lengths below 2**53 are exact in float64; a Rice length above it exceeds
-    every Exp-Golomb length, so rounding moves no choice. A gap below 2**26
-    is shorter at Rice 26 than past it: no pick is one the decoder refuses.
+def _selectors(magnitudes, sizes):
+    """The selector bytes of sections of `sizes` values each, laid end to end
+    in uint64 `magnitudes` (gaps + 1 or |levels|): per section the shortest
+    code, the first of ties in candidate order. Lengths below 2**53 are exact
+    in float64; a Rice length above it exceeds every Exp-Golomb length, so
+    rounding moves no choice. A gap below 2**26 is shorter at Rice 26 than
+    past it: no pick is one the decoder refuses.
     """
     e = _bit_length(magnitudes)
     half = _POW2[e - 1]
     d = _bit_length(half - (magnitudes - half))
-    counts = np.bincount((np.concatenate((e, d + 65), axis=1) + _SECTION).ravel(),
-                         minlength=388).reshape(2, 194)
-    values = (magnitudes - _ONE).astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(values, bitorder="little").reshape(2, magnitudes.shape[1], 64)
-    counts[:, 130:] = bits.sum(axis=1, dtype=np.int32)
+    offsets = np.repeat(np.arange(0, 194 * len(sizes), 194), sizes)
+    counts = np.bincount(np.concatenate((e + offsets, d + offsets + 65)),
+                         minlength=194 * len(sizes)).reshape(len(sizes), 194)
+    # the values' bit planes, one column each, in the fewest bytes that hold
+    # them all; an empty section sums the zero value past the last
+    size = 1 << ((int(e.max(initial=1)) + 7) // 8 - 1).bit_length()
+    values = np.zeros(magnitudes.size + 1, dtype=f"<u{size}")
+    values[:-1] = magnitudes - _ONE
+    planes = np.unpackbits(values.view(np.uint8), bitorder="little").reshape(-1, 8 * size)
+    bounds, stop = [], 0
+    for count in sizes:
+        bounds += (stop, stop + count) if count else (magnitudes.size, magnitudes.size)
+        stop += count
+    counts[:, 130:130 + 8 * size] = np.add.reduceat(planes, bounds, axis=0, dtype=np.int32)[::2]
     return bytes(_SELECTOR_BYTES[(counts @ _WEIGHTS).argmin(axis=1)].tolist())
 
 
@@ -141,7 +155,7 @@ def entropy_encode(q: QuantizedSparseMatrix):
     positions = np.flatnonzero(q.significance)
     # gap + 1 and |level| of each nonzero; |int64 min| wraps to 2**63
     magnitudes = np.stack((np.diff(positions, prepend=-1), np.abs(levels))).view(np.uint64)
-    selectors = _selectors(magnitudes)
+    selectors = _selectors(magnitudes.ravel(), (n, n))
     gap_zeros, gap_suffixes, gap_widths = _split(magnitudes[0] - _ONE, selectors[0])
     zeros, suffixes, widths = _split(magnitudes[1] - _ONE, selectors[1])
     signs = (levels < 0).astype(np.uint64) << widths.astype(np.uint64)
@@ -161,13 +175,13 @@ def entropy_encode(q: QuantizedSparseMatrix):
 
 
 def _code(selector, top):
-    """(Rice or not, parameter, the most zeros a prefix may hold) of a
-    selector byte whose values need at most `top` bits."""
+    """(1 at Exp-Golomb or 0 at Rice, parameter, the most zeros a prefix may
+    hold) of a selector byte whose values need at most `top` bits."""
     rice, param = divmod(selector, _RICE)
     if param > (top if rice else MAX_ORDER):
         name = "Rice parameter" if rice else "Exp-Golomb order"
         raise CorruptStreamError(f"{name} {param} exceeds {top if rice else MAX_ORDER}")
-    return rice, param, (1 << (top - param)) - 1 if rice else top - param
+    return 1 - rice, param, (1 << (top - param)) - 1 if rice else top - param
 
 
 def _count(data, start):
@@ -185,66 +199,97 @@ def _count(data, start):
     return (rest >> (8 * _HEAD - end)) - 1, end
 
 
-def _values(zeros, suffixes, rice, param):
-    """The uint64 values of prefixes holding `zeros` and their `suffixes`."""
-    high = zeros.astype(np.uint64) if rice else _POW2[zeros] - _ONE
-    return (high << np.uint64(param)) + suffixes
-
-
 def entropy_decode(data, rows, cols, step):
     """Inverse of entropy_encode for a rows x cols matrix at `step`."""
-    cells = rows * cols
-    if cells > MAX_CELLS:
-        raise CorruptStreamError(f"{rows}x{cols} matrix exceeds {MAX_CELLS} cells")
-    if len(data) < 2:
+    return entropy_decode_all([(data, rows, cols, step)])[0]
+
+
+def entropy_decode_all(items):
+    """Inverse of entropy_encode for each (payload, rows, cols, step) of a
+    non-empty list, read in one pass over all their bits: one matrix per
+    payload, or the first refusal any payload meets. Each check runs on every
+    payload before the next, so a bad payload among good ones raises what it
+    raises decoded alone."""
+    heads, codes, sizes, starts, bases = [], [], [], [], [0]  # heads: (N, T, cells, bytes)
+    for data, rows, cols, _ in items:
+        cells = rows * cols
+        if cells > MAX_CELLS:
+            raise CorruptStreamError(f"{rows}x{cols} matrix exceeds {MAX_CELLS} cells")
+        if len(data) < 2:
+            raise CorruptStreamError("payload ended mid-symbol")
+        codes += _code(data[0], _GAP_BITS) + (0,), _code(data[1], _LEVEL_BITS) + (1,)
+        n, start = _count(data, 0)
+        run, start = _count(data, start)
+        if n + run > cells:
+            raise CorruptStreamError(f"{n} nonzeros and a run of {run} exceed {cells} cells")
+        heads.append((n, run, cells, len(data)))
+        sizes += n, n
+        # payload i's bits are bits[bases[i]:bases[i + 1]], its prefixes from starts[i]
+        starts.append(bases[-1] + start)
+        bases.append(bases[-1] + 8 * (len(data) - 2))
+    offsets = [0, *accumulate(2 * n for n, *_ in heads)]  # each payload's first value
+    corners = [0, *accumulate(cells for _, _, cells, _ in heads)]  # and first cell
+    bits = np.unpackbits(np.frombuffer(b"".join(data[2:] for data, *_ in items), np.uint8))
+    ones = bits.view(bool).nonzero()[0]  # bits are 0 or 1, and a bool scan is faster
+    bounds = ones.searchsorted(starts + bases[1:])  # the two lists, joined
+    firsts, limits = bounds.reshape(2, -1).tolist()  # a payload's ones after its counts
+    if any(limit - first < 2 * n for (n, *_), first, limit in zip(heads, firsts, limits)):
         raise CorruptStreamError("payload ended mid-symbol")
-    gap_rice, gap_param, gap_most = _code(data[0], _GAP_BITS)
-    level_rice, level_param, level_most = _code(data[1], _LEVEL_BITS)
-    n, start = _count(data, 0)
-    run, start = _count(data, start)
-    if n + run > cells:
-        raise CorruptStreamError(f"{n} nonzeros and a run of {run} exceed {cells} cells")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=2))
-    ones = np.flatnonzero(bits[start:])[:2 * n]  # the one ending each prefix
-    if ones.size < 2 * n:
-        raise CorruptStreamError("payload ended mid-symbol")
-    zeros = (ones - np.concatenate(([-1], ones[:-1])) - 1).reshape(2, n)
-    most = zeros.max(axis=1, initial=0)
-    if most[0] > gap_most or most[1] > level_most:
+    # The one before a payload's first prefix ends its counts. Moved to the
+    # bit before that prefix, it makes each prefix's zeros the run since the
+    # one before, and marks where a payload of no values has its suffixes.
+    ones[[first - 1 for first in firsts]] = [start - 1 for start in starts]
+    runs = ones[1:] - ones[:-1] - 1
+    zeros = np.concatenate([runs[first - 1:first - 1 + 2 * n]
+                            for (n, *_), first in zip(heads, firsts)])
+    eg, param, most, sign = np.repeat(np.array(codes), sizes, axis=0).T
+    if (zeros > most).any():
         raise CorruptStreamError("runaway prefix")
     # suffix widths: z + k at Exp-Golomb order k, r at Rice r; a level adds its sign
-    widths = np.empty((2, n), dtype=np.int64)
-    widths[0] = gap_param if gap_rice else zeros[0] + gap_param
-    widths[1] = level_param if level_rice else zeros[1] + level_param
-    tops, widths = widths[1].astype(np.uint64), (widths + [[0], [1]]).ravel()
-    ends = widths.cumsum()
-    first = start + 1 + int(ones[-1]) if n else start  # the first suffix bit
-    end = first + int(ends[-1]) if n else first
-    size = 2 + (end + 7) // 8
-    if len(data) < size:
-        raise CorruptStreamError("payload ended mid-symbol")
-    if len(data) > size:  # a wrong header shape usually stops elsewhere
-        raise CorruptStreamError(f"payload holds {len(data)} bytes, decoded {size}")
-    if bits[end:].any():
+    ez = zeros * eg
+    tops = param + ez
+    widths = tops + sign
+    ends = np.zeros(zeros.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=ends[1:])
+    totals = ends[offsets].tolist()
+    begins = (ones[[first + 2 * n - 1 for (n, *_), first in zip(heads, firsts)]] + 1).tolist()
+    stops = [begin + b - a for begin, a, b in zip(begins, totals, totals[1:])]
+    for (*_, length), base, stop in zip(heads, bases, stops):
+        size = 2 + (stop - base + 7) // 8
+        if length < size:
+            raise CorruptStreamError("payload ended mid-symbol")
+        if length > size:  # a wrong header shape usually stops elsewhere
+            raise CorruptStreamError(f"payload holds {length} bytes, decoded {size}")
+    if (ones.searchsorted(stops) < limits).any():
         raise CorruptStreamError("nonzero padding")
     # each word is the difference of two running sums; a zero-width word is 0
-    sums = np.zeros(end - first + 1, dtype=np.uint64)
-    np.cumsum(bits[first:end].astype(np.uint64) << _shifts(widths, ends), out=sums[1:])
-    words = sums[ends] - sums[ends - widths]
-    magnitudes = np.empty((2, n), dtype=np.uint64)  # gap + 1 and |level|
-    magnitudes[0] = _values(zeros[0], words[:n], gap_rice, gap_param) + _ONE
-    negative = words[n:] >> tops
-    suffixes = words[n:] ^ negative << tops
-    magnitudes[1] = _values(zeros[1], suffixes, level_rice, level_param) + _ONE
-    if (magnitudes[1] - negative > _INT64_MAX).any():
+    suffixes = np.concatenate([bits[begin:stop] for begin, stop in zip(begins, stops)])
+    sums = np.zeros(totals[-1] + 1, dtype=np.uint64)
+    np.cumsum(suffixes.astype(np.uint64) << _shifts(widths, ends[1:]), out=sums[1:])
+    sums = sums[ends]
+    words = sums[1:] - sums[:-1]
+    tops = tops.astype(np.uint64)
+    negative = words >> tops  # 0 in a gap, whose word has no sign bit
+    high = _POW2[ez] - _ONE + (zeros - ez).view(np.uint64)  # 2**z - 1, or z at Rice
+    magnitudes = (high << param.astype(np.uint64)) + (words ^ negative << tops) + _ONE
+    if (magnitudes - negative > _INT64_MAX).any():
         raise CorruptStreamError("level does not fit in int64")
-    positions = magnitudes[0].cumsum().view(np.int64) - 1
-    if (int(positions[-1]) + 1 if n else 0) + run != cells:
-        raise CorruptStreamError(f"nonzeros and a run of {run} do not end at cell {cells}")
-    if _selectors(magnitudes) != bytes(data[:2]):
+    # a nonzero's cell is the running sum of gap + 1 from its payload's first, less 1
+    places = np.zeros(zeros.size // 2 + 1, dtype=np.int64)
+    np.cumsum(magnitudes[sign == 0].view(np.int64), out=places[1:])
+    marks = places[[offset // 2 for offset in offsets]].tolist()
+    for (_, run, cells, _), mark, next_mark in zip(heads, marks, marks[1:]):
+        if next_mark - mark + run != cells:
+            raise CorruptStreamError(f"nonzeros and a run of {run} do not end at cell {cells}")
+    if _selectors(magnitudes, sizes) != b"".join(data[:2] for data, *_ in items):
         raise CorruptStreamError("a selector is not the shortest code of its section")
-    value = magnitudes[1].view(np.int64)  # 2**63 wraps to int64 min, its own negation
-    significance = np.zeros(cells, dtype=bool)
-    significance[positions] = True
-    return QuantizedSparseMatrix(float(step), significance.reshape(rows, cols),
-                                 np.where(negative == 1, -value, value))
+    value = magnitudes.view(np.int64)  # 2**63 wraps to int64 min, its own negation
+    value = np.where(negative == 1, -value, value)
+    # one map holds every payload's cells, each payload's after the one before
+    significance = np.zeros(corners[-1], dtype=bool)
+    shifts = [corner - mark - 1 for corner, mark in zip(corners[:-1], marks)]
+    significance[places[1:] + np.repeat(shifts, sizes[::2])] = True
+    return [QuantizedSparseMatrix(float(step), significance[a:b].reshape(rows, cols),
+                                  value[first + n:last])
+            for (_, rows, cols, step), (n, *_), a, b, first, last
+            in zip(items, heads, corners, corners[1:], offsets, offsets[1:])]

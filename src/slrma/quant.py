@@ -25,7 +25,7 @@ class QuantizedSparseMatrix:
         return self.significance.shape[1]
 
     def __post_init__(self):
-        if self.levels.size != int(self.significance.sum()):
+        if self.levels.size != np.count_nonzero(self.significance):
             raise ValueError("level count does not match the significance map")
         if self.levels.size and not np.all(self.levels != 0):
             raise ValueError("stored levels must be nonzero")

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slrma.codec
+import slrma.entropy
 import slrma.transforms
 from slrma.codec import (
     CodecParams,
@@ -221,7 +222,7 @@ def test_image_stack_is_bounded_before_any_payload(image_container, monkeypatch)
         raise AssertionError("decoded a payload")
 
     monkeypatch.setattr(slrma.transforms, "dct1d", no_basis)
-    monkeypatch.setattr(slrma.codec, "entropy_decode", no_payload)
+    monkeypatch.setattr(slrma.codec, "entropy_decode_all", no_payload)
     with pytest.raises(CorruptStreamError, match="stack .* exceeds"):
         decompress_image_set(with_header(image_container, n=2**20 + 1))
     # the encoder's own bound, without a 512 MB input to reach it
@@ -465,6 +466,24 @@ def test_mesh_connectivity_is_derived_once_per_face_list(monkeypatch):
     with pytest.raises(DigestMismatchError):
         decompress_mesh_seq(with_header(blob, digest=bytes(8)), seq.faces)
     assert len(calls) == 2
+
+
+def test_decompress_runs_the_chooser_once_per_container(image_container, monkeypatch):
+    # a container's payloads decode in one pass: one selector check over
+    # every section (two per payload), not one check per payload
+    seq, mesh_blob = tiny_mesh_container()
+    sections = []
+    chooser = slrma.entropy._selectors
+
+    def counted(magnitudes, sizes):
+        sections.append(len(sizes))
+        return chooser(magnitudes, sizes)
+
+    monkeypatch.setattr(slrma.entropy, "_selectors", counted)
+    decompress_image_set(image_container)
+    assert sections == [4]
+    decompress_mesh_seq(mesh_blob, seq.faces)
+    assert sections == [4, 12]
 
 
 def test_mesh_faces_as_tuples_lists_or_an_array_decode_alike():

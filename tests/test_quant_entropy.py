@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slrma import entropy
 from slrma.codec import CodecParams, compress_image_set
-from slrma.entropy import MAX_CELLS, entropy_decode, entropy_encode
+from slrma.entropy import MAX_CELLS, entropy_decode, entropy_decode_all, entropy_encode
 from slrma.errors import CorruptStreamError, SizeOverflowError
 from slrma.quant import QuantizedSparseMatrix, dequantize, quantize
 
@@ -385,6 +385,56 @@ def test_entropy_coder_matches_reference(seed, density, rows, cols, damage):
                 == decode_outcome(reference_decode, damaged, rows, cols))
 
 
+def long_rice_gaps():
+    """A 1 x 3701 matrix of 1,001 nonzeros whose gaps (1,000 of 0-3, at 2.5
+    bits each, and one of 200) take Rice 1, the last with a prefix of 100
+    zeros: more than any Exp-Golomb prefix may hold."""
+    gaps = np.append(np.random.default_rng(11).integers(0, 4, 1000), 200)
+    significance = np.zeros((1, 3701), dtype=bool)
+    significance[0, np.cumsum(gaps + 1) - 1] = True
+    q = QuantizedSparseMatrix(1.0, significance, np.ones(gaps.size, dtype=np.int64))
+    assert entropy_encode(q)[0] == 128 + 1
+    return q
+
+
+def outcome(decode):
+    """The (significance, levels) bytes of each matrix `decode()` returns, or
+    the message of the CorruptStreamError it raises."""
+    try:
+        return [(q.significance.tobytes(), q.levels.tobytes()) for q in decode()]
+    except CorruptStreamError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.none() | st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+                                     st.integers(1, 40), st.integers(1, 24)),
+                min_size=1, max_size=6),
+       st.integers(0, 2**31 - 1))
+@example([(1, 0.2, 64, 6), None, (2, 0.9, 32, 6)], 2**31 - 1)  # damages the Rice matrix
+@example([None], 5)
+@settings(max_examples=60, deadline=None)
+def test_batched_decode_is_each_payload_decoded_alone(specs, damage):
+    # a spec of None is the long Rice prefix matrix
+    matrices = [long_rice_gaps() if spec is None else sparse_levels(*spec) for spec in specs]
+    items = [(entropy_encode(q), q.rows, q.cols, q.step) for q in matrices]
+    good = outcome(lambda: entropy_decode_all(items))
+    assert good == outcome(lambda: [entropy_decode(*item) for item in items])
+    for q, out in zip(matrices, entropy_decode_all(items)):
+        assert_same(q, out)
+    # one cut, padded or bit-flipped payload among good ones meets what it
+    # meets alone: the same matrix, or the same refusal
+    victim = damage % len(items)
+    payload, rows, cols, step = items[victim]
+    flipped = bytearray(payload)
+    flipped[damage % len(payload)] ^= 1 << (damage >> 24) % 8
+    for damaged in (payload[:damage % len(payload)], payload + bytes([damage & 0xFF]),
+                    bytes(flipped)):
+        alone = outcome(lambda: [entropy_decode(damaged, rows, cols, step)])
+        batch = items[:victim] + [(damaged, rows, cols, step)] + items[victim + 1:]
+        expected = alone if isinstance(alone, str) else good[:victim] + alone + good[victim + 1:]
+        assert outcome(lambda: entropy_decode_all(batch)) == expected
+
+
 def test_entropy_coder_matches_reference_on_large_levels():
     levels = np.array([[2**62, -(2**62) - 5, 1], [-1, 0, 2**40 + 3]], dtype=np.int64)
     q = QuantizedSparseMatrix(1.0, levels != 0, levels[levels != 0])
@@ -448,7 +498,7 @@ def test_exp_golomb_order_is_the_shortest_code(pairs):
     gaps = [gap for gap, _ in pairs]
     values = [abs(level) - 1 for _, level in pairs]
     magnitudes = np.array([[gap + 1 for gap in gaps], [v + 1 for v in values]], dtype=np.uint64)
-    assert entropy._selectors(magnitudes.reshape(2, len(pairs))) == bytes(
+    assert entropy._selectors(magnitudes.ravel(), (len(pairs), len(pairs))) == bytes(
         [reference_selector(gaps, _GAP_BITS), reference_selector(values, _LEVEL_BITS)])
 
 
