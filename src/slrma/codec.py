@@ -7,19 +7,20 @@ graph transform, with an extra 1D DCT applied along the coefficient rows
 before quantization to squeeze temporal coherence.
 
 Compression runs in two stages. `factor` solves a call's streams once,
-as one stack; `encode` quantizes, entropy-codes and packs the stacked
-factorization at given quantizer steps, so one factorization can serve
-many steps (the RD sweep does this). `image_input` and `mesh_input`
-check the data of `compress_*` and `rd_sweep` alike. `image_transforms`
-and `mesh_transforms` build every basis and are each pipeline's only size
-gate. Only per-mesh state is cached: `_connectivity` keeps a mesh's graph
-and digest and `graph_transform` its eigenbasis, both sized by the
-caller's own faces. The image bases and the frame DCT are built on every
-call, so nothing a header sizes outlives a refused decode. A header sizes
-nothing before it is bounded by `MAX_CELLS` cells: an image's two 1D
-factors (w^2 + h^2) and its decoded stack (w*h*n), a mesh's frame DCT
-(n^2) and each payload. A mesh's vertex count is bounded by the vertices
-its faces touch. The encoder, `rd_sweep` and the decoder refuse alike.
+as one stack; `encode` quantizes, entropy-codes and packs its bases and
+its coefficients as two payloads at given quantizer steps, so one
+factorization can serve many steps (the RD sweep does this). `image_input`
+and `mesh_input` check the data of `compress_*` and `rd_sweep` alike.
+`image_transforms` and `mesh_transforms` build every basis and are each
+pipeline's only size gate. Only per-mesh state is cached: `_connectivity`
+keeps a mesh's graph and digest and `graph_transform` its eigenbasis, both
+sized by the caller's own faces. The image bases and the frame DCT are
+built on every call, so nothing a header sizes outlives a refused decode.
+A header sizes nothing before it is bounded by `MAX_CELLS` cells: an
+image's two 1D factors (w^2 + h^2) and its decoded stack (w*h*n), a mesh's
+frame DCT (n^2) and each payload, a mesh's of all three axes. A mesh's
+vertex count is bounded by the vertices its faces touch. The encoder,
+`rd_sweep` and the decoder refuse alike.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class CodecParams:
     gamma: float = None
     target_pb: float = None
     solver: dict = field(default_factory=dict)  # alpha
+
+    def __post_init__(self):
+        if (self.gamma is None) == (self.target_pb is None):
+            raise ValueError("need exactly one of gamma and target_pb")
 
     def solver_config(self, **fields):
         """A SolverConfig of `fields` and the set entries of `solver`."""
@@ -182,8 +187,6 @@ def factor(transforms: Transforms, data, params: CodecParams):
     z = np.stack([transforms.phi.forward(x) for x in data])
     if params.gamma is not None:
         return slrma_solve(z, params.solver_config(gamma=float(params.gamma)))
-    if params.target_pb is None:
-        raise ValueError("need either gamma or target_pb")
     # the config names the target too, so (z, cfg) alone re-runs the solve
     cfg = params.solver_config(gamma=0.0, target_pb=params.target_pb)
     return gamma_for_sparsity(z, cfg, params.target_pb)[1]
@@ -198,17 +201,16 @@ def check_converged(fact):
 
 
 def encode(transforms: Transforms, fact, step_b, step_c):
-    """Encode stage: quantize, entropy-code and pack a stacked factorization,
-    one basis and one coefficient payload per stream.
-
-    Meshes take a 1D DCT along the coefficient rows before quantization.
+    """Encode stage: quantize, entropy-code and pack a stacked factorization
+    as two payloads, the s x m x k bases as one (s*m) x k matrix and the
+    coefficients as one matrix: an image set's k x n C, or the (s*n) x k
+    stack of a mesh's axes after a 1D DCT along each axis's rows.
     """
-    payloads = []
-    for basis, coeffs in zip(fact.basis, fact.coeffs):
-        if transforms.pipeline == PIPELINE_MESH:
-            coeffs = transforms.frames.forward(coeffs.T)  # n x k
-        payloads.append(entropy_encode(quantize(basis, step_b)))
-        payloads.append(entropy_encode(quantize(coeffs, step_c)))
+    coeffs = fact.coeffs
+    if transforms.pipeline == PIPELINE_MESH:
+        coeffs = [transforms.frames.forward(c.T) for c in coeffs]  # n x k each
+    payloads = [entropy_encode(quantize(np.concatenate(stack), step))
+                for stack, step in ((fact.basis, step_b), (coeffs, step_c))]
     _, m, k = fact.basis.shape
     header = ContainerHeader(
         pipeline=transforms.pipeline,
@@ -227,24 +229,24 @@ def encode(transforms: Transforms, fact, step_b, step_c):
 def _decode(transforms: Transforms, header, payloads):
     """Inverse of `encode` after unpacking: one reconstruction per stream.
 
-    The container's payloads, a basis and a coefficient payload per stream,
-    are decoded together by one `entropy_decode_all` call before any stream
-    is reconstructed. A reconstruction that is not finite (a crafted but
-    finite step can overflow it) raises CorruptStreamError.
+    Both payloads are decoded by one `entropy_decode_all` call and each
+    dequantized once, then split into the s streams (3 mesh axes, 1 image
+    set). A reconstruction that is not finite (a crafted but finite step can
+    overflow it) raises CorruptStreamError.
     """
     mesh = transforms.pipeline == PIPELINE_MESH
-    shape_c = (header.n, header.k) if mesh else (header.k, header.n)
-    shapes = [(header.m, header.k, header.step_b), (*shape_c, header.step_c)]
-    quantized = entropy_decode_all([(payload, *shapes[i % 2])
-                                    for i, payload in enumerate(payloads)])
+    s, m, n, k = 3 if mesh else 1, header.m, header.n, header.k
+    rows_c, cols_c = (s * n, k) if mesh else (k, n)
+    q_b, q_c = entropy_decode_all([(payloads[0], s * m, k, header.step_b),
+                                   (payloads[1], rows_c, cols_c, header.step_c)])
     out = []
     # an overflow is caught by the finiteness check, so its warnings say nothing new
     with np.errstate(over="ignore", invalid="ignore"):
-        for q_b, q_c in zip(quantized[::2], quantized[1::2]):
-            coeffs = dequantize(q_c)
+        bases = dequantize(q_b).reshape(s, m, k)
+        for basis, coeffs in zip(bases, dequantize(q_c).reshape(s, -1, cols_c)):
             if mesh:
                 coeffs = transforms.frames.inverse(coeffs).T  # k x n
-            x_hat = transforms.phi.inverse(dequantize(q_b) @ coeffs)
+            x_hat = transforms.phi.inverse(basis @ coeffs)
             if not np.isfinite(x_hat).all():
                 raise CorruptStreamError("the steps overflow the reconstruction")
             out.append(x_hat)

@@ -3,7 +3,7 @@
 Little-endian layout, field order frozen by golden tests:
 
     offset 0   magic       4s   "SLRM"
-           4   version     u8   5
+           4   version     u8   6
            5   pipeline    u8   0 = image set, 1 = mesh sequence
            6   kind        u8   transform kind code
            7   nparams     u8
@@ -12,10 +12,12 @@ Little-endian layout, field order frozen by golden tests:
            ..  step_b      f64
            ..  step_c      f64
            ..  digest      8s   mesh pipeline only (connectivity hash)
-           ..  lengths     (2 or 6) * u64  payload byte counts
-           ..  payloads    concatenated entropy-coded streams
+           ..  lengths     2 * u64  payload byte counts
+           ..  payloads    the basis payload, then the coefficient payload
 
-Image streams are (B, C); mesh streams are (B_d, C_d) pairs for d = x, y, z.
+The payloads code the s bases B_d as one (s*m) x k matrix, then the
+coefficients: an image set's k x n C (s = 1), or a mesh's n x k frame DCTs
+of C_d^T for d = x, y, z (s = 3) as one (3*n) x k matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import BadMagicError, CorruptStreamError, VersionUnsupportedError
 from .transforms import KIND_DCT2D, KIND_DWT2D, KIND_GRAPH
 
 MAGIC = b"SLRM"
-VERSION = 5
+VERSION = 6
 PIPELINE_IMAGE = 0
 PIPELINE_MESH = 1
 
@@ -59,9 +61,6 @@ def connectivity_digest(vertex_count, edges):
 
 
 def pack_container(header: ContainerHeader, payloads):
-    expected = 6 if header.pipeline == PIPELINE_MESH else 2
-    if len(payloads) != expected:
-        raise ValueError(f"pipeline {header.pipeline} needs {expected} streams")
     out = bytearray()
     out += MAGIC
     out += struct.pack("<BB", VERSION, header.pipeline)
@@ -74,7 +73,7 @@ def pack_container(header: ContainerHeader, payloads):
         if len(header.digest) != 8:
             raise ValueError("mesh containers need an 8-byte digest")
         out += header.digest
-    out += struct.pack(f"<{len(payloads)}Q", *(len(p) for p in payloads))
+    out += struct.pack("<2Q", *(len(p) for p in payloads))  # refuses another count
     for payload in payloads:
         out += payload
     return bytes(out)
@@ -108,9 +107,8 @@ def unpack_container(blob):
             if len(digest) != 8:
                 raise CorruptStreamError("truncated digest")
             pos += 8
-        count = 6 if pipeline == PIPELINE_MESH else 2
-        lengths = struct.unpack_from(f"<{count}Q", blob, pos)
-        pos += 8 * count
+        lengths = struct.unpack_from("<2Q", blob, pos)
+        pos += 16
     except struct.error as exc:
         raise CorruptStreamError(f"truncated header ({exc})") from exc
     for name, step in (("step_b", step_b), ("step_c", step_c)):

@@ -92,11 +92,9 @@ def pareto_front(points):
     """Non-dominated (rate, distortion) pairs, sorted by ascending rate."""
     front = []
     for cand in sorted(points, key=lambda p: (p[0], p[1])):
-        if any(o[0] <= cand[0] and o[1] <= cand[1] and o != cand for o in points):
-            continue
-        if front and front[-1][0] == cand[0]:
-            continue
-        front.append(cand)
+        # front[-1] has the least distortion of all pairs before cand
+        if not front or cand[1] < front[-1][1]:
+            front.append(cand)
     return front
 
 

@@ -306,7 +306,7 @@ def assert_old_version_is_data_error(version, tmp_path, capsys):
     assert "VersionUnsupported" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_decompress_old_version_container_is_data_error(version, tmp_path, capsys):
     assert_old_version_is_data_error(version, tmp_path, capsys)
 
@@ -320,6 +320,30 @@ def test_decompress_crafted_header_is_data_error(tmp_path, capsys):
     bad.write_bytes(pack_container(dataclasses.replace(header, m=32), payloads))
     assert run(["decompress-images", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "CorruptStream" in capsys.readouterr().err
+
+
+def test_a_container_of_the_other_pipeline_is_data_error(tmp_path, capsys):
+    images, mesh = tmp_path / "images", tmp_path / "mesh"
+    image_blob, mesh_blob = tmp_path / "i.slrm", tmp_path / "m.slrm"
+    assert run(["synth", "--kind", "images", "--out", str(images), "--w", "8",
+                "--h", "8", "--n", "12", "--rank", "2", "--seed", "3"]) == 0
+    assert run(["synth", "--kind", "mesh", "--out", str(mesh), "--m", "16",
+                "--n", "4", "--seed", "1"]) == 0
+    assert run(["compress-images", str(images), "--out", str(image_blob),
+                "--k", "4", "--gamma", "50"]) == 0
+    assert run(["compress-mesh", str(mesh), "--out", str(mesh_blob), "--k", "2",
+                "--target-pb", "0.5", "--step-b", "0.01", "--step-c", "1.0"]) == 0
+    unknown = bytearray(image_blob.read_bytes())
+    unknown[5] = 2  # no pipeline has code 2
+    (tmp_path / "u.slrm").write_bytes(bytes(unknown))
+    faces = str(sorted(mesh.glob("*.off"))[0])
+    capsys.readouterr()
+    for command in (["decompress-mesh", str(image_blob), "--faces", faces],
+                    ["decompress-images", str(mesh_blob)],
+                    ["decompress-images", str(tmp_path / "u.slrm")]):
+        assert run(command + ["--out", str(tmp_path / "o")]) == 2
+        assert "error: CorruptStreamError: not a" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_malformed_off_face_is_data_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -93,15 +94,21 @@ def test_container_golden_layout():
     # frozen byte layout: magic, version, pipeline, kind, nparams, params
     blob = hand_container()
     assert blob[:4] == b"SLRM"
-    assert blob[4] == 5 and blob[5] == 0
+    assert blob[4] == 6 and blob[5] == 0
     assert blob[6] == 3 and blob[7] == 2  # dct2d, two params
     assert int.from_bytes(blob[8:12], "little") == 3
     assert int.from_bytes(blob[12:16], "little") == 2
     assert int.from_bytes(blob[16:20], "little") == 6
     # whole-container hash guards the full field order and entropy coding
     assert hashlib.sha256(blob).hexdigest() == (
-        "4b02d78f8f95a02e6bbb7dc24a108ab0bd49fe85bccf350661ef38a98e2bae99"
+        "ddda847ec46484aa19128cd1e1a044d041bba4e641e6517e07903d31431cb835"
     )
+    # a mesh frames two payloads too: one u64 length each after the digest
+    # at offset 40, then the basis stack and the coefficient stack
+    _, blob, payloads, _ = hand_mesh()
+    assert blob[5] == 1 and blob[6] == 5 and blob[7] == 1  # mesh, graph, m
+    assert blob[48:64] == struct.pack("<2Q", *map(len, payloads))
+    assert blob[64:] == b"".join(payloads)
 
 
 def test_hand_container_basis_payload_is_the_documented_example():
@@ -121,8 +128,10 @@ def test_container_rejects_bad_version():
     # versions 1-4 range-coded their payloads: version 1 coded the sign and
     # Exp-Golomb suffix bits adaptively, version 2 coded every payload at
     # Exp-Golomb order 0, version 3 coded every cell and kept sign and suffix
-    # bits in the range coder, and version 4 range-coded significance
-    for version in (1, 2, 3, 4, 9):
+    # bits in the range coder, and version 4 range-coded significance;
+    # version 5 framed a mesh's axes as six payloads, a basis and a
+    # coefficient payload per axis
+    for version in (1, 2, 3, 4, 5, 9):
         blob = bytearray(hand_container())
         blob[4] = version
         with pytest.raises(VersionUnsupportedError):
@@ -469,8 +478,8 @@ def test_mesh_connectivity_is_derived_once_per_face_list(monkeypatch):
 
 
 def test_decompress_runs_the_chooser_once_per_container(image_container, monkeypatch):
-    # a container's payloads decode in one pass: one selector check over
-    # every section (two per payload), not one check per payload
+    # a container's two payloads decode in one pass: one selector check
+    # over every section (two per payload), not one check per payload
     seq, mesh_blob = tiny_mesh_container()
     sections = []
     chooser = slrma.entropy._selectors
@@ -483,7 +492,31 @@ def test_decompress_runs_the_chooser_once_per_container(image_container, monkeyp
     decompress_image_set(image_container)
     assert sections == [4]
     decompress_mesh_seq(mesh_blob, seq.faces)
-    assert sections == [4, 12]
+    assert sections == [4, 4]
+
+
+def test_a_container_of_the_other_pipeline_is_refused(image_container):
+    # both pipelines frame two payloads, so only the decoders' pipeline and
+    # kind checks tell their containers apart
+    seq, mesh_blob = tiny_mesh_container()
+    with pytest.raises(CorruptStreamError, match="not a mesh-sequence container"):
+        decompress_mesh_seq(image_container, seq.faces)
+    with pytest.raises(CorruptStreamError, match="not an image-set container"):
+        decompress_image_set(mesh_blob)
+    for pos, code, message in ((5, 2, "not an image-set container"),  # no pipeline 2
+                               (6, 5, "graph invalid for the image pipeline")):
+        crafted = bytearray(image_container)
+        crafted[pos] = code
+        with pytest.raises(CorruptStreamError, match=message):
+            decompress_image_set(bytes(crafted))
+
+
+@pytest.mark.parametrize("sparsity", [{}, dict(gamma=50.0, target_pb=0.5)],
+                         ids=["neither", "both"])
+def test_codec_params_need_exactly_one_sparsity_rule(sparsity):
+    # a solve would pick one silently, so the params refuse both and neither
+    with pytest.raises(ValueError, match="need exactly one of gamma and target_pb"):
+        CodecParams(k=4, step_b=0.002, step_c=0.5, **sparsity)
 
 
 def test_mesh_faces_as_tuples_lists_or_an_array_decode_alike():
@@ -568,35 +601,35 @@ def test_mesh_zero_coefficient_stream():
     assert np.abs(hz).max() == 0.0
 
 
-def test_mesh_hand_pipeline_identity():
-    # 3-vertex mesh: build a container from hand factors and decode by hand
+def hand_mesh():
+    """(faces, container, payloads, expected decode) of a 3-vertex mesh of
+    hand factors: axis d's basis is unit vector d and its one frame-DCT
+    coefficient 2 * (d + 1), stacked as a 9 x 1 and a 12 x 1 matrix."""
     faces = [(0, 1, 2)]
     m, n, k = 3, 4, 1
-    u_gt = graph_transform(mesh_adjacency(faces, m))
-    u_dct = dct1d(n)
-    payloads = []
-    basis_by_axis = []
-    coeff_by_axis = []
-    for axis in range(3):
-        basis = np.zeros((m, k))
-        basis[axis, 0] = 1.0
-        coeff_dct = np.zeros((n, k))
-        coeff_dct[0, 0] = (axis + 1) * 2.0
-        basis_by_axis.append(basis)
-        coeff_by_axis.append(coeff_dct)
-        payloads.append(entropy_encode(quantize(basis, 0.5)))
-        payloads.append(entropy_encode(quantize(coeff_dct, 0.5)))
+    bases = np.eye(m)[:, :, None]  # bases[d] is unit vector d, m x 1
+    coeffs_dct = np.zeros((3, n, k))
+    coeffs_dct[:, 0, 0] = [2.0, 4.0, 6.0]
+    payloads = [entropy_encode(quantize(bases.reshape(3 * m, k), 0.5)),
+                entropy_encode(quantize(coeffs_dct.reshape(3 * n, k), 0.5))]
     header = ContainerHeader(
         pipeline=1, transform_kind="graph", transform_params=(m,),
         m=m, n=n, k=k, step_b=0.5, step_c=0.5,
         digest=connectivity_digest(m, mesh_adjacency(faces, m).edges),
     )
-    blob = pack_container(header, payloads)
+    u_gt = graph_transform(mesh_adjacency(faces, m))
+    u_dct = dct1d(n)
+    expected = [u_gt.inverse(basis @ u_dct.inverse(coeffs).T)
+                for basis, coeffs in zip(bases, coeffs_dct)]
+    return faces, pack_container(header, payloads), payloads, expected
+
+
+def test_mesh_hand_pipeline_identity():
+    # build a container from hand factors and decode by hand
+    faces, blob, _, expected = hand_mesh()
     out = decompress_mesh_seq(blob, faces)
     for axis in range(3):
-        coeffs = u_dct.inverse(coeff_by_axis[axis]).T
-        expected = u_gt.inverse(basis_by_axis[axis] @ coeffs)
-        assert np.abs(out[axis] - expected).max() < 1e-10
+        assert np.abs(out[axis] - expected[axis]).max() < 1e-10
 
 
 @functools.cache

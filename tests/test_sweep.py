@@ -51,6 +51,33 @@ def one_shot_compress(data, params):
     return compress_mesh_seq(data.xx, data.xy, data.xz, data.faces, params)
 
 
+def test_rd_sweep_tags_every_step_row_of_a_point_whose_factor_fails(monkeypatch):
+    # the first thin SVD fails, as LAPACK can: the first point's rows carry
+    # the error and no solve figures, and the second point is still measured
+    data = synth_image_set(8, 8, 12, rank=2, noise_sigma=1.0, seed=3)
+    svd = np.linalg.svd
+    calls = []
+
+    def first_fails(a, full_matrices=True):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, full_matrices=full_matrices)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", first_fails)
+        rows, front = rd_sweep(data, small_grid())
+    failed = [r.as_csv_dict() for r in rows[:2]]
+    assert [(r["k"], r["step_b"]) for r in failed] == [("2", "0.008"), ("2", "0.004")]
+    for r in failed:
+        assert r["error"] == "NotConvergedError: SVD did not converge"
+        assert r["p_B_achieved"] == r["iters"] == r["rate"] == ""
+    alone, alone_front = rd_sweep(data, dataclasses.replace(small_grid(), ks=(4,)))
+    assert rows_to_csv(rows[2:]) == rows_to_csv(alone)
+    assert not any(r.error for r in alone)
+    assert rows_to_csv(front) == rows_to_csv(alone_front)
+
+
 def test_rd_sweep_single_point_matches_standalone(monkeypatch):
     # The sweep encodes its one factorization per target at every step pair;
     # a one-shot compress with the row's target must give the same container
