@@ -9,8 +9,12 @@ before quantization to squeeze temporal coherence.
 Compression runs in two stages. `factor` solves a call's streams once,
 as one stack; `encode` quantizes, entropy-codes and packs its bases and
 its coefficients as two payloads at given quantizer steps, so one
-factorization can serve many steps (the RD sweep does this). `image_input`
-and `mesh_input` check the data of `compress_*` and `rd_sweep` alike.
+factorization can serve many steps (the RD sweep does this). A container's
+transform kind names its pipeline (graph for a mesh sequence, dct2d or dwt2d
+for an image set) and its params name m, so each decoder checks only the
+kind. `CodecParams` refuses a step that is not positive and finite before
+any solve. `image_input` and `mesh_input` check the data of `compress_*`
+and `rd_sweep` alike.
 `image_transforms` and `mesh_transforms` build every basis and are each
 pipeline's only size gate. Only per-mesh state is cached: `_connectivity`
 keeps a mesh's graph and digest and `graph_transform` its eigenbasis, both
@@ -31,8 +35,6 @@ from functools import lru_cache
 import numpy as np
 
 from .container import (
-    PIPELINE_IMAGE,
-    PIPELINE_MESH,
     ContainerHeader,
     connectivity_digest,
     pack_container,
@@ -52,7 +54,7 @@ from .errors import (
     SizeOverflowError,
 )
 from .numerics import as_matrix
-from .quant import dequantize, quantize
+from .quant import check_steps, dequantize, quantize
 from .solver import SolverConfig, gamma_for_sparsity, slrma_solve
 from .transforms import (
     BASES_KEPT,
@@ -84,6 +86,7 @@ class CodecParams:
     def __post_init__(self):
         if (self.gamma is None) == (self.target_pb is None):
             raise ValueError("need exactly one of gamma and target_pb")
+        check_steps(self.step_b, self.step_c)
 
     def solver_config(self, **fields):
         """A SolverConfig of `fields` and the set entries of `solver`."""
@@ -95,9 +98,8 @@ class CodecParams:
 class Transforms:
     """The bases one container names; see `image_transforms`, `mesh_transforms`."""
 
-    pipeline: int                       # PIPELINE_IMAGE or PIPELINE_MESH
     phi: OrthogonalTransform            # images: 2D DCT or Haar; meshes: graph basis
-    frames: OrthogonalTransform = None  # meshes: 1D DCT along the frames
+    frames: OrthogonalTransform = None  # meshes only: 1D DCT along the frames
     digest: bytes = b""                 # meshes: connectivity hash for the header
 
 
@@ -113,11 +115,7 @@ def image_transforms(kind, params, n):
         raise SizeOverflowError(f"a {w} x {h} image basis's factors exceed {MAX_CELLS} cells")
     if w * h * n > MAX_CELLS:
         raise SizeOverflowError(f"a stack of {n} {w} x {h} images exceeds {MAX_CELLS} cells")
-    if kind == KIND_DCT2D:
-        return Transforms(PIPELINE_IMAGE, dct2d(*params))
-    if kind == KIND_DWT2D:
-        return Transforms(PIPELINE_IMAGE, dwt2d(*params))
-    raise ValueError(f"unsupported image transform kind {kind!r}")
+    return Transforms(dct2d(*params) if kind == KIND_DCT2D else dwt2d(*params))
 
 
 def image_input(x, w, h, transform, levels):
@@ -161,7 +159,7 @@ def mesh_transforms(faces, m, n, digest=None):
     graph, found = _connectivity(tuple(map(tuple, faces)), m)
     if digest is not None and digest != found:
         raise DigestMismatchError("connectivity does not match the container")
-    return Transforms(PIPELINE_MESH, graph_transform(graph), dct1d(n), found)
+    return Transforms(graph_transform(graph), dct1d(n), found)
 
 
 def mesh_input(xx, xy, xz, faces):
@@ -207,18 +205,15 @@ def encode(transforms: Transforms, fact, step_b, step_c):
     stack of a mesh's axes after a 1D DCT along each axis's rows.
     """
     coeffs = fact.coeffs
-    if transforms.pipeline == PIPELINE_MESH:
+    if transforms.frames is not None:
         coeffs = [transforms.frames.forward(c.T) for c in coeffs]  # n x k each
     payloads = [entropy_encode(quantize(np.concatenate(stack), step))
                 for stack, step in ((fact.basis, step_b), (coeffs, step_c))]
-    _, m, k = fact.basis.shape
     header = ContainerHeader(
-        pipeline=transforms.pipeline,
         transform_kind=transforms.phi.kind,
         transform_params=transforms.phi.params,
-        m=m,
         n=fact.coeffs.shape[-1],
-        k=k,
+        k=fact.basis.shape[-1],
         step_b=step_b,
         step_c=step_c,
         digest=transforms.digest,
@@ -234,7 +229,7 @@ def _decode(transforms: Transforms, header, payloads):
     set). A reconstruction that is not finite (a crafted but finite step can
     overflow it) raises CorruptStreamError.
     """
-    mesh = transforms.pipeline == PIPELINE_MESH
+    mesh = transforms.frames is not None
     s, m, n, k = 3 if mesh else 1, header.m, header.n, header.k
     rows_c, cols_c = (s * n, k) if mesh else (k, n)
     q_b, q_c = entropy_decode_all([(payloads[0], s * m, k, header.step_b),
@@ -267,24 +262,15 @@ def compress_image_set(x, w, h, params: CodecParams):
 def decompress_image_set(blob):
     """Inverse of compress_image_set; returns (X_hat, w, h)."""
     header, payloads = unpack_container(blob)
-    if header.pipeline != PIPELINE_IMAGE:
+    kind, params = header.transform_kind, header.transform_params
+    if kind == KIND_GRAPH:
         raise CorruptStreamError("not an image-set container")
-    if header.transform_kind not in (KIND_DCT2D, KIND_DWT2D):
-        raise CorruptStreamError(
-            f"transform {header.transform_kind} invalid for the image pipeline"
-        )
-    params = header.transform_params
-    if len(params) != (2 if header.transform_kind == KIND_DCT2D else 3):
-        raise CorruptStreamError(f"{len(params)} parameters for {header.transform_kind}")
-    w, h = params[:2]
-    if header.m != w * h:
-        raise CorruptStreamError(f"m={header.m} but the images hold w*h={w * h} pixels")
     try:
-        transforms = image_transforms(header.transform_kind, params, header.n)
+        transforms = image_transforms(kind, params, header.n)
     except (BadLevelsError, SizeOverflowError) as exc:  # no encoder writes these
         raise CorruptStreamError(str(exc)) from exc
     (x_hat,) = _decode(transforms, header, payloads)
-    return x_hat, w, h
+    return x_hat, params[0], params[1]
 
 
 def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
@@ -295,11 +281,8 @@ def compress_mesh_seq(xx, xy, xz, faces, params: CodecParams):
 def decompress_mesh_seq(blob, faces):
     """Inverse of compress_mesh_seq; connectivity arrives out of band."""
     header, payloads = unpack_container(blob)
-    if header.pipeline != PIPELINE_MESH:
+    if header.transform_kind != KIND_GRAPH:
         raise CorruptStreamError("not a mesh-sequence container")
-    transform = (header.transform_kind, header.transform_params)
-    if transform != (KIND_GRAPH, (header.m,)):
-        raise CorruptStreamError(f"transform {transform} invalid for an m={header.m} mesh")
     try:
         transforms = mesh_transforms(faces, header.m, header.n, header.digest)
     except SizeOverflowError as exc:  # no encoder writes these

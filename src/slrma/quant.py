@@ -31,12 +31,17 @@ class QuantizedSparseMatrix:
             raise ValueError("stored levels must be nonzero")
 
 
+def check_steps(*steps):
+    """Raise ValueError unless every quantizer step is positive and finite."""
+    if not all(0.0 < step < np.inf for step in steps):
+        raise ValueError(f"quantizer steps {steps} must be positive and finite")
+
+
 def quantize(values, step):
     """Round half away from zero at the given step size. A level past int64
     raises SizeOverflowError before any level is cast."""
     values = as_matrix(values, "values")
-    if not 0.0 < step < np.inf:
-        raise ValueError("step must be positive and finite")
+    check_steps(step)
     with np.errstate(over="ignore"):  # an infinite |value| / step is refused below
         mags = np.floor(np.abs(values) / step + 0.5)
     if mags.max() >= 2.0**63:

@@ -28,6 +28,7 @@ from .codec import (
 from .datasets import ImageSet
 from .errors import InfinitePsnrError, SlrmaError
 from .metrics import bits_per_frame_vertex, bits_per_pixel, kg_error, psnr, rmse
+from .quant import check_steps
 from .solver import check_rank
 
 # Not called here: perfbench/tracing.py resolves these names in this module.
@@ -126,9 +127,10 @@ def rd_sweep(dataset, grid: SweepGrid):
     data by the codec's own input checks, before the first solve."""
     if not all(0.0 <= pb < 1.0 for pb in grid.pb_targets):
         raise ValueError(f"p_B targets {grid.pb_targets} must lie in [0, 1)")
-    if not all(len(pair) == 2 and all(0.0 < step < np.inf for step in pair)
-               for pair in grid.steps):
-        raise ValueError(f"steps {grid.steps} must be positive, finite pairs")
+    for pair in grid.steps:
+        if len(pair) != 2:
+            raise ValueError(f"steps {grid.steps} must be (step_b, step_c) pairs")
+        check_steps(*pair)
     if isinstance(dataset, ImageSet):
         transform = grid.transform
         transforms, data = image_input(dataset.x, dataset.w, dataset.h,

@@ -113,11 +113,8 @@ def test_lapack_failure_in_the_first_svd_is_not_converged_exit_code(tmp_path, ca
     assert not (tmp_path / "c.slrm").exists()
 
 
-@pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"],
-                                   ["--ks", "2,40"], ["--ks", "8", "--pbs", "0.999"]],
-                         ids=["target", "step", "k", "k-target"])
-def test_rd_sweep_checks_the_whole_grid_before_any_solve(tmp_path, capsys,
-                                                         monkeypatch, flags):
+def counted_solves(monkeypatch):
+    """A list that gains an entry per slrma_solve call from now on."""
     solves = []
 
     def counted(*args, **kwargs):
@@ -126,6 +123,32 @@ def test_rd_sweep_checks_the_whole_grid_before_any_solve(tmp_path, capsys,
 
     for module in (codec, solver):
         monkeypatch.setattr(module, "slrma_solve", counted)
+    return solves
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("compress-images", "--step-b", "0"), ("compress-mesh", "--step-c", "nan")])
+def test_a_bad_step_is_usage_error_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                    command, flag, value):
+    # every bad value is refused alike: see test_codec_params_refuse_a_bad_step_*
+    kind = "images" if command == "compress-images" else "mesh"
+    src = tmp_path / "in"
+    assert run(["synth", "--kind", kind, "--out", str(src), "--n", "6", "--seed", "1"]) == 0
+    solves = counted_solves(monkeypatch)
+    out = tmp_path / "c.slrm"
+    assert run([command, str(src), "--out", str(out), "--k", "2", "--gamma", "1",
+                flag, value]) == 1
+    assert "usage error: quantizer steps" in capsys.readouterr().err
+    assert solves == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"],
+                                   ["--ks", "2,40"], ["--ks", "8", "--pbs", "0.999"]],
+                         ids=["target", "step", "k", "k-target"])
+def test_rd_sweep_checks_the_whole_grid_before_any_solve(tmp_path, capsys,
+                                                         monkeypatch, flags):
+    solves = counted_solves(monkeypatch)
     csv_path = tmp_path / "sweep.csv"
     assert run(["rd-sweep", "--kind", "images", "--ks", "2,4", "--pbs", "0.3",
                 "--steps", "0.008:4", "--csv", str(csv_path)] + flags) == 1
@@ -306,7 +329,7 @@ def assert_old_version_is_data_error(version, tmp_path, capsys):
     assert "VersionUnsupported" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_decompress_old_version_container_is_data_error(version, tmp_path, capsys):
     assert_old_version_is_data_error(version, tmp_path, capsys)
 
@@ -317,7 +340,9 @@ def test_decompress_crafted_header_is_data_error(tmp_path, capsys):
     header, payloads = unpack_container(
         codec.compress_image_set(data.x, data.w, data.h, params))
     bad = tmp_path / "bad.slrm"
-    bad.write_bytes(pack_container(dataclasses.replace(header, m=32), payloads))
+    # 4 x 8 images: 32 basis rows where the payload holds 64
+    bad.write_bytes(pack_container(dataclasses.replace(header, transform_params=(4, 8)),
+                                   payloads))
     assert run(["decompress-images", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "CorruptStream" in capsys.readouterr().err
 
@@ -333,9 +358,11 @@ def test_a_container_of_the_other_pipeline_is_data_error(tmp_path, capsys):
                 "--k", "4", "--gamma", "50"]) == 0
     assert run(["compress-mesh", str(mesh), "--out", str(mesh_blob), "--k", "2",
                 "--target-pb", "0.5", "--step-b", "0.01", "--step-c", "1.0"]) == 0
-    unknown = bytearray(image_blob.read_bytes())
-    unknown[5] = 2  # no pipeline has code 2
-    (tmp_path / "u.slrm").write_bytes(bytes(unknown))
+    # an image container whose header names the graph transform of its m
+    header, payloads = unpack_container(image_blob.read_bytes())
+    graph = dataclasses.replace(header, transform_kind="graph", transform_params=(64,),
+                                digest=bytes(8))
+    (tmp_path / "u.slrm").write_bytes(pack_container(graph, payloads))
     faces = str(sorted(mesh.glob("*.off"))[0])
     capsys.readouterr()
     for command in (["decompress-mesh", str(image_blob), "--faces", faces],

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import slrma.codec
 import slrma.entropy
+import slrma.solver
 import slrma.transforms
 from slrma.codec import (
     CodecParams,
@@ -22,7 +23,6 @@ from slrma.codec import (
 )
 from slrma.container import (
     ContainerHeader,
-    PIPELINE_IMAGE,
     connectivity_digest,
     pack_container,
     unpack_container,
@@ -73,16 +73,14 @@ def hand_container():
     coeffs = np.array([[2.5, -1.25, 0.0], [0.75, 0.0, 3.5]])
     payload_b = entropy_encode(quantize(basis, 0.125))
     payload_c = entropy_encode(quantize(coeffs, 0.25))
-    header = ContainerHeader(pipeline=PIPELINE_IMAGE, transform_kind="dct2d",
-                             transform_params=(3, 2), m=6, n=3, k=2,
-                             step_b=0.125, step_c=0.25)
+    header = ContainerHeader(transform_kind="dct2d", transform_params=(3, 2),
+                             n=3, k=2, step_b=0.125, step_c=0.25)
     return pack_container(header, [payload_b, payload_c])
 
 
 def test_header_roundtrip():
     blob = hand_container()
     header, payloads = unpack_container(blob)
-    assert header.pipeline == PIPELINE_IMAGE
     assert header.transform_kind == "dct2d"
     assert header.transform_params == (3, 2)
     assert (header.m, header.n, header.k) == (6, 3, 2)
@@ -91,24 +89,46 @@ def test_header_roundtrip():
 
 
 def test_container_golden_layout():
-    # frozen byte layout: magic, version, pipeline, kind, nparams, params
+    # frozen byte layout: magic, version, kind, the kind's params, n, k
     blob = hand_container()
     assert blob[:4] == b"SLRM"
-    assert blob[4] == 6 and blob[5] == 0
-    assert blob[6] == 3 and blob[7] == 2  # dct2d, two params
-    assert int.from_bytes(blob[8:12], "little") == 3
-    assert int.from_bytes(blob[12:16], "little") == 2
-    assert int.from_bytes(blob[16:20], "little") == 6
+    assert blob[4] == 7 and blob[5] == 3  # dct2d: two params, w and h
+    assert struct.unpack_from("<4I", blob, 6) == (3, 2, 3, 2)  # w, h, n, k
     # whole-container hash guards the full field order and entropy coding
     assert hashlib.sha256(blob).hexdigest() == (
-        "ddda847ec46484aa19128cd1e1a044d041bba4e641e6517e07903d31431cb835"
+        "3026de34771af25238ea6b6419379a738562b46e240780f38fca920f92eed965"
     )
-    # a mesh frames two payloads too: one u64 length each after the digest
-    # at offset 40, then the basis stack and the coefficient stack
+    # the basis payload's u64 length follows the steps, then both payloads;
+    # a mesh's digest sits between the steps and that length
+    _, payloads = unpack_container(blob)
+    assert blob[38:46] == struct.pack("<Q", len(payloads[0]))
+    assert blob[46:] == b"".join(payloads)
     _, blob, payloads, _ = hand_mesh()
-    assert blob[5] == 1 and blob[6] == 5 and blob[7] == 1  # mesh, graph, m
-    assert blob[48:64] == struct.pack("<2Q", *map(len, payloads))
-    assert blob[64:] == b"".join(payloads)
+    assert blob[5] == 5 and struct.unpack_from("<3I", blob, 6) == (3, 4, 1)  # graph: m
+    assert blob[42:50] == struct.pack("<Q", len(payloads[0]))
+    assert blob[50:] == b"".join(payloads)
+
+
+U32 = st.integers(1, 2**32 - 1)
+STEP = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(kind=st.sampled_from(["dct2d", "dwt2d", "graph"]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_header_round_trips_through_pack_and_unpack(kind, data):
+    params = data.draw({"dct2d": st.tuples(U32, U32),
+                        "dwt2d": st.tuples(U32, U32, st.integers(0, 2**32 - 1)),
+                        "graph": st.tuples(U32)}[kind])
+    m = params[0] if kind == "graph" else params[0] * params[1]
+    n = data.draw(U32)
+    header = ContainerHeader(
+        transform_kind=kind, transform_params=params, n=n,
+        k=data.draw(st.integers(1, min(m, n))), step_b=data.draw(STEP),
+        step_c=data.draw(STEP),
+        digest=data.draw(st.binary(min_size=8, max_size=8)) if kind == "graph" else b"")
+    payloads = [data.draw(st.binary(max_size=40)), data.draw(st.binary(max_size=40))]
+    assert unpack_container(pack_container(header, payloads)) == (header, payloads)
+    assert header.m == m  # w*h pixels, or the graph's vertex count
 
 
 def test_hand_container_basis_payload_is_the_documented_example():
@@ -130,8 +150,9 @@ def test_container_rejects_bad_version():
     # Exp-Golomb order 0, version 3 coded every cell and kept sign and suffix
     # bits in the range coder, and version 4 range-coded significance;
     # version 5 framed a mesh's axes as six payloads, a basis and a
-    # coefficient payload per axis
-    for version in (1, 2, 3, 4, 5, 9):
+    # coefficient payload per axis; version 6 also stated the pipeline, the
+    # param count, m and the coefficient payload's length
+    for version in (1, 2, 3, 4, 5, 6, 9):
         blob = bytearray(hand_container())
         blob[4] = version
         with pytest.raises(VersionUnsupportedError):
@@ -143,20 +164,45 @@ def test_container_refuses_a_kind_no_pipeline_writes(image_container, code):
     # codes 0-2 once named identity, dct1d and dwt1d
     for blob in (image_container, tiny_mesh_container()[1]):
         crafted = bytearray(blob)
-        crafted[6] = code
+        crafted[5] = code
         with pytest.raises(CorruptStreamError, match="unknown transform kind"):
             unpack_container(bytes(crafted))
 
 
 def test_container_rejects_truncation():
+    # the coefficient payload runs to the end, so its own decode finds a cut
     blob = hand_container()
-    with pytest.raises(CorruptStreamError):
-        unpack_container(blob[:-3])
+    with pytest.raises(CorruptStreamError, match="mid-symbol"):
+        decompress_image_set(blob[:-3])
 
 
-def test_container_rejects_trailing_bytes():
-    with pytest.raises(CorruptStreamError):
-        unpack_container(hand_container() + b"x")
+def test_container_rejects_trailing_bytes(image_container):
+    # and a byte past the coefficient payload's last symbol, either pipeline
+    seq, mesh_blob = tiny_mesh_container()
+    with pytest.raises(CorruptStreamError, match="payload holds"):
+        decompress_image_set(hand_container() + b"x")
+    with pytest.raises(CorruptStreamError, match="payload holds"):
+        decompress_image_set(image_container + b"x")
+    with pytest.raises(CorruptStreamError, match="payload holds"):
+        decompress_mesh_seq(mesh_blob + b"x", seq.faces)
+
+
+@pytest.mark.parametrize("cut", [8, 13, 42, 45], ids=["w", "h", "digest", "length"])
+def test_container_rejects_a_header_cut_short(cut):
+    # cut inside the params (dct2d w at 6-9, h at 10-13), inside a mesh's
+    # digest (34-41) or inside the basis length that follows it
+    blob = hand_container() if cut < 14 else hand_mesh()[1]
+    with pytest.raises(CorruptStreamError, match="truncated header"):
+        unpack_container(blob[:cut])
+
+
+def test_container_rejects_a_basis_length_past_the_end():
+    # hand_container's basis payload length is the u64 at offset 38
+    blob = hand_container()
+    for length in (len(blob) - 45, 2**64 - 1):
+        crafted = blob[:38] + struct.pack("<Q", length) + blob[46:]
+        with pytest.raises(CorruptStreamError, match="basis payload shorter"):
+            unpack_container(crafted)
 
 
 def with_header(blob, **fields):
@@ -173,10 +219,10 @@ def image_container():
 
 @pytest.mark.parametrize("fields", [
     dict(step_b=float("nan")), dict(step_c=float("inf")), dict(step_b=0.0),
-    dict(step_c=-0.5), dict(m=32), dict(k=0), dict(k=13),
-    dict(transform_params=(8,)), dict(k=3), dict(n=11), dict(step_b=1e308),
+    dict(step_c=-0.5), dict(transform_params=(4, 8)), dict(k=0), dict(k=13),
+    dict(k=3), dict(n=11), dict(step_b=1e308),
 ], ids=["nan-step_b", "inf-step_c", "zero-step_b", "negative-step_c",
-        "m-not-wh", "k-zero", "k-above-n", "missing-param", "k-below", "n-below",
+        "wh-not-payload", "k-zero", "k-above-n", "k-below", "n-below",
         "overflowing-step_b"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_decoder_rejects_crafted_header(image_container, fields):
@@ -216,8 +262,7 @@ def test_image_basis_size_is_bounded_before_any_basis(image_container, monkeypat
     monkeypatch.setattr(slrma.transforms, "haar1d", no_basis)
     w, h = params[:2]
     kind = "dct2d" if transform == "dct" else "dwt2d"
-    crafted = with_header(image_container, transform_kind=kind,
-                          transform_params=params, m=w * h)
+    crafted = with_header(image_container, transform_kind=kind, transform_params=params)
     with pytest.raises(CorruptStreamError, match="factors exceed"):
         decompress_image_set(crafted)
     encoder_params = dataclasses.replace(IMAGE_PARAMS, transform=transform)
@@ -242,7 +287,7 @@ def test_image_stack_is_bounded_before_any_payload(image_container, monkeypatch)
 def test_image_basis_of_a_long_row_holds_one_factor(image_container):
     # a 4096 x 1 header: the decoder builds the 4096-point DCT (128 MiB) and
     # nothing of the 4096^2 2D basis, then refuses the 64 x 4 payloads
-    crafted = with_header(image_container, transform_params=(4096, 1), m=4096)
+    crafted = with_header(image_container, transform_params=(4096, 1))
 
     def decode():
         with pytest.raises(CorruptStreamError):
@@ -285,9 +330,9 @@ def test_refused_headers_retain_nothing(image_container, dwt_container):
     seq, mesh_blob = tiny_mesh_container()
     decodes = [
         lambda: decompress_image_set(
-            with_header(image_container, transform_params=(2048, 1), m=2048)),
+            with_header(image_container, transform_params=(2048, 1))),
         lambda: decompress_image_set(
-            with_header(dwt_container, transform_params=(2048, 8, 2), m=8 * 2048)),
+            with_header(dwt_container, transform_params=(2048, 8, 2))),
         lambda: decompress_mesh_seq(with_header(mesh_blob, n=2040), seq.faces),
     ]
     gc.collect()
@@ -430,12 +475,13 @@ def test_mesh_frame_count_is_bounded_before_the_frame_dct(monkeypatch):
                           CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
 
 
-@pytest.mark.parametrize("kind, params", [("dct2d", (4, 4)), ("graph", (999,)),
-                                           ("graph", ())],
-                         ids=["image-kind", "other-m", "no-params"])
-def test_mesh_decoder_refuses_a_foreign_transform(kind, params):
+@pytest.mark.parametrize("kind, params, error, message", [
+    ("dct2d", (4, 4), CorruptStreamError, "not a mesh-sequence container"),
+    ("graph", (999,), DigestMismatchError, "connectivity"),  # the digest hashes m
+], ids=["image-kind", "other-m"])
+def test_mesh_decoder_refuses_a_foreign_transform(kind, params, error, message):
     seq, blob = tiny_mesh_container()
-    with pytest.raises(CorruptStreamError, match="invalid for an m=16 mesh"):
+    with pytest.raises(error, match=message):
         decompress_mesh_seq(with_header(blob, transform_kind=kind,
                                         transform_params=params), seq.faces)
 
@@ -496,19 +542,18 @@ def test_decompress_runs_the_chooser_once_per_container(image_container, monkeyp
 
 
 def test_a_container_of_the_other_pipeline_is_refused(image_container):
-    # both pipelines frame two payloads, so only the decoders' pipeline and
-    # kind checks tell their containers apart
+    # both pipelines frame two payloads, so only the decoders' kind checks
+    # tell their containers apart
     seq, mesh_blob = tiny_mesh_container()
     with pytest.raises(CorruptStreamError, match="not a mesh-sequence container"):
         decompress_mesh_seq(image_container, seq.faces)
     with pytest.raises(CorruptStreamError, match="not an image-set container"):
         decompress_image_set(mesh_blob)
-    for pos, code, message in ((5, 2, "not an image-set container"),  # no pipeline 2
-                               (6, 5, "graph invalid for the image pipeline")):
-        crafted = bytearray(image_container)
-        crafted[pos] = code
-        with pytest.raises(CorruptStreamError, match=message):
-            decompress_image_set(bytes(crafted))
+    # an image container whose header names the graph transform of its m
+    crafted = with_header(image_container, transform_kind="graph",
+                          transform_params=(64,), digest=bytes(8))
+    with pytest.raises(CorruptStreamError, match="not an image-set container"):
+        decompress_image_set(crafted)
 
 
 @pytest.mark.parametrize("sparsity", [{}, dict(gamma=50.0, target_pb=0.5)],
@@ -517,6 +562,23 @@ def test_codec_params_need_exactly_one_sparsity_rule(sparsity):
     # a solve would pick one silently, so the params refuse both and neither
     with pytest.raises(ValueError, match="need exactly one of gamma and target_pb"):
         CodecParams(k=4, step_b=0.002, step_c=0.5, **sparsity)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_codec_params_refuse_a_bad_step_before_any_solve(monkeypatch, step):
+    # quantize would refuse it only after the whole solve
+    data, seq = small_image_set(), small_mesh()
+    solves = []
+    for module in (slrma.codec, slrma.solver):
+        monkeypatch.setattr(module, "slrma_solve", lambda *args: solves.append(args))
+    for steps in (dict(step_b=step, step_c=0.5), dict(step_b=0.002, step_c=step)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            compress_image_set(data.x, data.w, data.h,
+                               CodecParams(k=4, gamma=50.0, **steps))
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces,
+                              CodecParams(k=2, target_pb=0.5, **steps))
+    assert solves == []
 
 
 def test_mesh_faces_as_tuples_lists_or_an_array_decode_alike():
@@ -552,7 +614,7 @@ def test_mesh_vertex_count_is_bounded_by_the_faces():
     # graph disconnected before anything is sized by m
     seq, blob = tiny_mesh_container()
     m = 2**22
-    crafted = with_header(blob, m=m, transform_params=(m,), digest=connectivity_digest(
+    crafted = with_header(blob, transform_params=(m,), digest=connectivity_digest(
         m, mesh_adjacency(seq.faces, m).edges))
 
     def decode():
@@ -613,8 +675,7 @@ def hand_mesh():
     payloads = [entropy_encode(quantize(bases.reshape(3 * m, k), 0.5)),
                 entropy_encode(quantize(coeffs_dct.reshape(3 * n, k), 0.5))]
     header = ContainerHeader(
-        pipeline=1, transform_kind="graph", transform_params=(m,),
-        m=m, n=n, k=k, step_b=0.5, step_c=0.5,
+        transform_kind="graph", transform_params=(m,), n=n, k=k, step_b=0.5, step_c=0.5,
         digest=connectivity_digest(m, mesh_adjacency(faces, m).edges),
     )
     u_gt = graph_transform(mesh_adjacency(faces, m))
