@@ -18,7 +18,7 @@ from .codec import (
     decompress_image_set,
     decompress_mesh_seq,
 )
-from .errors import InfinitePsnrError, NotConvergedError, SlrmaError
+from .errors import NotConvergedError, SlrmaError
 from .metrics import (
     bits_per_frame_vertex,
     bits_per_pixel,
@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_flags(args):
-    return dict(alpha=args.alpha)
+    return {} if args.alpha is None else dict(alpha=args.alpha)
 
 
 def _add_solver_args(sub):
@@ -197,10 +197,9 @@ def _cmd_measure(args):
         b = datasets.load_image_set(_collect(args.recon, ".pgm"))
         err = rmse(a.x, b.x)
         lines.append(("rmse", repr(err)))
-        try:
-            lines.append(("psnr", repr(psnr(a.x, b.x))))
-        except InfinitePsnrError:
-            lines.append(("psnr", "inf"))
+        value = psnr(a.x, b.x)
+        lines.append(("psnr", repr(value)))
+        if value == float("inf"):
             lines.append(("psnr_infinite", "true"))
         if args.container:
             size = Path(args.container).stat().st_size

@@ -7,9 +7,10 @@ graph transform, with an extra 1D DCT applied along the coefficient rows
 before quantization to squeeze temporal coherence.
 
 Compression runs in two stages. `factor` solves a call's streams once,
-as one stack; `encode` quantizes, entropy-codes and packs its bases and
-its coefficients as two payloads at given quantizer steps, so one
-factorization can serve many steps (the RD sweep does this). A container's
+as one stack, with the `SolverConfig` it is given; `encode` quantizes,
+entropy-codes and packs its bases and its coefficients as two payloads at
+given quantizer steps, so one factorization can serve many steps (the RD
+sweep does this). A container's
 transform kind names its pipeline (graph for a mesh sequence, dct2d or dwt2d
 for an image set) and its params name m, so each decoder checks only the
 kind. `CodecParams` refuses a step that is not positive and finite before
@@ -88,10 +89,12 @@ class CodecParams:
             raise ValueError("need exactly one of gamma and target_pb")
         check_steps(self.step_b, self.step_c)
 
-    def solver_config(self, **fields):
-        """A SolverConfig of `fields` and the set entries of `solver`."""
-        overrides = {k: v for k, v in self.solver.items() if v is not None}
-        return SolverConfig(k=self.k, **fields, **overrides)
+    def solver_config(self):
+        """The SolverConfig `factor` solves with: k, the gamma or the target
+        (at gamma 0.0, which then only weighs the reported objective), and
+        every entry of `solver`."""
+        gamma = 0.0 if self.gamma is None else float(self.gamma)
+        return SolverConfig(gamma=gamma, k=self.k, target_pb=self.target_pb, **self.solver)
 
 
 @dataclass(frozen=True)
@@ -171,23 +174,20 @@ def mesh_input(xx, xy, xz, faces):
     return mesh_transforms(faces, *streams[0].shape), streams
 
 
-def factor(transforms: Transforms, data, params: CodecParams):
+def factor(transforms: Transforms, data, cfg: SolverConfig):
     """Factor stage: solve Z = Phi^T X of every stream in `data` as one stack.
 
     Returns one Factorization of the s x m x n stack of Z, s the number of
-    streams (an image set is a stack of one). With `params.gamma` set every
-    stream is solved at that gamma, otherwise for `params.target_pb` zeros.
+    streams (an image set is a stack of one). Without `cfg.target_pb` every
+    stream is solved at `cfg.gamma`, otherwise for that fraction of zeros.
     Either solve runs on the penalty schedule anchored at each stream's
-    sigma_1^2, growing by the `SolverConfig` default alpha unless
-    `params.solver` overrides it. A solve that does not converge is
+    sigma_1^2, growing by `cfg.alpha`. A solve that does not converge is
     returned as it is; see `check_converged`.
     """
     z = np.stack([transforms.phi.forward(x) for x in data])
-    if params.gamma is not None:
-        return slrma_solve(z, params.solver_config(gamma=float(params.gamma)))
-    # the config names the target too, so (z, cfg) alone re-runs the solve
-    cfg = params.solver_config(gamma=0.0, target_pb=params.target_pb)
-    return gamma_for_sparsity(z, cfg, params.target_pb)[1]
+    if cfg.target_pb is None:
+        return slrma_solve(z, cfg)
+    return gamma_for_sparsity(z, cfg, cfg.target_pb)[1]
 
 
 def check_converged(fact):
@@ -249,7 +249,7 @@ def _decode(transforms: Transforms, header, payloads):
 
 
 def _compress(transforms, data, params: CodecParams):
-    fact = factor(transforms, data, params)
+    fact = factor(transforms, data, params.solver_config())
     check_converged(fact)
     return encode(transforms, fact, params.step_b, params.step_c)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConnectivityMismatchError, DimensionMismatchError, FormatError
+from .transforms import mesh_adjacency
 
 
 @dataclass
@@ -130,13 +131,16 @@ def save_image_set(image_set: ImageSet, directory, prefix="img"):
 # OFF (ASCII, triangles only)
 
 def read_off(path):
-    tokens = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
-        raise FormatError(f"{path}: missing OFF header")
+    """(vertices, faces) of an OFF file; text that is not UTF-8, a count or
+    a coordinate that does not parse, and a face `mesh_adjacency` refuses
+    all raise FormatError."""
     try:
+        tokens = []
+        for line in Path(path).read_text().splitlines():
+            line = line.split("#", 1)[0]
+            tokens.extend(line.split())
+        if not tokens or tokens[0] != "OFF":
+            raise FormatError(f"{path}: missing OFF header")
         nv, nf = int(tokens[1]), int(tokens[2])
         if nv < 1 or nf < 0:
             raise FormatError(f"{path}: {nv} vertices and {nf} faces")
@@ -149,12 +153,9 @@ def read_off(path):
             cnt = int(tokens[pos])
             if cnt != 3:
                 raise FormatError(f"{path}: non-triangle face of size {cnt}")
-            face = tuple(int(t) for t in tokens[pos + 1 : pos + 4])
-            if len(set(face)) != 3 or not all(0 <= v < nv for v in face):
-                raise FormatError(f"{path}: face {face} is degenerate or names "
-                                  f"a vertex outside [0, {nv})")
-            faces.append(face)
+            faces.append(tuple(int(t) for t in tokens[pos + 1 : pos + 4]))
             pos += 4
+        mesh_adjacency(faces, nv)
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed OFF data ({exc})") from exc
     if not np.isfinite(verts).all():

@@ -21,10 +21,6 @@ class DisconnectedError(SlrmaError):
     """Graph is not connected; its transform is not well defined here."""
 
 
-class RankTooLargeError(SlrmaError):
-    """Requested rank exceeds min(m, n)."""
-
-
 class NotConvergedError(SlrmaError):
     """A solve, or a LAPACK eigen/SVD iteration, did not converge."""
 
@@ -59,10 +55,6 @@ class ConnectivityMismatchError(SlrmaError):
 
 class ShapeMismatchError(SlrmaError):
     """Operands do not have the shapes an operation requires."""
-
-
-class InfinitePsnrError(SlrmaError):
-    """PSNR is unbounded because the reconstruction is exact."""
 
 
 class DegenerateSequenceError(SlrmaError):

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankTooLargeError
 from .numerics import as_matrix, thin_svd
+from .solver import check_rank
 from .transforms import OrthogonalTransform
 
 
@@ -31,11 +31,10 @@ class StepwiseResult:
 
 
 def lrma(x, k):
-    """Rank-k approximation via the top singular vectors of X."""
+    """Rank-k approximation via the top singular vectors of X; a k outside
+    [1, min(m, n)] raises ValueError (`check_rank`)."""
     x = as_matrix(x, "X")
-    m, n = x.shape
-    if not 1 <= k <= min(m, n):
-        raise RankTooLargeError(f"k={k} outside [1, {min(m, n)}]")
+    check_rank(*x.shape, k)
     svd = thin_svd(x)
     basis = np.ascontiguousarray(svd.u[:, :k])
     coeffs = basis.T @ x

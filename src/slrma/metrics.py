@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSequenceError, InfinitePsnrError, ShapeMismatchError
+from .errors import DegenerateSequenceError, ShapeMismatchError
 from .numerics import as_matrix
 
 
@@ -18,11 +18,9 @@ def rmse(x, x_hat):
 
 
 def psnr(x, x_hat, peak=255.0):
-    """20*log10(peak / rmse); raises when the reconstruction is exact."""
+    """20*log10(peak / rmse); inf when the reconstruction is exact."""
     err = rmse(x, x_hat)
-    if err == 0.0:
-        raise InfinitePsnrError("rmse is zero")
-    return float(20.0 * np.log10(peak / err))
+    return float("inf") if err == 0.0 else float(20.0 * np.log10(peak / err))
 
 
 def frame_mean_matrix(coords):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (
-    CodecParams,
     check_converged,
     decompress_image_set,
     decompress_mesh_seq,
@@ -26,10 +25,10 @@ from .codec import (
     mesh_input,
 )
 from .datasets import ImageSet
-from .errors import InfinitePsnrError, SlrmaError
+from .errors import SlrmaError
 from .metrics import bits_per_frame_vertex, bits_per_pixel, kg_error, psnr, rmse
 from .quant import check_steps
-from .solver import check_rank
+from .solver import SolverConfig, check_rank
 
 # Not called here: perfbench/tracing.py resolves these names in this module.
 from .codec import compress_image_set, compress_mesh_seq  # noqa: F401
@@ -110,10 +109,7 @@ def _measure(row, dataset, blob):
         x_hat, _, _ = decompress_image_set(blob)
         row.rate = bits_per_pixel(len(blob), dataset.w, dataset.h, dataset.n)
         row.rmse = rmse(dataset.x, x_hat)
-        try:
-            row.psnr = psnr(dataset.x, x_hat)
-        except InfinitePsnrError:
-            row.psnr = float("inf")
+        row.psnr = psnr(dataset.x, x_hat)
     else:
         hx, hy, hz = decompress_mesh_seq(blob, dataset.faces)
         row.rate = bits_per_frame_vertex(len(blob), dataset.m, dataset.n)
@@ -122,11 +118,15 @@ def _measure(row, dataset, blob):
 
 
 def rd_sweep(dataset, grid: SweepGrid):
-    """Evaluate the full grid; returns (rows, pareto front rows). Every
-    target, step and (k, target) pair is checked, by ValueError, and the
-    data by the codec's own input checks, before the first solve."""
-    if not all(0.0 <= pb < 1.0 for pb in grid.pb_targets):
-        raise ValueError(f"p_B targets {grid.pb_targets} must lie in [0, 1)")
+    """Evaluate the full grid; returns (rows, pareto front rows).
+
+    Before the first solve, one SolverConfig per (k, target) point is built,
+    which checks each target, k and `grid.solver` entry, and `check_rank`
+    checks each point against the data's shape; every step pair is checked
+    too, all by ValueError, and the data by the codec's own input checks.
+    """
+    configs = [SolverConfig(gamma=0.0, k=k, target_pb=pb, **grid.solver)
+               for k in grid.ks for pb in grid.pb_targets]
     for pair in grid.steps:
         if len(pair) != 2:
             raise ValueError(f"steps {grid.steps} must be (step_b, step_c) pairs")
@@ -140,34 +140,28 @@ def rd_sweep(dataset, grid: SweepGrid):
         transform = "gt"
         transforms, data = mesh_input(dataset.xx, dataset.xy, dataset.xz, dataset.faces)
     m, n = data[0].shape  # every stream's Z has the shape of its data
-    for k in grid.ks:
-        for pb in grid.pb_targets:
-            check_rank(m, n, k, pb)
+    for cfg in configs:
+        check_rank(m, n, cfg.k, cfg.target_pb)
     rows = []
-    for k in grid.ks:
-        for pb in grid.pb_targets:
-            params = CodecParams(k=k, step_b=1.0, step_c=1.0,
-                                 transform=transform, levels=grid.levels,
-                                 target_pb=pb, solver=dict(grid.solver))
-            point = dict(k=k, p_b_target=pb, transform=transform)
+    for cfg in configs:
+        point = dict(k=cfg.k, p_b_target=cfg.target_pb, transform=transform)
+        try:
+            fact = factor(transforms, data, cfg)
+        except SlrmaError as exc:
+            rows.extend(SweepRow(**point, step_b=step_b, step_c=step_c,
+                                 error=_error_text(exc))
+                        for step_b, step_c in grid.steps)
+            continue
+        point.update(p_b_achieved=fact.p_b_achieved, iters=fact.iterations,
+                     converged=fact.converged)
+        for step_b, step_c in grid.steps:
+            row = SweepRow(**point, step_b=step_b, step_c=step_c)
             try:
-                fact = factor(transforms, data, params)
+                check_converged(fact)
+                _measure(row, dataset, encode(transforms, fact, step_b, step_c))
             except SlrmaError as exc:
-                rows.extend(SweepRow(**point, step_b=step_b, step_c=step_c,
-                                     error=_error_text(exc))
-                            for step_b, step_c in grid.steps)
-                continue
-            point.update(p_b_achieved=fact.p_b_achieved, iters=fact.iterations,
-                         converged=fact.converged)
-            for step_b, step_c in grid.steps:
-                row = SweepRow(**point, step_b=step_b, step_c=step_c)
-                try:
-                    check_converged(fact)
-                    _measure(row, dataset, encode(transforms, fact,
-                                                  step_b, step_c))
-                except SlrmaError as exc:
-                    row.error = _error_text(exc)
-                rows.append(row)
+                row.error = _error_text(exc)
+            rows.append(row)
     # the first row at each (rate, distortion) point stands for it on the front
     first = {}
     for r in rows:

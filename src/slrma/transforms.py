@@ -207,18 +207,27 @@ def mesh_adjacency(faces, vertex_count):
     """Graph of a triangle mesh: union of the edges of every face.
 
     Faces are read in order, and the first that is not a triangle on
-    [0, vertex_count) raises: its pairs (a, b), (a, c), (b, c) are checked in
-    that order, each for range (IndexError) and then for a repeated vertex
-    (ValueError).
+    [0, vertex_count) raises, naming the face: one without three ids, or
+    with an id that is not integer-valued, raises ValueError; then its pairs
+    (a, b), (a, c), (b, c) are checked in that order, each for range
+    (IndexError, naming the vertex outside it) and then for a repeated
+    vertex (ValueError).
     """
     edges = set()
     for face in faces:
         if len(face) != 3:
             raise ValueError(f"face {face!r} is not a triangle")
-        a, b, c = (int(v) for v in face)
+        try:
+            a, b, c = ids = [int(v) for v in face]
+        except (ValueError, OverflowError):  # NaN or an infinity
+            ids = None
+        if ids != list(face):
+            raise ValueError(f"face {face!r} has a vertex id that is not an integer")
         for u, v in ((a, b), (a, c), (b, c)):
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise IndexError(f"vertex {max(u, v)} outside [0, {vertex_count})")
+            for w in (u, v):
+                if not 0 <= w < vertex_count:
+                    raise IndexError(f"vertex {w} of face {face!r} outside "
+                                     f"[0, {vertex_count})")
             if u == v:
                 raise ValueError(f"degenerate face {face!r}")
             edges.add((min(u, v), max(u, v)))

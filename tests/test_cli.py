@@ -144,8 +144,9 @@ def test_a_bad_step_is_usage_error_before_any_solve(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("flags", [["--pbs", "0.3,1.5"], ["--steps", "0.008:4,0:1"],
-                                   ["--ks", "2,40"], ["--ks", "8", "--pbs", "0.999"]],
-                         ids=["target", "step", "k", "k-target"])
+                                   ["--ks", "2,40"], ["--ks", "8", "--pbs", "0.999"],
+                                   ["--alpha", "1.0"]],
+                         ids=["target", "step", "k", "k-target", "alpha"])
 def test_rd_sweep_checks_the_whole_grid_before_any_solve(tmp_path, capsys,
                                                          monkeypatch, flags):
     solves = counted_solves(monkeypatch)
@@ -390,6 +391,22 @@ def test_malformed_off_face_is_data_error(tmp_path, capsys):
         assert run(["decompress-mesh", str(container), "--faces",
                     str(sorted(src.glob("*.off"))[0]), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("error: FormatError") == 2
+
+
+def test_non_utf8_off_is_data_error(tmp_path, capsys):
+    seq = synth_mesh_seq(16, 4, seed=1)
+    src = tmp_path / "seq"
+    save_mesh_sequence(seq, src)
+    frame = sorted(src.glob("*.off"))[1]
+    frame.write_bytes(frame.read_bytes() + b"# \xff\n")
+    assert run(["compress-mesh", str(src), "--out", str(tmp_path / "c.slrm"),
+                "--k", "2", "--target-pb", "0.5", "--step-b", "0.01",
+                "--step-c", "1.0"]) == 2
+    assert run(["decompress-mesh", str(tmp_path / "none.slrm"), "--faces", str(frame),
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: FormatError") == 2 and "utf-8" in err
+    assert "usage error" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])

@@ -608,6 +608,20 @@ def test_mesh_faces_past_the_vertex_count_are_refused_after_a_hit():
     assert slrma.codec._connectivity.cache_info().currsize == cached  # nothing cached
 
 
+def test_mesh_faces_with_fractional_ids_are_refused():
+    # truncating each id would turn the shifted faces back into the mesh's
+    # own, so they would compress and decode without complaint
+    seq, blob = tiny_mesh_container()
+    params = CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5)
+    shifted = [tuple(v + 0.25 for v in face) for face in seq.faces]
+    with pytest.raises(ValueError, match="not an integer"):
+        compress_mesh_seq(seq.xx, seq.xy, seq.xz, shifted, params)
+    with pytest.raises(ValueError, match="not an integer"):
+        decompress_mesh_seq(blob, shifted)
+    integral = [tuple(float(v) for v in face) for face in seq.faces]
+    assert compress_mesh_seq(seq.xx, seq.xy, seq.xz, integral, params) == blob
+
+
 def test_mesh_vertex_count_is_bounded_by_the_faces():
     # the digest is an unkeyed hash of public faces, so a crafted container
     # can name any m with a matching one; vertices no face touches make the

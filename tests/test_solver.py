@@ -457,8 +457,8 @@ def test_solver_config_rejects_bad_values(fields):
 def test_solver_dict_names_only_alpha(name):
     # the stopping rule and the penalty schedule are fixed: no setting names them
     params = CodecParams(k=2, step_b=0.01, step_c=1.0, gamma=1.0, solver={name: 5})
-    with pytest.raises(TypeError):
-        params.solver_config(gamma=1.0)
+    with pytest.raises(TypeError, match=name):
+        params.solver_config()
 
 
 @pytest.mark.parametrize("target, alpha", [(None, 1.05), (0.6, 1.05), (None, 2.0)],

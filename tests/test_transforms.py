@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,15 +278,20 @@ def test_mesh_adjacency_bad_index():
 
 
 def loop_mesh_adjacency(faces, vertex_count):
-    """`mesh_adjacency` as a loop over faces: the reference for the array form."""
+    """`mesh_adjacency`'s rule written out face by face: the reference its
+    error types, messages and edges must match."""
     edges = set()
     for face in faces:
         if len(face) != 3:
             raise ValueError(f"face {face!r} is not a triangle")
+        if not all(math.isfinite(v) and v == int(v) for v in face):
+            raise ValueError(f"face {face!r} has a vertex id that is not an integer")
         a, b, c = (int(v) for v in face)
         for u, v in ((a, b), (a, c), (b, c)):
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise IndexError(f"vertex {max(u, v)} outside [0, {vertex_count})")
+            bad = [w for w in (u, v) if not 0 <= w < vertex_count]
+            if bad:
+                raise IndexError(f"vertex {bad[0]} of face {face!r} outside "
+                                 f"[0, {vertex_count})")
             if u == v:
                 raise ValueError(f"degenerate face {face!r}")
             edges.add((min(u, v), max(u, v)))
@@ -301,7 +308,8 @@ def outcome(build, faces, vertex_count):
 @st.composite
 def face_lists(draw):
     """Face lists over [0, m), mostly valid; some faces out of range,
-    degenerate, not triangles or float-valued; as tuples or an int array."""
+    degenerate, not triangles, float-valued or fractional; as tuples or an
+    int array."""
     m = draw(st.integers(1, 12))
     vertex = st.integers(0, m - 1)
     stray = st.integers(-3, m + 3)
@@ -311,7 +319,8 @@ def face_lists(draw):
     if faces and draw(st.integers(0, 4)) == 0:
         i = draw(st.integers(0, len(faces) - 1))
         faces[i] = draw(st.sampled_from([faces[i][:2], faces[i] + (0,),
-                                         tuple(float(v) for v in faces[i])]))
+                                         tuple(float(v) for v in faces[i]),
+                                         tuple(v + 0.25 for v in faces[i])]))
     elif faces and draw(st.booleans()):
         faces = np.array(faces, dtype=draw(st.sampled_from([np.int64, np.int32])))
     return faces, m
@@ -330,13 +339,25 @@ def test_mesh_adjacency_matches_the_face_loop(case):
 
 @pytest.mark.parametrize("faces, m", [
     ([(0, 1, 2), (2, 2, 9)], 4),     # a repeated vertex is found before the stray one
-    ([(0, 1, 2), (-1, 3, 3)], 4),    # the pair (a, b) names its larger end
+    ([(0, 1, 2), (-1, 3, 3)], 4),    # the pair (a, b) names its stray end
     (np.array([(0, 1, 2), (1, 3, 1)]), 4),
     ([(0, 1, 2), (0, 1)], 3),
     ([], 3),
+    ([(0, 1, 2), (-1, 0, 1)], 16),   # -1 is named, not the pair's larger end 0
+    ([(0, 1, 2), (0.25, 1.25, 2.25)], 4),  # a fractional id is not truncated
 ])
 def test_mesh_adjacency_first_offending_face(faces, m):
     assert outcome(mesh_adjacency, faces, m) == outcome(loop_mesh_adjacency, faces, m)
+
+
+def test_mesh_adjacency_names_the_offending_vertex_and_face():
+    assert outcome(mesh_adjacency, [(-1, 0, 1)], 16) == (
+        IndexError, "vertex -1 of face (-1, 0, 1) outside [0, 16)")
+    assert outcome(mesh_adjacency, [(0.25, 1.25, 2.25)], 4) == (
+        ValueError, "face (0.25, 1.25, 2.25) has a vertex id that is not an integer")
+    for stray in (float("nan"), float("inf")):
+        assert outcome(mesh_adjacency, [(0, 1, stray)], 4)[0] is ValueError
+    assert mesh_adjacency([(0.0, 1.0, 2.0)], 3) == mesh_adjacency([(0, 1, 2)], 3)
 
 
 def path_graph(m):
