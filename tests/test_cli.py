@@ -8,12 +8,14 @@ from slrma.cli import cli_main
 from slrma.container import pack_container, unpack_container
 from slrma.datasets import (
     load_image_set,
+    load_mesh_sequence,
     save_mesh_sequence,
     synth_image_set,
     synth_mesh_seq,
 )
-from slrma.metrics import psnr, rmse
+from slrma.metrics import bits_per_frame_vertex, kg_error, psnr, rmse
 from slrma.solver import slrma_solve
+from slrma.sweep import SweepGrid, rd_sweep, rows_to_csv
 
 
 def run(argv):
@@ -457,6 +459,68 @@ def test_rd_sweep_cli(tmp_path, capsys):
                 "--ks", "2,4", "--pbs", "0.3",
                 "--steps", "0.008:2,0.004:1", "--csv", str(csv2)]) == 0
     assert csv2.read_text() == text
+
+
+@pytest.mark.parametrize("kind, source", [("mesh", "synth"), ("mesh", "data"),
+                                          ("images", "data")])
+def test_rd_sweep_cli_writes_the_library_sweep(tmp_path, capsys, kind, source):
+    # each kind runs to completion from either source, and its CSVs and
+    # printed front are those of rd_sweep on the same data and grid
+    flags = ["--ks", "2,3", "--pbs", "0.5", "--steps", "0.008:4,0.004:1"]
+    grid = dict(ks=(2, 3), pb_targets=(0.5,), steps=((0.008, 4.0), (0.004, 1.0)))
+    if kind == "images":
+        flags += ["--transform", "dwt", "--levels", "2"]
+        grid.update(transform="dwt", levels=2)
+    if source == "data":
+        src = tmp_path / "in"
+        size = ["--w", "8", "--h", "8", "--rank", "2"] if kind == "images" else ["--m", "16"]
+        assert run(["synth", "--kind", kind, "--out", str(src), "--n", "12",
+                    "--seed", "1", *size]) == 0
+        flags += ["--data", str(src)]
+        load = load_image_set if kind == "images" else load_mesh_sequence
+        data = load(sorted(src.iterdir()))
+    else:
+        data = synth_mesh_seq(64, 32, seed=0)
+    csv_path = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert run(["rd-sweep", "--kind", kind, "--csv", str(csv_path), *flags]) == 0
+    rows, front = rd_sweep(data, SweepGrid(**grid))
+    assert not any(row.error for row in rows) and front
+    assert csv_path.read_text() == rows_to_csv(rows)
+    assert csv_path.with_suffix(".front.csv").read_text() == rows_to_csv(front)
+
+    def point(r):
+        if kind == "images":
+            return f"{r.rate:8.4f} bpp   rmse {r.rmse:8.4f}   psnr {r.psnr:6.2f} dB"
+        return f"{r.rate:8.4f} bpfv   kg {r.kg_error:8.4f}%"
+
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ")]
+    assert printed == [f"  {point(r)}   (k={r.k}, p_B {r.p_b_achieved:.2f}, "
+                       f"steps {r.step_b}/{r.step_c})" for r in front]
+
+
+def test_measure_mesh_container_csv(tmp_path, capsys):
+    src, recon, container = tmp_path / "mesh", tmp_path / "out", tmp_path / "m.slrm"
+    assert run(["synth", "--kind", "mesh", "--out", str(src), "--m", "16", "--n", "4",
+                "--seed", "1"]) == 0
+    assert run(["compress-mesh", str(src), "--out", str(container), "--k", "2",
+                "--target-pb", "0.5", "--step-b", "0.01", "--step-c", "1.0"]) == 0
+    assert run(["decompress-mesh", str(container), "--faces",
+                str(sorted(src.glob("*.off"))[0]), "--out", str(recon)]) == 0
+    csv_path = tmp_path / "m.csv"
+    capsys.readouterr()
+    assert run(["measure", "--orig", str(src), "--recon", str(recon),
+                "--container", str(container), "--csv", str(csv_path)]) == 0
+    a, b = (load_mesh_sequence(sorted(d.glob("*.off"))) for d in (src, recon))
+    size = container.stat().st_size
+    lines = [("rmse", repr(rmse(a.stacked(), b.stacked()))),
+             ("kg_error", repr(kg_error(a.xx, a.xy, a.xz, b.xx, b.xy, b.xz))),
+             ("bits", str(8 * size)),
+             ("bpfv", repr(bits_per_frame_vertex(size, a.m, a.n)))]
+    assert capsys.readouterr().out == "".join(f"{k}={v}\n" for k, v in lines)
+    assert csv_path.read_text() == (",".join(k for k, _ in lines) + "\n"
+                                    + ",".join(v for _, v in lines) + "\n")
 
 
 def test_rd_sweep_cli_rejects_unsupported_transform(tmp_path, capsys, monkeypatch):
