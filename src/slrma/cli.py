@@ -1,7 +1,7 @@
 """Command-line interface: compression, measurement, sweeps, synthesis.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 a solve or a LAPACK
-decomposition did not converge.
+Exit codes: 0 success, 1 usage error, 2 data error (an input too large to
+hold in memory too), 3 a solve or a LAPACK decomposition did not converge.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ from .codec import (
     decompress_mesh_seq,
 )
 from .errors import NotConvergedError, SlrmaError
-from .metrics import (
-    bits_per_frame_vertex,
-    bits_per_pixel,
-    kg_error,
-    psnr,
-    rmse,
-)
+from .metrics import bits_per_frame_vertex, bits_per_pixel, kg_error, psnr, rmse
+from .solver import SolverConfig
 from .sweep import SweepGrid, rd_sweep, rows_to_csv
 
 
@@ -38,14 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _solver_flags(args):
-    return {} if args.alpha is None else dict(alpha=args.alpha)
-
-
-def _add_solver_args(sub):
-    sub.add_argument("--alpha", type=float, default=None)
-
-
 def _level_count(text):
     """An int of at least 1, the type of --levels."""
     levels = int(text)
@@ -55,18 +42,9 @@ def _level_count(text):
 
 
 def _add_transform_args(sub, transform="dct", levels=3):
+    # each command declares its own actions: a parent's are shared, defaults too
     sub.add_argument("--transform", choices=("dct", "dwt"), default=transform)
     sub.add_argument("--levels", type=_level_count, default=levels, help="dwt levels")
-
-
-def _add_codec_args(sub):
-    sub.add_argument("--k", type=int, required=True)
-    sparsity = sub.add_mutually_exclusive_group(required=True)
-    sparsity.add_argument("--target-pb", dest="target_pb", type=float, default=None)
-    sparsity.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--step-b", dest="step_b", type=float, default=0.004)
-    sub.add_argument("--step-c", dest="step_c", type=float, default=2.0)
-    _add_solver_args(sub)
 
 
 def _collect(paths, suffix):
@@ -82,25 +60,39 @@ def _collect(paths, suffix):
     return files
 
 
+def _load(kind, paths):
+    """The ImageSet or MeshSequence of the PGM or OFF files in `paths`."""
+    if kind == "images":
+        return datasets.load_image_set(_collect(paths, ".pgm"))
+    return datasets.load_mesh_sequence(_collect(paths, ".off"))
+
+
 def _build_parser():
+    # the flags several commands share, each declared once as a parent parser
+    solver = _Parser(add_help=False)
+    solver.add_argument("--alpha", type=float, default=SolverConfig.alpha)
+    codec = _Parser(add_help=False)
+    codec.add_argument("inputs", nargs="+")
+    codec.add_argument("--out", required=True)
+    codec.add_argument("--k", type=int, required=True)
+    sparsity = codec.add_mutually_exclusive_group(required=True)
+    sparsity.add_argument("--target-pb", dest="target_pb", type=float)
+    sparsity.add_argument("--gamma", type=float)
+    codec.add_argument("--step-b", dest="step_b", type=float, default=0.004)
+    codec.add_argument("--step-c", dest="step_c", type=float, default=2.0)
+
     parser = _Parser(prog="slrma",
                      description="sparse low-rank factorization codec")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("compress-images")
-    sub.add_argument("inputs", nargs="+")
-    sub.add_argument("--out", required=True)
-    _add_codec_args(sub)
+    sub = subs.add_parser("compress-images", parents=[codec, solver])
     _add_transform_args(sub)
 
     sub = subs.add_parser("decompress-images")
     sub.add_argument("container")
     sub.add_argument("--out", required=True)
 
-    sub = subs.add_parser("compress-mesh")
-    sub.add_argument("inputs", nargs="+")
-    sub.add_argument("--out", required=True)
-    _add_codec_args(sub)
+    subs.add_parser("compress-mesh", parents=[codec, solver])
 
     sub = subs.add_parser("decompress-mesh")
     sub.add_argument("container")
@@ -115,7 +107,7 @@ def _build_parser():
                      help="include rate from this container's size")
     sub.add_argument("--csv", default=None)
 
-    sub = subs.add_parser("rd-sweep")
+    sub = subs.add_parser("rd-sweep", parents=[solver])
     sub.add_argument("--kind", choices=["images", "mesh"], required=True)
     sub.add_argument("--data", default=None,
                      help="directory of PGM/OFF frames; omit to synthesize")
@@ -126,7 +118,6 @@ def _build_parser():
                      help="comma list of step_b:step_c pairs")
     _add_transform_args(sub, transform=None, levels=None)  # images only
     sub.add_argument("--csv", required=True)
-    _add_solver_args(sub)
 
     sub = subs.add_parser("synth")
     sub.add_argument("--kind", choices=["images", "mesh"], required=True)
@@ -146,12 +137,12 @@ def _codec_params(args, **transform):
     """CodecParams of the shared flags; images add `transform` and `levels`."""
     return CodecParams(
         k=args.k, step_b=args.step_b, step_c=args.step_c, gamma=args.gamma,
-        target_pb=args.target_pb, solver=_solver_flags(args), **transform,
+        target_pb=args.target_pb, solver=dict(alpha=args.alpha), **transform,
     )
 
 
 def _cmd_compress_images(args):
-    image_set = datasets.load_image_set(_collect(args.inputs, ".pgm"))
+    image_set = _load("images", args.inputs)
     params = _codec_params(args, transform=args.transform, levels=args.levels)
     blob = compress_image_set(image_set.x, image_set.w, image_set.h, params)
     Path(args.out).write_bytes(blob)
@@ -169,7 +160,7 @@ def _cmd_decompress_images(args):
 
 
 def _cmd_compress_mesh(args):
-    seq = datasets.load_mesh_sequence(_collect(args.inputs, ".off"))
+    seq = _load("mesh", args.inputs)
     blob = compress_mesh_seq(seq.xx, seq.xy, seq.xz, seq.faces,
                              _codec_params(args))
     Path(args.out).write_bytes(blob)
@@ -191,30 +182,22 @@ def _cmd_measure(args):
     # images when the originals are .pgm files or directories holding some
     is_image = any(any(p.glob("*.pgm")) if p.is_dir() else p.suffix == ".pgm"
                    for p in map(Path, args.orig))
-    lines = []
+    kind = "images" if is_image else "mesh"
+    a, b = _load(kind, args.orig), _load(kind, args.recon)
     if is_image:
-        a = datasets.load_image_set(_collect(args.orig, ".pgm"))
-        b = datasets.load_image_set(_collect(args.recon, ".pgm"))
-        err = rmse(a.x, b.x)
-        lines.append(("rmse", repr(err)))
+        lines = [("rmse", repr(rmse(a.x, b.x)))]
         value = psnr(a.x, b.x)
         lines.append(("psnr", repr(value)))
         if value == float("inf"):
             lines.append(("psnr_infinite", "true"))
-        if args.container:
-            size = Path(args.container).stat().st_size
-            lines.append(("bits", str(8 * size)))
-            lines.append(("bpp", repr(bits_per_pixel(size, a.w, a.h, a.n))))
     else:
-        a = datasets.load_mesh_sequence(_collect(args.orig, ".off"))
-        b = datasets.load_mesh_sequence(_collect(args.recon, ".off"))
-        lines.append(("rmse", repr(rmse(a.stacked(), b.stacked()))))
-        lines.append(("kg_error", repr(kg_error(a.xx, a.xy, a.xz,
-                                                b.xx, b.xy, b.xz))))
-        if args.container:
-            size = Path(args.container).stat().st_size
-            lines.append(("bits", str(8 * size)))
-            lines.append(("bpfv", repr(bits_per_frame_vertex(size, a.m, a.n))))
+        lines = [("rmse", repr(rmse(a.stacked(), b.stacked()))),
+                 ("kg_error", repr(kg_error(a.xx, a.xy, a.xz, b.xx, b.xy, b.xz)))]
+    if args.container:
+        size = Path(args.container).stat().st_size
+        unit, rate = (("bpp", bits_per_pixel(size, a.w, a.h, a.n)) if is_image
+                      else ("bpfv", bits_per_frame_vertex(size, a.m, a.n)))
+        lines += [("bits", str(8 * size)), (unit, repr(rate))]
     for key, value in lines:
         print(f"{key}={value}")
     if args.csv:
@@ -229,28 +212,20 @@ def _cmd_rd_sweep(args):
     pbs = tuple(float(t) for t in args.pbs.split(","))
     steps = tuple(tuple(float(x) for x in pair.split(":"))
                   for pair in args.steps.split(","))
-    solver = _solver_flags(args)
     transform = {name: value for name, value in
                  (("transform", args.transform), ("levels", args.levels))
                  if value is not None}
-    if args.kind == "images":
-        if args.data:
-            data = datasets.load_image_set(_collect([args.data], ".pgm"))
-        else:
-            data = datasets.synth_image_set(16, 16, 32, rank=4,
-                                            noise_sigma=2.0, seed=args.seed)
-        grid = SweepGrid(ks=ks, pb_targets=pbs, steps=steps, solver=solver,
-                         **transform)
+    images = args.kind == "images"
+    if transform and not images:  # a mesh always uses its graph transform
+        raise UsageError("--transform and --levels apply to --kind images only")
+    if args.data:
+        data = _load(args.kind, [args.data])
+    elif images:
+        data = datasets.synth_image_set(16, 16, 32, rank=4, noise_sigma=2.0, seed=args.seed)
     else:
-        if transform:  # a mesh always uses its graph transform
-            raise UsageError("--transform and --levels apply to --kind images only")
-        if args.data:
-            data = datasets.load_mesh_sequence(_collect([args.data], ".off"))
-        else:
-            data = datasets.synth_mesh_seq(64, 32, seed=args.seed)
-        grid = SweepGrid(ks=ks, pb_targets=pbs, steps=steps,
-                         transform="gt", solver=solver)
-    rows, front = rd_sweep(data, grid)
+        data = datasets.synth_mesh_seq(64, 32, seed=args.seed)
+    rows, front = rd_sweep(data, SweepGrid(ks=ks, pb_targets=pbs, steps=steps,
+                                           solver=dict(alpha=args.alpha), **transform))
     Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")
     front_path = Path(args.csv).with_suffix(".front.csv")
     front_path.write_text(rows_to_csv(front), encoding="utf-8")
@@ -258,7 +233,7 @@ def _cmd_rd_sweep(args):
     print(f"wrote {len(rows)} rows to {args.csv} "
           f"({failures} failed), front of {len(front)} to {front_path}")
     for r in front:
-        if args.kind == "images":
+        if images:
             point = f"{r.rate:8.4f} bpp   rmse {r.rmse:8.4f}   psnr {r.psnr:6.2f} dB"
         else:
             point = f"{r.rate:8.4f} bpfv   kg {r.kg_error:8.4f}%"
@@ -307,7 +282,7 @@ def cli_main(argv=None):
     except NotConvergedError as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return 3
-    except (SlrmaError, OSError) as exc:
+    except (SlrmaError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,9 @@ given quantizer steps, so one factorization can serve many steps (the RD
 sweep does this). A container's
 transform kind names its pipeline (graph for a mesh sequence, dct2d or dwt2d
 for an image set) and its params name m, so each decoder checks only the
-kind. `CodecParams` refuses a step that is not positive and finite before
-any solve. `image_input` and `mesh_input` check the data of `compress_*`
+kind. `CodecParams` refuses a step that is not positive and finite, and
+builds its `SolverConfig`, so refuses a bad k or solver entry, before any
+solve. `image_input` and `mesh_input` check the data of `compress_*`
 and `rd_sweep` alike.
 `image_transforms` and `mesh_transforms` build every basis and are each
 pipeline's only size gate. Only per-mesh state is cached: `_connectivity`
@@ -51,6 +52,7 @@ from .errors import (
     BadLevelsError,
     CorruptStreamError,
     DigestMismatchError,
+    FormatError,
     NotConvergedError,
     SizeOverflowError,
 )
@@ -88,6 +90,7 @@ class CodecParams:
         if (self.gamma is None) == (self.target_pb is None):
             raise ValueError("need exactly one of gamma and target_pb")
         check_steps(self.step_b, self.step_c)
+        self.solver_config()  # refuses a bad k, target or solver entry before any solve
 
     def solver_config(self):
         """The SolverConfig `factor` solves with: k, the gamma or the target
@@ -287,6 +290,6 @@ def decompress_mesh_seq(blob, faces):
         transforms = mesh_transforms(faces, header.m, header.n, header.digest)
     except SizeOverflowError as exc:  # no encoder writes these
         raise CorruptStreamError(str(exc)) from exc
-    except IndexError as exc:  # a face names a vertex past the container's m
+    except FormatError as exc:  # a face the face rule refuses, e.g. one past m
         raise DigestMismatchError("connectivity does not match the container") from exc
     return tuple(_decode(transforms, header, payloads))

@@ -51,28 +51,24 @@ class MeshSequence:
 # ---------------------------------------------------------------------------
 # PGM (binary P5, maxval 255)
 
+# Magic, then width, height and maxval: each a decimal number that ends at
+# whitespace or at the end of the file, after whitespace or #-to-newline
+# comments. One whitespace byte follows maxval, then the raster.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)*(\d+)(?=\s|\Z)" * 3)
+
+
 def read_pgm(path):
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (P5) file")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not re.fullmatch(rb"\d+", token):
-            raise FormatError(f"{path}: bad header token {token!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError(f"{path}: malformed PGM header")
+    try:
+        w, h, maxval = map(int, header.groups())
+    except ValueError as exc:  # a number past Python's int digit limit
+        raise FormatError(f"{path}: malformed PGM header ({exc})") from exc
+    pos = header.end() + 1
     if not w or not h:
         raise FormatError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
@@ -155,8 +151,11 @@ def read_off(path):
                 raise FormatError(f"{path}: non-triangle face of size {cnt}")
             faces.append(tuple(int(t) for t in tokens[pos + 1 : pos + 4]))
             pos += 4
-        mesh_adjacency(faces, nv)
     except (ValueError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed OFF data ({exc})") from exc
+    try:
+        mesh_adjacency(faces, nv)
+    except FormatError as exc:
         raise FormatError(f"{path}: malformed OFF data ({exc})") from exc
     if not np.isfinite(verts).all():
         raise FormatError(f"{path}: a vertex coordinate is NaN or Inf")

@@ -42,7 +42,8 @@ class DigestMismatchError(SlrmaError):
 
 
 class FormatError(SlrmaError):
-    """File violates the PGM/OFF subset this toolkit reads."""
+    """File violates the PGM/OFF subset this toolkit reads, or a mesh's faces
+    are not triangles on its vertices."""
 
 
 class DimensionMismatchError(SlrmaError):

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadLevelsError, DisconnectedError
+from .errors import BadLevelsError, DisconnectedError, FormatError
 from .numerics import sym_eig
 
 KIND_IDENTITY = "identity"
@@ -207,28 +207,27 @@ def mesh_adjacency(faces, vertex_count):
     """Graph of a triangle mesh: union of the edges of every face.
 
     Faces are read in order, and the first that is not a triangle on
-    [0, vertex_count) raises, naming the face: one without three ids, or
-    with an id that is not integer-valued, raises ValueError; then its pairs
-    (a, b), (a, c), (b, c) are checked in that order, each for range
-    (IndexError, naming the vertex outside it) and then for a repeated
-    vertex (ValueError).
+    [0, vertex_count) raises FormatError, naming the face: one without three
+    ids, or with an id that is not integer-valued; then its pairs (a, b),
+    (a, c), (b, c) are checked in that order, each for range (naming the
+    vertex outside it) and then for a repeated vertex.
     """
     edges = set()
     for face in faces:
         if len(face) != 3:
-            raise ValueError(f"face {face!r} is not a triangle")
+            raise FormatError(f"face {face!r} is not a triangle")
         try:
             a, b, c = ids = [int(v) for v in face]
         except (ValueError, OverflowError):  # NaN or an infinity
             ids = None
         if ids != list(face):
-            raise ValueError(f"face {face!r} has a vertex id that is not an integer")
+            raise FormatError(f"face {face!r} has a vertex id that is not an integer")
         for u, v in ((a, b), (a, c), (b, c)):
             for w in (u, v):
                 if not 0 <= w < vertex_count:
-                    raise IndexError(f"vertex {w} of face {face!r} outside "
-                                     f"[0, {vertex_count})")
+                    raise FormatError(f"vertex {w} of face {face!r} outside "
+                                      f"[0, {vertex_count})")
             if u == v:
-                raise ValueError(f"degenerate face {face!r}")
+                raise FormatError(f"degenerate face {face!r}")
             edges.add((min(u, v), max(u, v)))
     return GraphSpec(vertex_count, tuple(sorted(edges)))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slrma import codec, solver, sweep
+from slrma import cli, codec, solver, sweep
 from slrma.cli import cli_main
 from slrma.container import pack_container, unpack_container
 from slrma.datasets import (
@@ -311,6 +311,26 @@ def test_empty_pgm_is_data_error(tmp_path, capsys):
                 "--k", "1", "--gamma", "1"]) == 2
     assert run(["measure", "--orig", str(image), "--recon", str(image)]) == 2
     assert capsys.readouterr().err.count("error: FormatError") == 2
+
+
+def test_pgm_number_past_the_int_digit_limit_is_data_error(tmp_path, capsys):
+    # int() refuses more than 4300 digits with a ValueError, not a usage error
+    image = tmp_path / "wide.pgm"
+    image.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
+    assert run(["compress-images", str(image), "--out", str(tmp_path / "c.slrm"),
+                "--k", "1", "--gamma", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError: ") and "usage error" not in err
+
+
+def test_memory_error_is_data_error(monkeypatch, capsys):
+    # an input too large to hold ends with the data exit code, not a traceback
+    def exhausted(args):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", exhausted)
+    assert run(["synth", "--kind", "images", "--out", "x"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError: cannot allocate\n"
 
 
 def test_decompress_bad_magic_is_data_error(tmp_path, capsys):

@@ -34,12 +34,14 @@ from slrma.errors import (
     CorruptStreamError,
     DigestMismatchError,
     DisconnectedError,
+    FormatError,
     SizeOverflowError,
     VersionUnsupportedError,
 )
 from slrma.metrics import rmse
 from slrma.quant import quantize
 from slrma.solver import reconstruct
+from slrma.sweep import SweepGrid, rd_sweep
 from slrma.transforms import dct1d, dct2d, graph_transform, mesh_adjacency
 
 IMAGE_PARAMS = CodecParams(k=4, step_b=0.002, step_c=0.5, transform="dct",
@@ -441,7 +443,7 @@ def test_mesh_roundtrip_and_digest(monkeypatch):
     # wrong connectivity must be rejected
     bad_faces = list(seq.faces)
     bad_faces[0] = (bad_faces[0][0], bad_faces[0][2], bad_faces[0][1] + 1)
-    with pytest.raises((DigestMismatchError, IndexError, ValueError)):
+    with pytest.raises(DigestMismatchError):
         decompress_mesh_seq(blob, tuple(bad_faces))
 
     # and before the eigenbasis is built, even when the cache holds it
@@ -564,6 +566,17 @@ def test_codec_params_need_exactly_one_sparsity_rule(sparsity):
         CodecParams(k=4, step_b=0.002, step_c=0.5, **sparsity)
 
 
+@pytest.mark.parametrize("fields, error", [
+    (dict(k=0), ValueError), (dict(gamma=-1.0), ValueError),
+    (dict(target_pb=1.0, gamma=None), ValueError), (dict(solver={"alpha": 1.0}), ValueError),
+    (dict(solver={"alpha": None}), TypeError), (dict(solver={"rho0": 5}), TypeError),
+], ids=["k-zero", "gamma-negative", "target-one", "alpha-one", "alpha-none", "unknown-entry"])
+def test_codec_params_refuse_bad_solver_settings_at_construction(fields, error):
+    # the transform and the solve would run before the solve's own check
+    with pytest.raises(error):
+        CodecParams(**{"k": 4, "step_b": 0.002, "step_c": 0.5, "gamma": 50.0, **fields})
+
+
 @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
 def test_codec_params_refuse_a_bad_step_before_any_solve(monkeypatch, step):
     # quantize would refuse it only after the whole solve
@@ -614,12 +627,31 @@ def test_mesh_faces_with_fractional_ids_are_refused():
     seq, blob = tiny_mesh_container()
     params = CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5)
     shifted = [tuple(v + 0.25 for v in face) for face in seq.faces]
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(FormatError, match="not an integer"):
         compress_mesh_seq(seq.xx, seq.xy, seq.xz, shifted, params)
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(DigestMismatchError):
         decompress_mesh_seq(blob, shifted)
     integral = [tuple(float(v) for v in face) for face in seq.faces]
     assert compress_mesh_seq(seq.xx, seq.xy, seq.xz, integral, params) == blob
+
+
+@pytest.mark.parametrize("bad_face", [(0, 1, 16), (-1, 0, 1), (11, 15, 15), (0, 1),
+                                      (0.25, 1, 2), (0, 1, float("nan"))],
+                         ids=["past-m", "negative", "degenerate", "not-a-triangle",
+                              "fractional", "nan"])
+def test_every_face_refusal_is_typed(bad_face):
+    # the encoder and a sweep refuse such faces as malformed; the decoder, as
+    # not the container's connectivity
+    seq, blob = tiny_mesh_container()
+    faces = seq.faces[:-1] + (bad_face,)
+    with pytest.raises(FormatError):
+        compress_mesh_seq(seq.xx, seq.xy, seq.xz, faces,
+                          CodecParams(k=2, step_b=0.01, step_c=1.0, target_pb=0.5))
+    with pytest.raises(FormatError):
+        rd_sweep(dataclasses.replace(seq, faces=faces),
+                 SweepGrid(ks=(2,), pb_targets=(0.5,), steps=((0.01, 1.0),)))
+    with pytest.raises(DigestMismatchError):
+        decompress_mesh_seq(blob, faces)
 
 
 def test_mesh_vertex_count_is_bounded_by_the_faces():

@@ -1,8 +1,15 @@
+import contextlib
 import dataclasses
+import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from slrma import datasets
+from slrma.cli import cli_main
 from slrma.datasets import (
     ImageSet,
     MeshSequence,
@@ -199,3 +206,100 @@ def test_grid_strip_prime_vertex_count():
     from slrma.transforms import mesh_adjacency
 
     assert mesh_adjacency(faces, 13).is_connected()
+
+
+# ---------------------------------------------------------------------------
+# Reader fuzz: cut, flipped or spliced bytes of a valid file load or raise
+# FormatError, and a refused file exits 2 through the CLI.
+
+VALID_PGM = b"P5\n# a comment\n3 2\n255\n\x01\x02\x03\x04\x05\x06"
+VALID_OFF = (b"OFF\n# a tetrahedron\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+             b"3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2 3\n")
+
+
+@st.composite
+def mutants(draw, valid, pieces):
+    """`valid` with a few bytes flipped, then pieces spliced in, then a cut;
+    positions fall in the header as often as anywhere."""
+    data = bytearray(valid)
+    position = st.integers(0, 24) | st.integers(0, 2**16)
+    for pos, mask in draw(st.lists(st.tuples(position, st.integers(1, 255)), max_size=3)):
+        data[pos % len(data)] ^= mask
+    for pos, piece in draw(st.lists(st.tuples(position, st.sampled_from(pieces) | st.binary(
+            max_size=4)), max_size=3)):
+        pos %= len(data) + 1
+        data[pos:pos] = piece
+    cut = draw(st.none() | position)
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    return bytes(data)
+
+
+def assert_refused_through_the_cli(path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli_main(["measure", "--orig", str(path), "--recon", str(path)]) == 2
+    assert err.getvalue().startswith("error: FormatError: ")
+
+
+def token_pgm_header(data):
+    """`read_pgm`'s header rule written out token by token, as it was read
+    before the pattern: (w, h, maxval, raster offset), or None where it is
+    refused. The reference `_PGM_HEADER` must match."""
+    if not data.startswith(b"P5"):
+        return None
+    pos, fields = 2, []
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        token = data[start:pos]
+        if not re.fullmatch(rb"\d+", token):
+            return None
+        fields.append(int(token))
+    return (*fields, pos + 1)  # one whitespace byte follows maxval
+
+
+@given(mutants(VALID_PGM, [b"#", b"\n", b" ", b"\t", b"\r", b"9", b"99999", b"P5", b"-",
+                           b"# c\n", b"\x00"]))
+@settings(max_examples=200, deadline=None)
+@example(b"P5\n3 2\n255")                # maxval ends the file
+@example(b"P5 3 2 255 # no newline")     # a comment runs to the end
+@example(b"P53 2 255 \x00\x00\x00\x00\x00\x00")  # no space after the magic
+@example(b"P5\n3#c\n2 255\n" + bytes(6))  # a comment glued to a number
+def test_mutated_pgm_loads_or_raises_format_error(tmp_path_factory, data):
+    header = datasets._PGM_HEADER.match(data)
+    fields = None if header is None else (*map(int, header.groups()), header.end() + 1)
+    assert fields == token_pgm_header(data)
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        image = read_pgm(path)
+    except FormatError:
+        assert_refused_through_the_cli(path)
+        return
+    w, h, maxval, offset = fields
+    assert maxval == 255
+    assert image.tobytes() == data[offset : offset + w * h] and image.shape == (h, w)
+
+
+@given(mutants(VALID_OFF, [b"#", b"\n", b" ", b"-1", b"4", b"9", b"0.5", b"nan", b"1e999",
+                           b"3 0 0 1\n", b"\xff", b"OFF"]))
+@settings(max_examples=200, deadline=None)
+def test_mutated_off_loads_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.off"
+    path.write_bytes(data)
+    try:
+        verts, faces = read_off(path)
+    except FormatError:
+        assert_refused_through_the_cli(path)
+        return
+    assert verts.shape[1] == 3 and np.isfinite(verts).all()
+    assert all(len(set(face)) == 3 and 0 <= min(face) and max(face) < len(verts)
+               for face in faces)

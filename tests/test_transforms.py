@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slrma.transforms
-from slrma.errors import BadLevelsError, DisconnectedError
+from slrma.errors import BadLevelsError, DisconnectedError, FormatError
 from slrma.transforms import (
     BASES_KEPT,
     GraphSpec,
@@ -273,7 +273,7 @@ def test_mesh_adjacency_tetrahedron():
 
 
 def test_mesh_adjacency_bad_index():
-    with pytest.raises(IndexError):
+    with pytest.raises(FormatError):
         mesh_adjacency([(0, 1, 7)], 4)
 
 
@@ -283,17 +283,17 @@ def loop_mesh_adjacency(faces, vertex_count):
     edges = set()
     for face in faces:
         if len(face) != 3:
-            raise ValueError(f"face {face!r} is not a triangle")
+            raise FormatError(f"face {face!r} is not a triangle")
         if not all(math.isfinite(v) and v == int(v) for v in face):
-            raise ValueError(f"face {face!r} has a vertex id that is not an integer")
+            raise FormatError(f"face {face!r} has a vertex id that is not an integer")
         a, b, c = (int(v) for v in face)
         for u, v in ((a, b), (a, c), (b, c)):
             bad = [w for w in (u, v) if not 0 <= w < vertex_count]
             if bad:
-                raise IndexError(f"vertex {bad[0]} of face {face!r} outside "
-                                 f"[0, {vertex_count})")
+                raise FormatError(f"vertex {bad[0]} of face {face!r} outside "
+                                  f"[0, {vertex_count})")
             if u == v:
-                raise ValueError(f"degenerate face {face!r}")
+                raise FormatError(f"degenerate face {face!r}")
             edges.add((min(u, v), max(u, v)))
     return GraphSpec(vertex_count, tuple(sorted(edges)))
 
@@ -301,7 +301,7 @@ def loop_mesh_adjacency(faces, vertex_count):
 def outcome(build, faces, vertex_count):
     try:
         return build(faces, vertex_count)
-    except (ValueError, IndexError) as exc:
+    except FormatError as exc:
         return type(exc), str(exc)
 
 
@@ -352,11 +352,11 @@ def test_mesh_adjacency_first_offending_face(faces, m):
 
 def test_mesh_adjacency_names_the_offending_vertex_and_face():
     assert outcome(mesh_adjacency, [(-1, 0, 1)], 16) == (
-        IndexError, "vertex -1 of face (-1, 0, 1) outside [0, 16)")
+        FormatError, "vertex -1 of face (-1, 0, 1) outside [0, 16)")
     assert outcome(mesh_adjacency, [(0.25, 1.25, 2.25)], 4) == (
-        ValueError, "face (0.25, 1.25, 2.25) has a vertex id that is not an integer")
+        FormatError, "face (0.25, 1.25, 2.25) has a vertex id that is not an integer")
     for stray in (float("nan"), float("inf")):
-        assert outcome(mesh_adjacency, [(0, 1, stray)], 4)[0] is ValueError
+        assert outcome(mesh_adjacency, [(0, 1, stray)], 4)[0] is FormatError
     assert mesh_adjacency([(0.0, 1.0, 2.0)], 3) == mesh_adjacency([(0, 1, 2)], 3)
 
 
